@@ -8,22 +8,28 @@ rotation error the geodesic angle between the relative rotations (degrees).
 Scale-ambiguous estimates (the eight-point visual-odometry baseline) are
 aligned to ground truth with a least-squares similarity transform before
 windowed errors are computed; metric methods need no alignment.
+
+Ground-truth poses are looked up, and full windows listed, through
+:class:`~policyvo.trajectory.Trajectory`.  Per-window records are stored as
+:mod:`policyvo.tables` CSV with the header ``sequence,t,w,trans_err_mm,rot_err_deg``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import se3
 from .se3 import Pose
+from .tables import read_table, write_table
 from .trajectory import Trajectory
 from .world import Camera, Scene, correspondences
 
 RECORDS_HEADER = "sequence,t,w,trans_err_mm,rot_err_deg"
+MIN_CHEIRALITY = 0.75   # share of matches that must triangulate in front of both views
+MIN_SHARED = 3          # landmarks two VO steps must share to carry the scale across
 
 
 class BaselineFailure(RuntimeError):
@@ -173,26 +179,22 @@ def coverage(rows: list[tuple[int, Pose | None]]) -> CoverageReport:
 # ---------------------------------------------------------------------------
 # Floor baselines
 
-def zero_motion_windows(gt_traj: Trajectory, sequence: str, w: int,
-                        stride: int = 1) -> list[PredictedWindow]:
-    """Predicts the identity relative motion for every window."""
-    out = []
-    for t in _window_starts(gt_traj, w, stride):
-        out.append(PredictedWindow(sequence, t, w, Pose.identity()))
-    return out
+def zero_motion_windows(gt_traj: Trajectory, sequence: str, w: int) -> list[PredictedWindow]:
+    """Predicts the identity relative motion for every full window."""
+    return [PredictedWindow(sequence, t, w, Pose.identity())
+            for t in gt_traj.window_starts(w)]
 
 
-def constant_velocity_windows(gt_traj: Trajectory, sequence: str, w: int,
-                              stride: int = 1) -> list[PredictedWindow]:
+def constant_velocity_windows(gt_traj: Trajectory, sequence: str,
+                              w: int) -> list[PredictedWindow]:
     """Repeats the last observed ground-truth per-step delta w times.
 
     The first window has no history and falls back to zero motion.
     """
-    index_of = dict(gt_traj.frames)
     out = []
-    for t in _window_starts(gt_traj, w, stride):
-        if t - 1 in index_of:
-            step = se3.relative(index_of[t - 1], index_of[t])
+    for t in gt_traj.window_starts(w):
+        if t - 1 in gt_traj:
+            step = se3.relative(gt_traj.pose_at(t - 1), gt_traj.pose_at(t))
             delta = Pose.identity()
             for _ in range(w):
                 delta = se3.compose(delta, step)
@@ -200,22 +202,6 @@ def constant_velocity_windows(gt_traj: Trajectory, sequence: str, w: int,
             delta = Pose.identity()
         out.append(PredictedWindow(sequence, t, w, delta))
     return out
-
-
-def _window_starts(traj: Trajectory, w: int, stride: int) -> list[int]:
-    """Starts t, t+stride, ... whose full window t..t+w is present.
-
-    For L consecutive frames and stride 1 this yields L - w windows
-    (the last start is the largest t with t + w still in the sequence).
-    """
-    present = set(traj.indices)
-    first = traj.indices[0]
-    last = traj.indices[-1]
-    starts = []
-    for t in range(first, last - w + 1, stride):
-        if all(i in present for i in range(t, t + w + 1)):
-            starts.append(t)
-    return starts
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +249,7 @@ def _triangulate_depths(rotation_ba: np.ndarray, t_ba: np.ndarray,
 
 
 def eight_point_relative_pose(pts_a: np.ndarray, pts_b: np.ndarray,
-                              camera: Camera, min_cheirality: float = 0.75
-                              ) -> tuple[Pose, np.ndarray, np.ndarray]:
+                              camera: Camera) -> tuple[Pose, np.ndarray, np.ndarray]:
     """Relative camera motion from >= 8 pixel correspondences.
 
     Normalized eight-point estimate of the essential matrix, projected to
@@ -310,7 +295,7 @@ def eight_point_relative_pose(pts_a: np.ndarray, pts_b: np.ndarray,
             front = int(np.sum((depth_a > 0.0) & (depth_b > 0.0)))
             candidates.append((front, rotation_ba, t_ba, depth_a, depth_b))
     front, rotation_ba, t_ba, depth_a, depth_b = max(candidates, key=lambda c: c[0])
-    if front < min_cheirality * n:
+    if front < MIN_CHEIRALITY * n:
         raise BaselineFailure(f"cheirality ambiguity ({front}/{n} points in front)")
 
     # (R_ba, t_ba) maps frame-a coords to frame-b; the relative pose of
@@ -331,8 +316,7 @@ class VOStep:
 
 def eight_point_vo(scene: Scene, camera: Camera, gt_traj: Trajectory,
                    min_albedo: float = 0.25, noise_px: float = 0.0,
-                   seed: int = 0, min_correspondences: int = 8,
-                   min_shared: int = 3) -> list[tuple[int, Pose | None]]:
+                   seed: int = 0) -> list[tuple[int, Pose | None]]:
     """Chain frame-to-frame eight-point estimates into a trajectory.
 
     Correspondences come from the scene's known landmark projections
@@ -353,8 +337,6 @@ def eight_point_vo(scene: Scene, camera: Camera, gt_traj: Trajectory,
             scene, camera, gt_traj.pose_at(a), gt_traj.pose_at(b),
             min_albedo=min_albedo, noise_px=noise_px,
             rng=rng if noise_px > 0.0 else None)
-        if len(ids) < max(8, min_correspondences):
-            continue
         try:
             delta, depth_a, depth_b = eight_point_relative_pose(pts_a, pts_b, camera)
         except BaselineFailure:
@@ -375,7 +357,7 @@ def eight_point_vo(scene: Scene, camera: Camera, gt_traj: Trajectory,
             scale = 1.0
             rows[a] = pose
         else:
-            ratio = _shared_depth_ratio(prev_step, step, min_shared)
+            ratio = _shared_depth_ratio(prev_step, step)
             if ratio is None:
                 prev_step, pose = None, None
                 continue
@@ -387,15 +369,15 @@ def eight_point_vo(scene: Scene, camera: Camera, gt_traj: Trajectory,
     return [(i, rows[i]) for i in indices]
 
 
-def _shared_depth_ratio(prev_step: VOStep, step: VOStep, min_shared: int) -> float | None:
+def _shared_depth_ratio(prev_step: VOStep, step: VOStep) -> float | None:
     """Baseline-scale ratio from landmarks triangulated by both steps."""
     common, ip, ic = np.intersect1d(prev_step.ids, step.ids, return_indices=True)
-    if len(common) < min_shared:
+    if len(common) < MIN_SHARED:
         return None
     prev_depth = prev_step.depth_b[ip]   # in the shared middle frame
     cur_depth = step.depth_a[ic]
     ok = (prev_depth > 0.0) & (cur_depth > 0.0)
-    if ok.sum() < min_shared:
+    if ok.sum() < MIN_SHARED:
         return None
     ratio = float(np.median(prev_depth[ok] / cur_depth[ok]))
     return ratio if ratio > 0.0 else None
@@ -409,7 +391,6 @@ def align_rows_to_gt(rows: list[tuple[int, Pose | None]],
     estimate restarts in a fresh coordinate frame after a failure).
     Segments too short or too degenerate to align lose their poses.
     """
-    index_of = dict(gt_traj.frames)
     aligned: dict[int, Pose | None] = {i: None for i, _ in rows}
     segment: list[tuple[int, Pose]] = []
 
@@ -417,7 +398,7 @@ def align_rows_to_gt(rows: list[tuple[int, Pose | None]],
         if len(segment) < 3:
             return
         est_pts = np.stack([p.translation for _, p in segment])
-        gt_pts = np.stack([index_of[i].translation for i, _ in segment])
+        gt_pts = np.stack([gt_traj.pose_at(i).translation for i, _ in segment])
         try:
             sim = umeyama_sim3(est_pts, gt_pts)
         except ValueError:
@@ -436,7 +417,7 @@ def align_rows_to_gt(rows: list[tuple[int, Pose | None]],
 
 
 def windows_from_rows(rows: list[tuple[int, Pose | None]], sequence: str,
-                      w: int, stride: int = 1) -> list[PredictedWindow]:
+                      w: int) -> list[PredictedWindow]:
     """Relative-motion windows over an estimated trajectory.
 
     Only windows whose endpoints both carry a valid pose are emitted.
@@ -446,7 +427,7 @@ def windows_from_rows(rows: list[tuple[int, Pose | None]], sequence: str,
     out = []
     if not indices:
         return out
-    for t in range(indices[0], indices[-1] - w + 1, stride):
+    for t in range(indices[0], indices[-1] - w + 1):
         pa, pb = poses.get(t), poses.get(t + w)
         if pa is None or pb is None:
             continue
@@ -477,18 +458,10 @@ def format_results_table(results: list[MethodResult], w: int) -> str:
 
 
 def write_records_csv(path, records: list[RPERecord]) -> None:
-    lines = [RECORDS_HEADER]
-    for r in records:
-        lines.append(f"{r.sequence},{r.t},{r.w},{r.trans_err:.17g},{r.rot_err:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_table(path, RECORDS_HEADER,
+                ((r.sequence, r.t, r.w, r.trans_err, r.rot_err) for r in records))
 
 
 def read_records_csv(path) -> list[RPERecord]:
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines or lines[0] != RECORDS_HEADER:
-        raise ValueError(f"bad records header in {path}")
-    records = []
-    for line in lines[1:]:
-        seq, t, w, trans_err, rot_err = line.split(",")
-        records.append(RPERecord(seq, int(t), int(w), float(trans_err), float(rot_err)))
-    return records
+    return [RPERecord(seq, int(t), int(w), float(trans_err), float(rot_err))
+            for seq, t, w, trans_err, rot_err in read_table(path, RECORDS_HEADER)]

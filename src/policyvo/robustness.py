@@ -13,11 +13,11 @@ the gradient score).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .evaluation import RPERecord
+from .tables import read_table, write_table
 from .world import Observation
 
 SCORES_HEADER = "sequence,t,w,s_texture,s_dillum"
@@ -199,18 +199,10 @@ def format_stratified_report(report: StratifiedReport) -> str:
 
 
 def write_scores_csv(path, scores: list[WindowScore]) -> None:
-    lines = [SCORES_HEADER]
-    for s in scores:
-        lines.append(f"{s.sequence},{s.t},{s.w},{s.s_texture:.17g},{s.s_dillum:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_table(path, SCORES_HEADER,
+                ((s.sequence, s.t, s.w, s.s_texture, s.s_dillum) for s in scores))
 
 
 def read_scores_csv(path) -> list[WindowScore]:
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines or lines[0] != SCORES_HEADER:
-        raise ValueError(f"bad scores header in {path}")
-    out = []
-    for line in lines[1:]:
-        seq, t, w, s_texture, s_dillum = line.split(",")
-        out.append(WindowScore(seq, int(t), int(w), float(s_texture), float(s_dillum)))
-    return out
+    return [WindowScore(seq, int(t), int(w), float(s_texture), float(s_dillum))
+            for seq, t, w, s_texture, s_dillum in read_table(path, SCORES_HEADER)]

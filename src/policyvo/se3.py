@@ -6,8 +6,7 @@ Conventions:
     - The canonical 6-vector form is the *split* parameterization
       (tx, ty, tz, rx, ry, rz): raw translation paired with the principal
       axis-angle (radians) of the rotation.  ``exp``/``log`` below use this
-      form; the coupled twist maps are provided separately as
-      ``exp_twist``/``log_twist``.
+      form.
     - Rotations with angle within ~1e-6 of pi have two equivalent principal
       axis-angle vectors; ``log`` returns one of them (not an error).
 """
@@ -207,52 +206,10 @@ def exp(vec6: np.ndarray) -> Pose:
     return Pose(so3_exp(vec6[3:]), vec6[:3])
 
 
-def exp_twist(twist: np.ndarray) -> Pose:
-    """Coupled se(3) exponential (utility; the split form is canonical).
-
-    The translation part of the twist is carried through the V matrix of the
-    screw motion rather than taken verbatim.
-    """
-    twist = np.asarray(twist, dtype=np.float64).reshape(6)
-    rho, omega = twist[:3], twist[3:]
-    angle = float(np.linalg.norm(omega))
-    omega_hat = skew(omega)
-    omega_hat2 = omega_hat @ omega_hat
-    if angle < SMALL_ANGLE:
-        v_matrix = np.eye(3) + 0.5 * omega_hat + omega_hat2 / 6.0
-    else:
-        angle2 = angle * angle
-        v_matrix = (np.eye(3)
-                    + ((1.0 - math.cos(angle)) / angle2) * omega_hat
-                    + ((angle - math.sin(angle)) / (angle2 * angle)) * omega_hat2)
-    return Pose(so3_exp(omega), v_matrix @ rho)
-
-
-def log_twist(a: Pose) -> np.ndarray:
-    """Coupled se(3) logarithm (utility); inverse of :func:`exp_twist`."""
-    omega = so3_log(a.rotation)
-    angle = float(np.linalg.norm(omega))
-    omega_hat = skew(omega)
-    omega_hat2 = omega_hat @ omega_hat
-    if angle < SMALL_ANGLE:
-        v_inv = np.eye(3) - 0.5 * omega_hat + omega_hat2 / 12.0
-    else:
-        angle2 = angle * angle
-        coeff = (1.0 - (angle * math.sin(angle)) / (2.0 * (1.0 - math.cos(angle)))) / angle2
-        v_inv = np.eye(3) - 0.5 * omega_hat + coeff * omega_hat2
-    return np.concatenate([v_inv @ a.translation, omega])
-
-
 def _as_rng(seed_or_rng) -> np.random.Generator:
     if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng
     return np.random.default_rng(seed_or_rng)
-
-
-def random_rotation(seed_or_rng, rot_scale: float) -> np.ndarray:
-    """Rotation sampled as exp of a Gaussian axis-angle with std rot_scale."""
-    rng = _as_rng(seed_or_rng)
-    return so3_exp(rng.normal(0.0, 1.0, 3) * rot_scale)
 
 
 def random_pose(seed_or_rng, trans_scale: float, rot_scale: float) -> Pose:

@@ -1,25 +1,28 @@
 """Trajectory anchoring, incremental-action windows, and normalization.
 
 A trajectory is an ordered list of (frame_index, Pose) with strictly
-increasing frame indices.  Anchoring re-expresses every pose relative to the
-first frame so the sequence starts at the identity; relative transforms
-between frames are unchanged by anchoring.
+increasing frame indices.  ``Trajectory`` is the one place that knows how
+frames are indexed: it looks poses up by frame index in constant time and
+lists the windows t..t+w whose frames are all present.  Anchoring
+re-expresses every pose relative to the first frame so the sequence starts
+at the identity; relative transforms between frames are unchanged by
+anchoring.
 
-Trajectory files are plain-text CSV with a mandatory header
+Trajectory files are :mod:`policyvo.tables` CSV with the header
 ``frame,tx,ty,tz,rx,ry,rz`` (translation mm, rotation axis-angle rad,
->= 15 significant digits).  A row with any non-finite field marks an
+17 significant digits).  A row with any non-finite field marks an
 invalid/missing pose and is kept for coverage accounting.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import se3
 from .se3 import Pose
+from .tables import read_table, write_table
 
 TRAJECTORY_HEADER = "frame,tx,ty,tz,rx,ry,rz"
 
@@ -28,6 +31,7 @@ TRAJECTORY_HEADER = "frame,tx,ty,tz,rx,ry,rz"
 class Trajectory:
     frames: tuple[tuple[int, Pose], ...]
     anchored: bool = False
+    _pose_of: dict[int, Pose] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         frames = tuple((int(i), p) for i, p in self.frames)
@@ -41,6 +45,7 @@ class Trajectory:
             if drift > 1e-9:
                 raise ValueError("anchored trajectory must start at identity")
         object.__setattr__(self, "frames", frames)
+        object.__setattr__(self, "_pose_of", dict(frames))
 
     @staticmethod
     def from_poses(poses, start_index: int = 0, anchored: bool = False) -> "Trajectory":
@@ -53,6 +58,9 @@ class Trajectory:
     def __iter__(self):
         return iter(self.frames)
 
+    def __contains__(self, frame_index) -> bool:
+        return frame_index in self._pose_of
+
     @property
     def indices(self) -> list[int]:
         return [i for i, _ in self.frames]
@@ -62,10 +70,21 @@ class Trajectory:
         return [p for _, p in self.frames]
 
     def pose_at(self, frame_index: int) -> Pose:
-        for i, p in self.frames:
-            if i == frame_index:
-                return p
-        raise KeyError(f"no frame {frame_index} in trajectory")
+        try:
+            return self._pose_of[frame_index]
+        except KeyError:
+            raise KeyError(f"no frame {frame_index} in trajectory") from None
+
+    def window_starts(self, w: int) -> list[int]:
+        """Frames t, in order, for which every frame t..t+w is present.
+
+        Indices strictly increase, so frames t..t+w are all present exactly
+        when the index w positions after t is t + w.
+        """
+        if w < 0:
+            raise ValueError("window length must be >= 0")
+        indices = self.indices
+        return [t for t, end in zip(indices, indices[w:]) if end == t + w]
 
 
 @dataclass(frozen=True)
@@ -143,15 +162,11 @@ def extract_actions(traj: Trajectory, t: int, k: int) -> ActionSequence:
     """
     if k < 1:
         raise ValueError("horizon k must be >= 1")
-    index_of = {i: p for i, p in traj.frames}
-    needed = range(t, t + k + 1)
-    if any(i not in index_of for i in needed):
+    if any(i not in traj for i in range(t, t + k + 1)):
         raise ValueError(f"window out of range: frames {t}..{t + k} not all present")
-    deltas = []
-    for i in range(1, k + 1):
-        delta = se3.relative(index_of[t + i - 1], index_of[t + i])
-        deltas.append(ActionDelta(se3.log(delta)))
-    return ActionSequence(tuple(deltas))
+    poses = [traj.pose_at(i) for i in range(t, t + k + 1)]
+    return ActionSequence(tuple(ActionDelta(se3.log(se3.relative(a, b)))
+                                for a, b in zip(poses, poses[1:])))
 
 
 def compose_window(start: Pose, actions: ActionSequence, w: int) -> Pose:
@@ -162,11 +177,6 @@ def compose_window(start: Pose, actions: ActionSequence, w: int) -> Pose:
     for delta in actions.deltas[:w]:
         pose = se3.compose(pose, delta.as_pose())
     return pose
-
-
-def window_delta(actions: ActionSequence, w: int) -> Pose:
-    """Relative motion over the first w actions: exp(d1) ∘ ... ∘ exp(dw)."""
-    return compose_window(Pose.identity(), actions, w)
 
 
 def fit_norm_stats(dataset, epsilon: float = 1e-6) -> NormStats:
@@ -201,33 +211,18 @@ def write_trajectory_file(path, rows) -> None:
     pose is written as a nan row (invalid/missing pose marker).
     """
     if isinstance(rows, Trajectory):
-        rows = list(rows.frames)
-    lines = [TRAJECTORY_HEADER]
-    for frame_index, pose in rows:
-        if pose is None:
-            fields = ["nan"] * 6
-        else:
-            fields = [f"{v:.17g}" for v in se3.log(pose)]
-        lines.append(f"{int(frame_index)}," + ",".join(fields))
-    Path(path).write_text("\n".join(lines) + "\n")
+        rows = rows.frames
+    write_table(path, TRAJECTORY_HEADER,
+                ((int(i), *(se3.log(p) if p is not None else [float("nan")] * 6))
+                 for i, p in rows))
 
 
 def read_trajectory_file(path) -> list[tuple[int, Pose | None]]:
     """Read trajectory rows; non-finite rows come back with pose None."""
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines or lines[0].strip() != TRAJECTORY_HEADER:
-        raise ValueError(f"bad trajectory header in {path}")
     rows: list[tuple[int, Pose | None]] = []
-    for line in lines[1:]:
-        parts = line.strip().split(",")
-        if len(parts) != 7:
-            raise ValueError(f"bad trajectory row: {line!r}")
-        frame_index = int(parts[0])
-        vec = np.array([float(x) for x in parts[1:]])
-        if np.all(np.isfinite(vec)):
-            rows.append((frame_index, se3.exp(vec)))
-        else:
-            rows.append((frame_index, None))
+    for frame_index, *fields in read_table(path, TRAJECTORY_HEADER):
+        vec = np.array([float(x) for x in fields])
+        rows.append((int(frame_index), se3.exp(vec) if np.all(np.isfinite(vec)) else None))
     return rows
 
 

@@ -23,9 +23,12 @@ import numpy as np
 
 from . import se3, trajectory as trj
 from .se3 import Pose
+from .tables import read_table, write_table
 from .trajectory import ActionSequence, Trajectory
 
 MANIFEST_HEADER = "sequence,frame,image_path,mask_path"
+NEAR_MM = 1.0           # points at camera depth <= this are not in front of it
+MAX_RESAMPLES = 1000    # redraws of one trajectory step before generation gives up
 
 
 @dataclass(frozen=True)
@@ -152,8 +155,8 @@ def circular_mask(size: int, radius: float) -> np.ndarray:
     return (xx - center) ** 2 + (yy - center) ** 2 <= radius ** 2
 
 
-def project(camera: Camera, pose: Pose, points: np.ndarray,
-            near: float = 1.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def project(camera: Camera, pose: Pose,
+            points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pinhole projection of world points through a camera-to-world pose.
 
     Returns (uv pixel coords (N, 2), camera-frame depth z (N,), in_front
@@ -161,7 +164,7 @@ def project(camera: Camera, pose: Pose, points: np.ndarray,
     """
     local = (points - pose.translation) @ pose.rotation
     z = local[:, 2]
-    in_front = z > near
+    in_front = z > NEAR_MM
     with np.errstate(divide="ignore", invalid="ignore"):
         u = camera.focal * local[:, 0] / z + camera.cx
         v = camera.focal * local[:, 1] / z + camera.cy
@@ -267,12 +270,11 @@ class MotionProfile:
 
 
 def generate_trajectory(seed: int, n_frames: int, profile: MotionProfile,
-                        tube: TubeGeometry = DEFAULT_TUBE,
-                        max_resamples: int = 1000) -> Trajectory:
+                        tube: TubeGeometry = DEFAULT_TUBE) -> Trajectory:
     """Seeded random camera path starting at the identity pose.
 
     Steps that would leave the tube's keep-in region are resampled (up to
-    max_resamples, then an error is raised).
+    MAX_RESAMPLES times, then RuntimeError is raised).
     """
     if n_frames < 2:
         raise ValueError("n_frames must be >= 2")
@@ -290,7 +292,7 @@ def generate_trajectory(seed: int, n_frames: int, profile: MotionProfile,
     orbit_angle = 0.0
 
     for step in range(1, n_frames):
-        for attempt in range(max_resamples + 1):
+        for attempt in range(MAX_RESAMPLES + 1):
             if profile.kind == "smooth-advance":
                 cand_velocity = alpha * velocity + beta * rng.normal(0.0, profile.trans_std, 3)
                 move = cand_velocity + profile.forward_speed * rotation[:, 2]
@@ -314,10 +316,10 @@ def generate_trajectory(seed: int, n_frames: int, profile: MotionProfile,
 
             if tube.contains_camera(cand_position):
                 break
-            if attempt == max_resamples:
+            if attempt == MAX_RESAMPLES:
                 raise RuntimeError(
                     f"motion profile left the tube at step {step} after "
-                    f"{max_resamples} resamples")
+                    f"{MAX_RESAMPLES} resamples")
         position, rotation = cand_position, cand_rotation
         velocity, omega = cand_velocity, cand_omega
         if profile.kind == "orbit":
@@ -356,17 +358,16 @@ def render_sequence(scene: Scene, camera: Camera, traj: Trajectory,
 
 def window_samples(sequence: str, traj: Trajectory,
                    observations: dict[int, Observation], k: int) -> list[WindowSample]:
-    """All length-k windows of one anchored sequence, ordered by start frame."""
+    """All length-k windows of one anchored sequence, ordered by start frame.
+
+    A window is emitted when its frames t..t+k all have a pose and an
+    observation.
+    """
     if not traj.anchored:
         raise ValueError("trajectory must be anchored")
     samples = []
-    indices = traj.indices
-    for t in indices:
-        if t + k not in observations or any(i not in observations for i in range(t, t + k)):
-            continue
-        try:
-            actions = trj.extract_actions(traj, t, k)
-        except ValueError:
+    for t in traj.window_starts(k):
+        if any(i not in observations for i in range(t, t + k + 1)):
             continue
         samples.append(WindowSample(
             sequence=sequence,
@@ -374,7 +375,7 @@ def window_samples(sequence: str, traj: Trajectory,
             obs_t=observations[t],
             obs_tk=observations[t + k],
             state=se3.log(traj.pose_at(t)),
-            actions=actions,
+            actions=trj.extract_actions(traj, t, k),
         ))
     return samples
 
@@ -456,7 +457,7 @@ def write_dataset(root, sequences: list[SequenceData]) -> None:
     """Write manifest, per-sequence trajectory files, and PGM frames."""
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
-    lines = [MANIFEST_HEADER]
+    manifest = []
     for seq in sequences:
         seq_dir = root / seq.name
         seq_dir.mkdir(exist_ok=True)
@@ -465,26 +466,18 @@ def write_dataset(root, sequences: list[SequenceData]) -> None:
             image_rel = f"{seq.name}/frame_{frame:06d}.pgm"
             mask_rel = f"{seq.name}/frame_{frame:06d}.mask.pgm"
             write_observation(root / image_rel, root / mask_rel, obs)
-            lines.append(f"{seq.name},{frame},{image_rel},{mask_rel}")
-    (root / "manifest.csv").write_text("\n".join(lines) + "\n")
+            manifest.append((seq.name, frame, image_rel, mask_rel))
+    write_table(root / "manifest.csv", MANIFEST_HEADER, manifest)
 
 
 def load_dataset(root) -> list[SequenceData]:
     """Load a dataset written by :func:`write_dataset`."""
     root = Path(root)
-    manifest = (root / "manifest.csv").read_text().strip().splitlines()
-    if not manifest or manifest[0] != MANIFEST_HEADER:
-        raise ValueError(f"bad manifest header in {root}")
     frames_by_seq: dict[str, list[tuple[int, str, str]]] = {}
-    order: list[str] = []
-    for line in manifest[1:]:
-        name, frame, image_rel, mask_rel = line.split(",")
-        if name not in frames_by_seq:
-            frames_by_seq[name] = []
-            order.append(name)
-        frames_by_seq[name].append((int(frame), image_rel, mask_rel))
+    for name, frame, image_rel, mask_rel in read_table(root / "manifest.csv", MANIFEST_HEADER):
+        frames_by_seq.setdefault(name, []).append((int(frame), image_rel, mask_rel))
     sequences = []
-    for name in order:
+    for name in frames_by_seq:
         rows = trj.read_trajectory_file(root / name / "traj.csv")
         traj = trj.rows_to_trajectory(rows, anchored=True)
         observations = {

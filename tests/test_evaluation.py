@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -221,6 +222,13 @@ class TestFloorBaselines:
         traj = random_trajectory(12, 30)
         assert len(ev.zero_motion_windows(traj, "s", 8)) == 30 - 8
 
+    def test_empty_trajectory_gives_no_windows(self):
+        empty = Trajectory(())
+        assert ev.zero_motion_windows(empty, "s", 8) == []
+        assert ev.constant_velocity_windows(empty, "s", 8) == []
+        with pytest.raises(ValueError, match="empty evaluation"):
+            ev.rpe(ev.zero_motion_windows(empty, "s", 8), {"s": empty}, 8)
+
 
 class TestEightPoint:
     def setup_method(self):
@@ -299,6 +307,12 @@ class TestRecordsCSV:
         path = tmp_path / "bad.csv"
         path.write_text("x,y\n1,2\n")
         with pytest.raises(ValueError, match="header"):
+            ev.read_records_csv(path)
+
+    def test_short_row_names_file(self, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_text(ev.RECORDS_HEADER + "\nseq_000,3,8,1.25\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 2")):
             ev.read_records_csv(path)
 
 

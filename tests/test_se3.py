@@ -114,18 +114,6 @@ class TestExpLog:
         assert abs(np.linalg.norm(vec) - math.pi) < 1e-9
         np.testing.assert_allclose(se3.so3_exp(vec), rotation, atol=1e-9)
 
-    def test_twist_round_trip(self):
-        rng = np.random.default_rng(9)
-        for _ in range(100):
-            twist = rng.normal(size=6)
-            twist[3:] *= 0.6  # keep the rotation angle below pi
-            pose = se3.exp_twist(twist)
-            np.testing.assert_allclose(se3.log_twist(pose), twist, atol=1e-9)
-
-    def test_twist_differs_from_split_under_rotation(self):
-        twist = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 1.0])
-        assert not np.allclose(se3.exp_twist(twist).translation, se3.exp(twist).translation)
-
 
 class TestGeodesicAngle:
     def test_zero_for_equal(self):

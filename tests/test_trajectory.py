@@ -1,7 +1,9 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from policyvo import se3, trajectory
 from policyvo.se3 import Pose
@@ -29,6 +31,31 @@ class TestTrajectoryType:
     def test_anchored_flag_requires_identity_start(self):
         with pytest.raises(ValueError):
             Trajectory(((0, Pose(np.eye(3), [1.0, 0, 0])),), anchored=True)
+
+    def test_lookup_by_frame_index(self):
+        traj = random_trajectory(16, 4, start_index=5)
+        assert 5 in traj and 8 in traj and 4 not in traj and 9 not in traj
+        assert traj.pose_at(7) is traj.poses[2]
+        with pytest.raises(KeyError, match="no frame 9"):
+            traj.pose_at(9)
+
+
+class TestWindowStarts:
+    @given(st.sets(st.integers(0, 60), max_size=40), st.integers(0, 10))
+    def test_matches_brute_force(self, index_set, w):
+        indices = sorted(index_set)
+        pose = Pose.identity()
+        traj = Trajectory(tuple((i, pose) for i in indices))
+        present = set(indices)
+        expected = [t for t in indices if all(i in present for i in range(t, t + w + 1))]
+        assert traj.window_starts(w) == expected
+
+    def test_empty_trajectory_has_no_windows(self):
+        assert Trajectory(()).window_starts(8) == []
+
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError, match="window length"):
+            random_trajectory(17, 4).window_starts(-1)
 
 
 class TestAnchor:
@@ -220,6 +247,14 @@ class TestTrajectoryFile:
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n")
         with pytest.raises(ValueError, match="header"):
+            trajectory.read_trajectory_file(path)
+
+    def test_truncated_row_names_file(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        trajectory.write_trajectory_file(path, random_trajectory(18, 3))
+        text = path.read_text()
+        path.write_text(text[:text.rstrip().rfind(",")])
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 4")):
             trajectory.read_trajectory_file(path)
 
     def test_precision_at_least_15_digits(self, tmp_path):

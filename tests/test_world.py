@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -283,6 +284,14 @@ class TestBuildDataset:
         keys = [(s.sequence, s.t) for s in samples]
         assert keys == sorted(keys)
 
+    def test_window_samples_skip_missing_frames(self):
+        obs = Observation(np.zeros((4, 4)), np.ones((4, 4), dtype=bool))
+        traj = trj.Trajectory(tuple((i, Pose.identity()) for i in range(12) if i != 9),
+                              anchored=True)
+        observations = {i: obs for i in range(12) if i != 3}
+        samples = world.window_samples("s", traj, observations, 2)
+        assert [s.t for s in samples] == [0, 4, 5, 6]
+
 
 class TestDiskFormat:
     def test_pgm_round_trip(self, tmp_path):
@@ -318,3 +327,13 @@ class TestDiskFormat:
                                        pose.as_matrix(), atol=1e-12)
             np.testing.assert_allclose(loaded[0].observations[i].image,
                                        observations[i].image, atol=0.5 / 255.0)
+
+    def test_truncated_manifest_names_file(self, tmp_path):
+        obs = Observation(np.zeros((4, 4)), np.ones((4, 4), dtype=bool))
+        traj = trj.Trajectory(((0, Pose.identity()), (1, Pose.identity())), anchored=True)
+        world.write_dataset(tmp_path, [world.SequenceData("s", traj, {0: obs, 1: obs})])
+        path = tmp_path / "manifest.csv"
+        text = path.read_text()
+        path.write_text(text[:text.rstrip().rfind(",")])
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 3")):
+            world.load_dataset(tmp_path)
