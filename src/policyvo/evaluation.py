@@ -274,7 +274,8 @@ def eight_point_relative_pose(pts_a: np.ndarray, pts_b: np.ndarray,
 
     # Constraint rows: ray_b' E ray_a = 0, E flattened row-major.
     a_mat = np.einsum("ni,nj->nij", norm_b, norm_a).reshape(n, 9)
-    _, sva, vt = np.linalg.svd(a_mat, full_matrices=True)
+    # From 9 rows on, the reduced vt is the full 9x9 one; 8 rows lack the null vector.
+    _, sva, vt = np.linalg.svd(a_mat, full_matrices=n < 9)
     # A rank deficit beyond the one-dimensional solution space means the
     # essential matrix is not unique (pure rotation leaves t free).
     if sva[7] < 1e-9 * sva[0]:

@@ -154,6 +154,11 @@ class Pose:
         object.__setattr__(self, "rotation", rotation)
         object.__setattr__(self, "translation", translation)
 
+    def __eq__(self, other) -> bool:
+        """Exact equality of rotation and translation, with no tolerance."""
+        return (isinstance(other, Pose) and np.array_equal(self.rotation, other.rotation)
+                and np.array_equal(self.translation, other.translation))
+
     @staticmethod
     def identity() -> "Pose":
         return Pose(np.eye(3), np.zeros(3))
@@ -163,10 +168,6 @@ class Pose:
         m[:3, :3] = self.rotation
         m[:3, 3] = self.translation
         return m
-
-    @staticmethod
-    def from_matrix(matrix: np.ndarray) -> "Pose":
-        return Pose(matrix[:3, :3], matrix[:3, 3])
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Map local points (3,) or (N, 3) into the parent frame."""

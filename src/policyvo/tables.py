@@ -27,7 +27,7 @@ def read_table(path, header: str) -> list[list[str]]:
     """Rows of a table as lists of field strings.
 
     Raises ValueError naming the file when its header is not ``header``, and
-    naming the file and line when a row has the wrong number of fields.
+    naming the file and line when a row has a missing, extra or empty field.
     """
     lines = Path(path).read_text().strip().splitlines()
     if not lines or lines[0].strip() != header:
@@ -39,5 +39,7 @@ def read_table(path, header: str) -> list[list[str]]:
         if len(fields) != width:
             raise ValueError(f"{path}, line {number}: expected {width} fields, "
                              f"got {len(fields)}")
+        if "" in fields:
+            raise ValueError(f"{path}, line {number}: empty field")
         rows.append(fields)
     return rows

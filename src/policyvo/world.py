@@ -15,6 +15,7 @@ blob; a circular field-of-view mask is applied last.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -121,11 +122,6 @@ class Camera:
         return Camera(focal=size * 0.5, cx=center, cy=center,
                       size=size, mask_radius=0.48 * size)
 
-    def intrinsics(self) -> np.ndarray:
-        return np.array([[self.focal, 0.0, self.cx],
-                         [0.0, self.focal, self.cy],
-                         [0.0, 0.0, 1.0]])
-
 
 @dataclass(frozen=True)
 class Observation:
@@ -149,10 +145,14 @@ class Observation:
         object.__setattr__(self, "mask", mask)
 
 
+@functools.lru_cache
 def circular_mask(size: int, radius: float) -> np.ndarray:
+    """Pixels within ``radius`` of the image centre; cached per (size, radius), read-only."""
     center = (size - 1) / 2.0
     yy, xx = np.mgrid[0:size, 0:size]
-    return (xx - center) ** 2 + (yy - center) ** 2 <= radius ** 2
+    mask = (xx - center) ** 2 + (yy - center) ** 2 <= radius ** 2
+    mask.setflags(write=False)
+    return mask
 
 
 def project(camera: Camera, pose: Pose,
@@ -178,7 +178,11 @@ def _inside_mask(camera: Camera, uv: np.ndarray) -> np.ndarray:
 
 def render(scene: Scene, camera: Camera, pose: Pose,
            blob_sigma: float = 1.0) -> Observation:
-    """Splat visible landmarks as Gaussian blobs lit by the headlight."""
+    """Splat visible landmarks as Gaussian blobs lit by the headlight.
+
+    One ``np.bincount`` scatter sums every (pixel offset, landmark) term,
+    offsets outermost and landmarks in order, into a padded canvas.
+    """
     uv, z, in_front = project(camera, pose, scene.points)
     distance2 = np.sum((scene.points - pose.translation) ** 2, axis=1)
     visible = in_front & _inside_mask(camera, uv)
@@ -191,17 +195,16 @@ def render(scene: Scene, camera: Camera, pose: Pose,
         frac = centers - base
         reach = int(math.ceil(3.0 * blob_sigma))
         inv_two_sigma2 = 1.0 / (2.0 * blob_sigma * blob_sigma)
-        for dy in range(-reach, reach + 1):
-            for dx in range(-reach, reach + 1):
-                px = base[:, 0] + dx
-                py = base[:, 1] + dy
-                ok = (px >= 0) & (px < camera.size) & (py >= 0) & (py < camera.size)
-                if not np.any(ok):
-                    continue
-                w = np.exp(-((dx - frac[:, 0]) ** 2 + (dy - frac[:, 1]) ** 2)
-                           * inv_two_sigma2)
-                np.add.at(image, (py[ok], px[ok]), amps[ok] * w[ok])
-        np.clip(image, 0.0, 1.0, out=image)
+        dy, dx = np.mgrid[-reach:reach + 1, -reach:reach + 1].reshape(2, -1, 1)
+        w = np.exp(-((dx - frac[:, 0]) ** 2 + (dy - frac[:, 1]) ** 2) * inv_two_sigma2)
+        # Blobs centred over reach pixels off the image miss it and stay off it
+        # when clipped, so every index lies in a canvas padded by 2 * reach + 1.
+        pad = 2 * reach + 1
+        width = camera.size + 2 * pad
+        cell = np.clip(base, -reach - 1, camera.size + reach) + pad
+        index = (cell[:, 1] + dy) * width + (cell[:, 0] + dx)
+        canvas = np.bincount(index.ravel(), (amps * w).ravel(), width * width)
+        image = np.clip(canvas.reshape(width, width)[pad:-pad, pad:-pad], 0.0, 1.0)
 
     mask = circular_mask(camera.size, camera.mask_radius)
     image[~mask] = 0.0
@@ -430,6 +433,8 @@ def read_pgm(path) -> np.ndarray:
         raise ValueError(f"unsupported PGM header in {path}")
     w, h = int(fields[1]), int(fields[2])
     pos += 1  # single whitespace after maxval
+    if len(raw) - pos < w * h:
+        raise ValueError(f"truncated PGM {path}: {len(raw) - pos} of {w * h} pixel bytes")
     data = np.frombuffer(raw[pos:pos + w * h], dtype=np.uint8).reshape(h, w)
     return data.astype(np.float64) / 255.0
 

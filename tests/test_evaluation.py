@@ -257,6 +257,41 @@ class TestEightPoint:
         with pytest.raises(ev.BaselineFailure, match="degenerate"):
             ev.eight_point_relative_pose(pts_a, pts_b, self.camera)
 
+    @pytest.mark.parametrize("n", [8, 9, None])
+    @pytest.mark.parametrize("noise_px", [0.0, 0.3])
+    def test_matches_full_matrices_svd(self, monkeypatch, n, noise_px):
+        rng = np.random.default_rng(19)
+        traj = generate_trajectory(19, 6, MotionProfile(trans_std=0.4, forward_speed=0.8))
+        cases = []
+        for pose_a, pose_b in zip(traj.poses, traj.poses[1:]):
+            _, pts_a, pts_b = correspondences(self.scene, self.camera, pose_a, pose_b,
+                                              min_albedo=0.25, noise_px=noise_px, rng=rng)
+            cases.append((pts_a[:n], pts_b[:n]))
+
+        def solve_all():
+            out = []
+            for pts_a, pts_b in cases:
+                try:
+                    delta, depth_a, depth_b = ev.eight_point_relative_pose(
+                        pts_a, pts_b, self.camera)
+                    out.append((delta.rotation, delta.translation, depth_a, depth_b))
+                except ev.BaselineFailure as failure:
+                    out.append(str(failure))
+            return out
+
+        reduced = solve_all()
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda a, full_matrices=True, **kw: svd(a, True, **kw))
+        full = solve_all()
+        assert any(not isinstance(r, str) for r in reduced)
+        for got, want in zip(reduced, full):
+            if isinstance(want, str):
+                assert got == want
+            else:
+                for g, w in zip(got, want):
+                    assert np.abs(g - w).max() == 0.0
+
     def test_seven_correspondences_fail(self):
         pts = np.random.default_rng(0).uniform(10, 150, (7, 2))
         with pytest.raises(ev.BaselineFailure, match="fewer than 8"):

@@ -160,6 +160,20 @@ class TestRandomPose:
             se3.random_pose(1, -1.0, 0.0)
 
 
+class TestPoseEquality:
+    def test_equal_and_unequal_poses(self):
+        assert Pose.identity() == Pose.identity()
+        pose = se3.random_pose(20, 1.0, 0.2)
+        assert pose == Pose(pose.rotation.copy(), pose.translation.copy())
+        assert pose != Pose(pose.rotation, pose.translation + [0.0, 0.0, 1e-12])
+        assert pose != Pose(se3.rot_z(1e-9) @ pose.rotation, pose.translation)
+        assert pose != pose.as_matrix()
+
+    def test_unhashable(self):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(Pose.identity())
+
+
 class TestNumericalHygiene:
     def test_long_composition_chain_stays_orthonormal(self):
         rng = np.random.default_rng(14)

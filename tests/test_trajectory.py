@@ -32,6 +32,16 @@ class TestTrajectoryType:
         with pytest.raises(ValueError):
             Trajectory(((0, Pose(np.eye(3), [1.0, 0, 0])),), anchored=True)
 
+    def test_equality_compares_frames_and_anchoring(self):
+        traj = random_trajectory(21, 3)
+        copy = Trajectory(tuple((i, Pose(p.rotation.copy(), p.translation.copy()))
+                                for i, p in traj.frames))
+        assert traj == copy
+        assert traj != random_trajectory(21, 3, start_index=1)
+        assert traj != random_trajectory(22, 3)
+        assert Trajectory.from_poses([Pose.identity()]) != Trajectory.from_poses(
+            [Pose.identity()], anchored=True)
+
     def test_lookup_by_frame_index(self):
         traj = random_trajectory(16, 4, start_index=5)
         assert 5 in traj and 8 in traj and 4 not in traj and 9 not in traj
@@ -255,6 +265,14 @@ class TestTrajectoryFile:
         text = path.read_text()
         path.write_text(text[:text.rstrip().rfind(",")])
         with pytest.raises(ValueError, match=re.escape(f"{path}, line 4")):
+            trajectory.read_trajectory_file(path)
+
+    def test_empty_field_names_file(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        trajectory.write_trajectory_file(path, random_trajectory(23, 3))
+        text = path.read_text().rstrip()
+        path.write_text(text[:text.rfind(",") + 1] + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 4: empty field")):
             trajectory.read_trajectory_file(path)
 
     def test_precision_at_least_15_digits(self, tmp_path):

@@ -32,6 +32,32 @@ def single_landmark_scene(point, albedo=1.0):
     return Scene(np.array([point]), np.array([albedo]), world.DEFAULT_TUBE)
 
 
+def add_at_render(scene, camera, pose, blob_sigma=1.0):
+    """Reference renderer: one np.add.at scatter per blob pixel offset."""
+    uv, _, in_front = world.project(camera, pose, scene.points)
+    distance2 = np.sum((scene.points - pose.translation) ** 2, axis=1)
+    visible = in_front & ((uv[:, 0] - camera.cx) ** 2 + (uv[:, 1] - camera.cy) ** 2
+                          <= camera.mask_radius ** 2)
+    centers = uv[visible]
+    amps = scene.albedo[visible] * scene.light_gain / distance2[visible]
+    base = np.round(centers).astype(np.int64)
+    frac = centers - base
+    reach = int(math.ceil(3.0 * blob_sigma))
+    inv_two_sigma2 = 1.0 / (2.0 * blob_sigma * blob_sigma)
+    image = np.zeros((camera.size, camera.size))
+    for dy in range(-reach, reach + 1):
+        for dx in range(-reach, reach + 1):
+            px, py = base[:, 0] + dx, base[:, 1] + dy
+            ok = (px >= 0) & (px < camera.size) & (py >= 0) & (py < camera.size)
+            w = np.exp(-((dx - frac[:, 0]) ** 2 + (dy - frac[:, 1]) ** 2) * inv_two_sigma2)
+            np.add.at(image, (py[ok], px[ok]), amps[ok] * w[ok])
+    np.clip(image, 0.0, 1.0, out=image)
+    center = (camera.size - 1) / 2.0
+    yy, xx = np.mgrid[0:camera.size, 0:camera.size]
+    image[(xx - center) ** 2 + (yy - center) ** 2 > camera.mask_radius ** 2] = 0.0
+    return image
+
+
 class TestSceneGeneration:
     def test_minimum_landmark_count_enforced(self):
         with pytest.raises(ValueError):
@@ -201,6 +227,37 @@ class TestRender:
         assert a.image[a.mask].mean() == b.image[b.mask].mean()
 
 
+class TestRenderMatchesAddAtOracle:
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    @pytest.mark.parametrize("size", [160, 64, 48])
+    @pytest.mark.parametrize("blob_sigma", [1.0, 2.0])
+    def test_bit_identical_on_seeded_scenes(self, seed, size, blob_sigma):
+        scene = make_tube_scene(seed)
+        camera = Camera.default(size)
+        profile = MotionProfile(trans_std=0.5, rot_std=0.02, forward_speed=2.0)
+        poses = generate_trajectory(seed, 4, profile).poses
+        for pose in poses + [Pose(se3.rot_x(0.4) @ se3.rot_y(-0.3), [2.0, -3.0, 20.0])]:
+            image = render(scene, camera, pose, blob_sigma).image
+            assert np.abs(image - add_at_render(scene, camera, pose, blob_sigma)).max() == 0.0
+
+    def test_bit_identical_with_off_image_blob_centres(self):
+        # The field of view centred off the image puts many blob centres far
+        # outside it and some within a blob's reach of its left edge.
+        camera = Camera(focal=40.0, cx=-30.0, cy=20.0, size=48, mask_radius=24.0)
+        scene = make_tube_scene(6)
+        pose = Pose(se3.rot_y(0.3), [0.0, 0.0, 30.0])
+        for blob_sigma in (1.0, 2.0):
+            image = render(scene, camera, pose, blob_sigma).image
+            np.testing.assert_array_equal(image, add_at_render(scene, camera, pose, blob_sigma))
+
+    def test_mask_is_cached_and_read_only(self):
+        mask = world.circular_mask(40, 19.2)
+        assert world.circular_mask(40, 19.2) is mask
+        assert not mask.flags.writeable
+        obs = render(make_tube_scene(7, n_landmarks=600), Camera.default(40), Pose.identity())
+        np.testing.assert_array_equal(obs.mask, mask)
+
+
 class TestObservationType:
     def test_outside_mask_nonzero_rejected(self):
         image = np.ones((8, 8)) * 0.5
@@ -301,6 +358,13 @@ class TestDiskFormat:
         world.write_pgm(path, image)
         back = world.read_pgm(path)
         np.testing.assert_allclose(back, image, atol=1e-12)
+
+    def test_truncated_pgm_names_file(self, tmp_path):
+        path = tmp_path / "img.pgm"
+        world.write_pgm(path, np.full((8, 8), 0.5))
+        path.write_bytes(path.read_bytes()[:-10])
+        with pytest.raises(ValueError, match=re.escape(f"truncated PGM {path}: 54 of 64")):
+            world.read_pgm(path)
 
     def test_observation_round_trip(self, tmp_path):
         scene = make_tube_scene(28, n_landmarks=800)
