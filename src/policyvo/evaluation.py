@@ -95,10 +95,6 @@ class Sim3:
     def apply_points(self, points: np.ndarray) -> np.ndarray:
         return self.scale * (np.asarray(points) @ self.rotation.T) + self.translation
 
-    def apply_pose(self, pose: Pose) -> Pose:
-        return Pose(self.rotation @ pose.rotation,
-                    self.scale * (self.rotation @ pose.translation) + self.translation)
-
 
 @dataclass(frozen=True)
 class CoverageReport:
@@ -123,17 +119,17 @@ def summarize(records: list[RPERecord]) -> RPESummary:
 def rpe(pred_windows: list[PredictedWindow], gt_trajs: dict[str, Trajectory],
         w: int) -> tuple[list[RPERecord], RPESummary]:
     """Per-window relative pose error of predictions against ground truth."""
-    records = []
-    for pw in pred_windows:
-        if pw.w != w:
-            continue
-        traj = gt_trajs[pw.sequence]
-        gt_delta = se3.relative(traj.pose_at(pw.t), traj.pose_at(pw.t + w))
-        trans_err = float(np.linalg.norm(pw.delta.translation - gt_delta.translation))
-        rot_err = math.degrees(se3.geodesic_angle(pw.delta.rotation, gt_delta.rotation))
-        records.append(RPERecord(pw.sequence, pw.t, w, trans_err, rot_err))
-    if not records:
+    windows = [pw for pw in pred_windows if pw.w == w]
+    if not windows:
         raise ValueError("empty evaluation")
+    starts = se3.stack([gt_trajs[pw.sequence].pose_at(pw.t) for pw in windows])
+    ends = se3.stack([gt_trajs[pw.sequence].pose_at(pw.t + w) for pw in windows])
+    gt_rot, gt_trans = se3.relative_rt(*starts, *ends)
+    pred_rot, pred_trans = se3.stack([pw.delta for pw in windows])
+    trans_err = np.linalg.norm(pred_trans - gt_trans, axis=-1)
+    rot_err = np.degrees(se3.geodesic_angle(pred_rot, gt_rot))
+    records = [RPERecord(pw.sequence, pw.t, w, e_trans, e_rot)
+               for pw, e_trans, e_rot in zip(windows, trans_err.tolist(), rot_err.tolist())]
     return records, summarize(records)
 
 
@@ -181,8 +177,8 @@ def coverage(rows: list[tuple[int, Pose | None]]) -> CoverageReport:
 
 def zero_motion_windows(gt_traj: Trajectory, sequence: str, w: int) -> list[PredictedWindow]:
     """Predicts the identity relative motion for every full window."""
-    return [PredictedWindow(sequence, t, w, Pose.identity())
-            for t in gt_traj.window_starts(w)]
+    identity = Pose.identity()
+    return [PredictedWindow(sequence, t, w, identity) for t in gt_traj.window_starts(w)]
 
 
 def constant_velocity_windows(gt_traj: Trajectory, sequence: str,
@@ -191,17 +187,17 @@ def constant_velocity_windows(gt_traj: Trajectory, sequence: str,
 
     The first window has no history and falls back to zero motion.
     """
-    out = []
-    for t in gt_traj.window_starts(w):
-        if t - 1 in gt_traj:
-            step = se3.relative(gt_traj.pose_at(t - 1), gt_traj.pose_at(t))
-            delta = Pose.identity()
-            for _ in range(w):
-                delta = se3.compose(delta, step)
-        else:
-            delta = Pose.identity()
-        out.append(PredictedWindow(sequence, t, w, delta))
-    return out
+    starts = gt_traj.window_starts(w)
+    moving = [t for t in starts if t - 1 in gt_traj]
+    rows = gt_traj.rows(moving)
+    rot, trans = gt_traj.rotations, gt_traj.translations
+    step = se3.relative_rt(rot[rows - 1], trans[rows - 1], rot[rows], trans[rows])
+    delta = np.broadcast_to(np.eye(3), step[0].shape), np.zeros_like(step[1])
+    for _ in range(w):
+        delta = se3.compose_rt(*delta, *step)
+    predicted = dict(zip(moving, se3.poses(*delta)))
+    identity = Pose.identity()
+    return [PredictedWindow(sequence, t, w, predicted.get(t, identity)) for t in starts]
 
 
 # ---------------------------------------------------------------------------
@@ -398,14 +394,13 @@ def align_rows_to_gt(rows: list[tuple[int, Pose | None]],
     def flush(segment):
         if len(segment) < 3:
             return
-        est_pts = np.stack([p.translation for _, p in segment])
-        gt_pts = np.stack([gt_traj.pose_at(i).translation for i, _ in segment])
+        frames = [i for i, _ in segment]
+        rot, trans = se3.stack([p for _, p in segment])
         try:
-            sim = umeyama_sim3(est_pts, gt_pts)
+            sim = umeyama_sim3(trans, gt_traj.translations[gt_traj.rows(frames)])
         except ValueError:
             return
-        for i, p in segment:
-            aligned[i] = sim.apply_pose(p)
+        aligned.update(zip(frames, se3.poses(sim.rotation @ rot, sim.apply_points(trans))))
 
     for i, pose in rows:
         if pose is None:
@@ -423,17 +418,15 @@ def windows_from_rows(rows: list[tuple[int, Pose | None]], sequence: str,
 
     Only windows whose endpoints both carry a valid pose are emitted.
     """
-    poses = dict(rows)
-    indices = [i for i, _ in rows]
-    out = []
-    if not indices:
-        return out
-    for t in range(indices[0], indices[-1] - w + 1):
-        pa, pb = poses.get(t), poses.get(t + w)
-        if pa is None or pb is None:
-            continue
-        out.append(PredictedWindow(sequence, t, w, se3.relative(pa, pb)))
-    return out
+    if not rows:
+        return []
+    first, last = rows[0][0], rows[-1][0]
+    valid = {i: p for i, p in dict(rows).items() if p is not None}
+    starts = [t for t in sorted(valid) if first <= t <= last - w and t + w in valid]
+    deltas = se3.relative_rt(*se3.stack([valid[t] for t in starts]),
+                             *se3.stack([valid[t + w] for t in starts]))
+    return [PredictedWindow(sequence, t, w, delta)
+            for t, delta in zip(starts, se3.poses(*deltas))]
 
 
 # ---------------------------------------------------------------------------

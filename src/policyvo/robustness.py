@@ -143,10 +143,11 @@ def stratify(window_scores: list[WindowScore],
              rpe_records: list[RPERecord]) -> StratifiedReport:
     """Quartile-stratified translation RPE for both difficulty scores.
 
-    Thresholds are the global 25th/75th percentiles over all scored windows
-    (linear-interpolation percentile); the low bin takes score <= P25, the
-    high bin score >= P75 (ties included).  Every RPE record must have a
-    matching score keyed by (sequence, t, w).
+    Thresholds are the 25th/75th percentiles (linear interpolation) of the
+    scores of the windows that carry an RPE record; scored windows without a
+    record (e.g. where VO gave no pose) do not move them.  The low bin takes
+    score <= P25, the high bin score >= P75 (ties included).  Every RPE
+    record must have a matching score keyed by (sequence, t, w).
     """
     if len(window_scores) < 4:
         raise ValueError("insufficient windows: need at least 4")

@@ -12,7 +12,7 @@ from pathlib import Path
 
 
 def _field(value) -> str:
-    if isinstance(value, (str, numbers.Integral)):
+    if not isinstance(value, float) and isinstance(value, (str, numbers.Integral)):
         return str(value)
     return f"{value:.17g}"
 

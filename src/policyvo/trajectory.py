@@ -29,23 +29,30 @@ TRAJECTORY_HEADER = "frame,tx,ty,tz,rx,ry,rz"
 
 @dataclass(frozen=True)
 class Trajectory:
+    """(frame, Pose) rows, also held as read-only ``rotations`` (N, 3, 3) and
+    ``translations`` (N, 3) stacks built once at construction."""
+
     frames: tuple[tuple[int, Pose], ...]
     anchored: bool = False
-    _pose_of: dict[int, Pose] = field(init=False, repr=False, compare=False)
+    rotations: np.ndarray = field(init=False, repr=False, compare=False)
+    translations: np.ndarray = field(init=False, repr=False, compare=False)
+    _row_of: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         frames = tuple((int(i), p) for i, p in self.frames)
         indices = [i for i, _ in frames]
         if any(b <= a for a, b in zip(indices, indices[1:])):
             raise ValueError("frame indices must be strictly increasing")
-        if self.anchored and frames:
-            first = frames[0][1]
-            drift = max(np.abs(first.rotation - np.eye(3)).max(),
-                        np.abs(first.translation).max())
-            if drift > 1e-9:
-                raise ValueError("anchored trajectory must start at identity")
+        rotations, translations = se3.stack([p for _, p in frames])
+        if self.anchored and frames and max(np.abs(rotations[0] - np.eye(3)).max(),
+                                            np.abs(translations[0]).max()) > 1e-9:
+            raise ValueError("anchored trajectory must start at identity")
+        rotations.setflags(write=False)
+        translations.setflags(write=False)
         object.__setattr__(self, "frames", frames)
-        object.__setattr__(self, "_pose_of", dict(frames))
+        object.__setattr__(self, "rotations", rotations)
+        object.__setattr__(self, "translations", translations)
+        object.__setattr__(self, "_row_of", {i: n for n, i in enumerate(indices)})
 
     @staticmethod
     def from_poses(poses, start_index: int = 0, anchored: bool = False) -> "Trajectory":
@@ -59,7 +66,7 @@ class Trajectory:
         return iter(self.frames)
 
     def __contains__(self, frame_index) -> bool:
-        return frame_index in self._pose_of
+        return frame_index in self._row_of
 
     @property
     def indices(self) -> list[int]:
@@ -69,9 +76,16 @@ class Trajectory:
     def poses(self) -> list[Pose]:
         return [p for _, p in self.frames]
 
+    def rows(self, frame_indices) -> np.ndarray:
+        """Positions of the given frames in ``rotations``/``translations``."""
+        try:
+            return np.array([self._row_of[i] for i in frame_indices], dtype=np.intp)
+        except KeyError as exc:
+            raise KeyError(f"no frame {exc.args[0]} in trajectory") from None
+
     def pose_at(self, frame_index: int) -> Pose:
         try:
-            return self._pose_of[frame_index]
+            return self.frames[self._row_of[frame_index]][1]
         except KeyError:
             raise KeyError(f"no frame {frame_index} in trajectory") from None
 
@@ -87,6 +101,14 @@ class Trajectory:
         return [t for t, end in zip(indices, indices[w:]) if end == t + w]
 
 
+def _check_deltas(vectors: np.ndarray) -> None:
+    """Raise ValueError unless every split 6-vector of the stack is a valid action."""
+    if not np.isfinite(vectors).all():
+        raise ValueError("action delta has non-finite components")
+    if (np.linalg.norm(vectors[..., 3:], axis=-1) > np.pi + 1e-12).any():
+        raise ValueError("rotation part exceeds pi")
+
+
 @dataclass(frozen=True)
 class ActionDelta:
     """One incremental motion as a split 6-vector (mm, rad)."""
@@ -95,10 +117,7 @@ class ActionDelta:
 
     def __post_init__(self):
         vector = np.asarray(self.vector, dtype=np.float64).reshape(6)
-        if not np.all(np.isfinite(vector)):
-            raise ValueError("action delta has non-finite components")
-        if np.linalg.norm(vector[3:]) > np.pi + 1e-12:
-            raise ValueError("rotation part exceeds pi")
+        _check_deltas(vector)
         vector.setflags(write=False)
         object.__setattr__(self, "vector", vector)
 
@@ -121,8 +140,13 @@ class ActionSequence:
 
     @staticmethod
     def from_array(arr: np.ndarray) -> "ActionSequence":
-        arr = np.asarray(arr, dtype=np.float64)
-        return ActionSequence(tuple(ActionDelta(row) for row in arr))
+        """Actions of the rows of a (k, 6) array, validated once as a whole."""
+        arr = np.array(arr, dtype=np.float64)
+        if arr.ndim != 2 or arr.shape[1] != 6:
+            raise ValueError(f"actions must be a (k, 6) array, got {arr.shape}")
+        _check_deltas(arr)
+        arr.setflags(write=False)
+        return ActionSequence(tuple(se3.unchecked(ActionDelta, vector=row) for row in arr))
 
 
 @dataclass(frozen=True)
@@ -150,9 +174,9 @@ def anchor(traj: Trajectory) -> Trajectory:
     """Re-express all poses relative to the first frame (T0 becomes identity)."""
     if len(traj) == 0:
         raise ValueError("empty trajectory")
-    first_inv = se3.inverse(traj.frames[0][1])
-    frames = tuple((i, se3.compose(first_inv, p)) for i, p in traj.frames)
-    return Trajectory(frames, anchored=True)
+    first_inv = se3.inverse_rt(traj.rotations[0], traj.translations[0])
+    anchored = se3.compose_rt(*first_inv, traj.rotations, traj.translations)
+    return Trajectory(tuple(zip(traj.indices, se3.poses(*anchored))), anchored=True)
 
 
 def extract_actions(traj: Trajectory, t: int, k: int) -> ActionSequence:
@@ -164,9 +188,10 @@ def extract_actions(traj: Trajectory, t: int, k: int) -> ActionSequence:
         raise ValueError("horizon k must be >= 1")
     if any(i not in traj for i in range(t, t + k + 1)):
         raise ValueError(f"window out of range: frames {t}..{t + k} not all present")
-    poses = [traj.pose_at(i) for i in range(t, t + k + 1)]
-    return ActionSequence(tuple(ActionDelta(se3.log(se3.relative(a, b)))
-                                for a, b in zip(poses, poses[1:])))
+    rows = traj.rows(range(t, t + k + 1))
+    rot, trans = traj.rotations[rows], traj.translations[rows]
+    steps = se3.relative_rt(rot[:-1], trans[:-1], rot[1:], trans[1:])
+    return ActionSequence.from_array(se3.log_rt(*steps))
 
 
 def compose_window(start: Pose, actions: ActionSequence, w: int) -> Pose:
@@ -210,20 +235,22 @@ def write_trajectory_file(path, rows) -> None:
     ``rows`` is a Trajectory or a list of (frame_index, Pose | None); a None
     pose is written as a nan row (invalid/missing pose marker).
     """
-    if isinstance(rows, Trajectory):
-        rows = rows.frames
+    rows = list(rows.frames if isinstance(rows, Trajectory) else rows)
+    valid = [n for n, (_, p) in enumerate(rows) if p is not None]
+    vectors = np.full((len(rows), 6), np.nan)
+    vectors[valid] = se3.log_rt(*se3.stack([rows[n][1] for n in valid]))
     write_table(path, TRAJECTORY_HEADER,
-                ((int(i), *(se3.log(p) if p is not None else [float("nan")] * 6))
-                 for i, p in rows))
+                ((int(i), *vec) for (i, _), vec in zip(rows, vectors.tolist())))
 
 
 def read_trajectory_file(path) -> list[tuple[int, Pose | None]]:
     """Read trajectory rows; non-finite rows come back with pose None."""
-    rows: list[tuple[int, Pose | None]] = []
-    for frame_index, *fields in read_table(path, TRAJECTORY_HEADER):
-        vec = np.array([float(x) for x in fields])
-        rows.append((int(frame_index), se3.exp(vec) if np.all(np.isfinite(vec)) else None))
-    return rows
+    table = read_table(path, TRAJECTORY_HEADER)
+    vectors = np.array([[float(x) for x in fields] for _, *fields in table]).reshape(-1, 6)
+    valid = np.isfinite(vectors).all(axis=1)
+    poses = iter(se3.poses(*se3.exp_rt(vectors[valid])))
+    return [(int(frame), next(poses) if ok else None)
+            for (frame, *_), ok in zip(table, valid.tolist())]
 
 
 def rows_to_trajectory(rows, anchored: bool = False) -> Trajectory:

@@ -284,7 +284,7 @@ def generate_trajectory(seed: int, n_frames: int, profile: MotionProfile,
     rng = np.random.default_rng(seed)
     position = np.zeros(3)
     rotation = np.eye(3)
-    poses = [Pose(rotation, position)]
+    rotations, positions = [rotation], [position]
 
     alpha = profile.smoothing
     beta = math.sqrt(1.0 - alpha * alpha)
@@ -300,21 +300,19 @@ def generate_trajectory(seed: int, n_frames: int, profile: MotionProfile,
                 cand_velocity = alpha * velocity + beta * rng.normal(0.0, profile.trans_std, 3)
                 move = cand_velocity + profile.forward_speed * rotation[:, 2]
                 cand_position = position + move
-                cand_omega = alpha * omega + beta * rng.normal(0.0, profile.rot_std, 3)
-                cand_rotation = rotation @ se3.so3_exp(cand_omega)
+                turn = cand_omega = alpha * omega + beta * rng.normal(0.0, profile.rot_std, 3)
             elif profile.kind == "orbit":
                 arc = (profile.trans_std + abs(rng.normal(0.0, 0.3 * profile.trans_std))) / max(orbit_radius, 1e-9)
                 cand_angle = orbit_angle + arc
                 cand_position = orbit_center + orbit_radius * np.array(
                     [math.cos(cand_angle), math.sin(cand_angle), 0.0])
                 cand_position[2] = position[2] + profile.forward_speed
-                cand_rotation = rotation @ se3.so3_exp(
-                    np.array([0.0, 0.0, arc]) + rng.normal(0.0, profile.rot_std, 3))
+                turn = np.array([0.0, 0.0, arc]) + rng.normal(0.0, profile.rot_std, 3)
                 cand_velocity, cand_omega = velocity, omega
             else:  # jitter
                 cand_position = position + rng.normal(0.0, profile.trans_std, 3) \
                     + profile.forward_speed * rotation[:, 2]
-                cand_rotation = rotation @ se3.so3_exp(rng.normal(0.0, profile.rot_std, 3))
+                turn = rng.normal(0.0, profile.rot_std, 3)
                 cand_velocity, cand_omega = velocity, omega
 
             if tube.contains_camera(cand_position):
@@ -323,15 +321,17 @@ def generate_trajectory(seed: int, n_frames: int, profile: MotionProfile,
                 raise RuntimeError(
                     f"motion profile left the tube at step {step} after "
                     f"{MAX_RESAMPLES} resamples")
-        position, rotation = cand_position, cand_rotation
+        # Only the accepted candidate's rotation is needed: no step's
+        # position depends on its own turn.
+        position, rotation = cand_position, rotation @ se3.so3_exp(turn)
         velocity, omega = cand_velocity, cand_omega
         if profile.kind == "orbit":
             orbit_angle = cand_angle
         if se3.orthonormality_drift(rotation) > se3.RENORM_TRIGGER:
             rotation = se3.project_rotation(rotation)
-        poses.append(Pose(rotation, position))
-
-    return Trajectory.from_poses(poses, anchored=True)
+        rotations.append(rotation)
+        positions.append(position)
+    return Trajectory.from_poses(se3.poses(rotations, positions), anchored=True)
 
 
 # ---------------------------------------------------------------------------
@@ -368,19 +368,14 @@ def window_samples(sequence: str, traj: Trajectory,
     """
     if not traj.anchored:
         raise ValueError("trajectory must be anchored")
-    samples = []
-    for t in traj.window_starts(k):
-        if any(i not in observations for i in range(t, t + k + 1)):
-            continue
-        samples.append(WindowSample(
-            sequence=sequence,
-            t=t,
-            obs_t=observations[t],
-            obs_tk=observations[t + k],
-            state=se3.log(traj.pose_at(t)),
-            actions=trj.extract_actions(traj, t, k),
-        ))
-    return samples
+    starts = [t for t in traj.window_starts(k)
+              if all(i in observations for i in range(t, t + k + 1))]
+    rows = traj.rows(starts)
+    states = se3.log_rt(traj.rotations[rows], traj.translations[rows])
+    return [WindowSample(sequence=sequence, t=t, obs_t=observations[t],
+                         obs_tk=observations[t + k], state=state,
+                         actions=trj.extract_actions(traj, t, k))
+            for t, state in zip(starts, states)]
 
 
 def build_dataset(scene: Scene, camera: Camera, trajectories, k: int,

@@ -34,8 +34,7 @@ class TestRPE:
                    for t in range(4)]
         records, summary = ev.rpe(windows, {"s": traj}, 8)
         assert summary.trans_mean == pytest.approx(0.0, abs=1e-12)
-        # arccos((trace-1)/2) has a ~sqrt(eps) noise floor at zero angle
-        assert summary.rot_mean == pytest.approx(0.0, abs=1e-5)
+        assert summary.rot_mean == pytest.approx(0.0, abs=1e-12)
 
     def test_known_translation_offset(self):
         traj = random_trajectory(1, 10)

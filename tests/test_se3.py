@@ -118,7 +118,22 @@ class TestExpLog:
 class TestGeodesicAngle:
     def test_zero_for_equal(self):
         rotation = se3.rot_y(0.9)
-        assert se3.geodesic_angle(rotation, rotation) == pytest.approx(0.0, abs=1e-9)
+        assert se3.geodesic_angle(rotation, rotation) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("angle", [1e-10, 1e-7, 1e-4])
+    def test_tiny_angle_keeps_relative_precision(self, angle):
+        # arccos of the trace reads 0 (or ~1.5e-8) here; the atan2 form does not.
+        base = se3.rot_y(0.9)
+        axis = np.array([1.0, -2.0, 0.5]) / math.sqrt(5.25)
+        got = se3.geodesic_angle(base, base @ se3.so3_exp(axis * angle))
+        assert got == pytest.approx(angle, rel=1e-6)
+
+    @pytest.mark.parametrize("gap", [0.0, 1e-9, 1e-6, 1e-3])
+    def test_near_pi(self, gap):
+        axis = np.array([0.3, 0.4, -0.5]) / math.sqrt(0.5)
+        rotation = se3.so3_exp(axis * (math.pi - gap))
+        assert se3.geodesic_angle(np.eye(3), rotation) == pytest.approx(math.pi - gap, abs=1e-12)
+        assert se3.geodesic_angle(rotation, np.eye(3)) == pytest.approx(math.pi - gap, abs=1e-12)
 
     def test_quarter_turn(self):
         assert se3.geodesic_angle(np.eye(3), se3.rot_z(math.pi / 2)) == pytest.approx(math.pi / 2, abs=1e-12)
