@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .se3 import Pose, compose, exp, geodesic_angle, inverse, log, random_pose
 from .trajectory import (
-    ActionDelta,
     ActionSequence,
     NormStats,
     Trajectory,
@@ -23,7 +22,6 @@ __all__ = [
     "geodesic_angle",
     "random_pose",
     "Trajectory",
-    "ActionDelta",
     "ActionSequence",
     "NormStats",
     "anchor",

@@ -301,16 +301,6 @@ def eight_point_relative_pose(pts_a: np.ndarray, pts_b: np.ndarray,
     return delta, depth_a, depth_b
 
 
-@dataclass
-class VOStep:
-    frame_a: int
-    frame_b: int
-    delta_unit: Pose            # unit-norm translation
-    ids: np.ndarray
-    depth_a: np.ndarray
-    depth_b: np.ndarray
-
-
 def eight_point_vo(scene: Scene, camera: Camera, gt_traj: Trajectory,
                    min_albedo: float = 0.25, noise_px: float = 0.0,
                    seed: int = 0) -> list[tuple[int, Pose | None]]:
@@ -328,7 +318,8 @@ def eight_point_vo(scene: Scene, camera: Camera, gt_traj: Trajectory,
     """
     rng = np.random.default_rng(seed)
     indices = gt_traj.indices
-    steps: dict[int, VOStep] = {}
+    chain = {}      # frame -> (rotation, translation) of the rows that get a pose
+    prev = None     # landmark ids and frame-b depths of the last chained step
     for a, b in zip(indices, indices[1:]):
         ids, pts_a, pts_b = correspondences(
             scene, camera, gt_traj.pose_at(a), gt_traj.pose_at(b),
@@ -337,42 +328,31 @@ def eight_point_vo(scene: Scene, camera: Camera, gt_traj: Trajectory,
         try:
             delta, depth_a, depth_b = eight_point_relative_pose(pts_a, pts_b, camera)
         except BaselineFailure:
+            prev = None
             continue
-        steps[a] = VOStep(a, b, delta, ids, depth_a, depth_b)
-
-    rows: dict[int, Pose | None] = {i: None for i in indices}
-    prev_step: VOStep | None = None
-    pose: Pose | None = None
-    scale = 1.0
-    for a, b in zip(indices, indices[1:]):
-        step = steps.get(a)
-        if step is None:
-            prev_step, pose = None, None
-            continue
-        if pose is None:
-            pose = Pose.identity()   # new segment anchored at frame a
-            scale = 1.0
-            rows[a] = pose
+        if prev is None:    # new segment anchored at frame a
+            chain[a], scale = (np.eye(3), np.zeros(3)), 1.0
         else:
-            ratio = _shared_depth_ratio(prev_step, step)
+            ratio = _shared_depth_ratio(*prev, ids, depth_a)
             if ratio is None:
-                prev_step, pose = None, None
+                prev = None
                 continue
             scale = scale * ratio
-        delta = Pose(step.delta_unit.rotation, scale * step.delta_unit.translation)
-        pose = se3.compose(pose, delta)
-        rows[b] = pose
-        prev_step = step
-    return [(i, rows[i]) for i in indices]
+        chain[b] = se3.compose_rt(*chain[a], delta.rotation, scale * delta.translation)
+        prev = ids, depth_b
+    posed = dict(zip(chain, se3.poses(np.reshape([r for r, _ in chain.values()], (-1, 3, 3)),
+                                      np.reshape([t for _, t in chain.values()], (-1, 3)))))
+    return [(i, posed.get(i)) for i in indices]
 
 
-def _shared_depth_ratio(prev_step: VOStep, step: VOStep) -> float | None:
-    """Baseline-scale ratio from landmarks triangulated by both steps."""
-    common, ip, ic = np.intersect1d(prev_step.ids, step.ids, return_indices=True)
+def _shared_depth_ratio(prev_ids: np.ndarray, prev_depth_b: np.ndarray,
+                        ids: np.ndarray, depth_a: np.ndarray) -> float | None:
+    """Baseline-scale ratio from landmarks triangulated by two consecutive steps."""
+    common, ip, ic = np.intersect1d(prev_ids, ids, return_indices=True)
     if len(common) < MIN_SHARED:
         return None
-    prev_depth = prev_step.depth_b[ip]   # in the shared middle frame
-    cur_depth = step.depth_a[ic]
+    prev_depth = prev_depth_b[ip]   # in the shared middle frame
+    cur_depth = depth_a[ic]
     ok = (prev_depth > 0.0) & (cur_depth > 0.0)
     if ok.sum() < MIN_SHARED:
         return None

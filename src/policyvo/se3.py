@@ -166,13 +166,13 @@ def exp_rt(vec6) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _validated(rotation, translation) -> tuple[np.ndarray, np.ndarray]:
-    """One pose or a stack as float64 arrays, checked once as a whole and made read-only.
+    """One pose or a stack as read-only float64 copies, checked once as a whole.
 
     Every rotation must be orthonormal within ORTHONORMAL_TOL with a
     non-negative determinant and every translation finite (else ValueError).
     """
-    rotation = np.asarray(rotation, dtype=np.float64)
-    translation = np.asarray(translation, dtype=np.float64)
+    rotation = np.array(rotation, dtype=np.float64)    # the caller's arrays stay writable
+    translation = np.array(translation, dtype=np.float64)
     if rotation.shape[-2:] != (3, 3) or translation.shape != rotation.shape[:-2] + (3,):
         raise ValueError(f"pose arrays must be (..., 3, 3) and (..., 3), "
                          f"got {rotation.shape} and {translation.shape}")
@@ -187,13 +187,6 @@ def _validated(rotation, translation) -> tuple[np.ndarray, np.ndarray]:
     rotation.setflags(write=False)
     translation.setflags(write=False)
     return rotation, translation
-
-
-def unchecked(cls, **fields):
-    """A frozen dataclass instance built without __post_init__, for rows of a validated stack."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
 
 
 @dataclass(frozen=True)
@@ -226,9 +219,13 @@ class Pose:
 
 
 def poses(rotations, translations) -> list[Pose]:
-    """Read-only Pose views of the rows of a pose stack, validated once as a whole."""
+    """Read-only Pose views of the rows of a pose stack, validated once as a whole
+    (the views skip Pose.__post_init__, which would check each row again)."""
     rotations, translations = _validated(rotations, translations)
-    return [unchecked(Pose, rotation=r, translation=t) for r, t in zip(rotations, translations)]
+    views = [object.__new__(Pose) for _ in range(len(rotations))]
+    for view, rotation, translation in zip(views, rotations, translations):
+        view.__dict__.update(rotation=rotation, translation=translation)
+    return views
 
 
 def stack(pose_list: list[Pose]) -> tuple[np.ndarray, np.ndarray]:
@@ -262,18 +259,12 @@ def exp(vec6: np.ndarray) -> Pose:
     return Pose(*exp_rt(np.asarray(vec6, dtype=np.float64).reshape(6)))
 
 
-def _as_rng(seed_or_rng) -> np.random.Generator:
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return np.random.default_rng(seed_or_rng)
-
-
 def random_pose(seed_or_rng, trans_scale: float, rot_scale: float) -> Pose:
     """Deterministic random pose: Gaussian translation (std trans_scale per
     axis, mm) and exp of Gaussian axis-angle (std rot_scale, rad)."""
     if trans_scale < 0.0 or rot_scale < 0.0:
         raise ValueError("scales must be non-negative")
-    rng = _as_rng(seed_or_rng)
+    rng = np.random.default_rng(seed_or_rng)   # a Generator is returned as is
     translation = rng.normal(0.0, 1.0, 3) * trans_scale
     rotation = so3_exp(rng.normal(0.0, 1.0, 3) * rot_scale)
     return Pose(rotation, translation)

@@ -18,9 +18,19 @@ def _field(value) -> str:
 
 
 def write_table(path, header: str, rows) -> None:
-    """Write ``header`` and one comma-joined line per row of fields."""
+    """Write ``header`` and one comma-joined line per row of fields.
+
+    Raises ValueError naming the file, and writes nothing, when a field holds
+    a comma or a line break (which would split it on reading) or a row has
+    the wrong number of fields.
+    """
     lines = [header] + [",".join(map(_field, row)) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    commas = header.count(",")
+    if len(text.splitlines()) != len(lines) or any(line.count(",") != commas for line in lines):
+        raise ValueError(f"{path}: a field holds a comma or a line break, "
+                         f"or a row does not have {commas + 1} fields")
+    Path(path).write_text(text)
 
 
 def read_table(path, header: str) -> list[list[str]]:

@@ -8,6 +8,11 @@ re-expresses every pose relative to the first frame so the sequence starts
 at the identity; relative transforms between frames are unchanged by
 anchoring.
 
+The actions of a window are the steps log(T_{i-1}^-1 T_i) between its
+consecutive frames.  ``action_windows`` computes a trajectory's steps as one
+(N-1, 6) array, checked once, and each window's ``ActionSequence`` is the
+read-only slice of it from the window's start.
+
 Trajectory files are :mod:`policyvo.tables` CSV with the header
 ``frame,tx,ty,tz,rx,ry,rz`` (translation mm, rotation axis-angle rad,
 17 significant digits).  A row with any non-finite field marks an
@@ -101,52 +106,35 @@ class Trajectory:
         return [t for t, end in zip(indices, indices[w:]) if end == t + w]
 
 
-def _check_deltas(vectors: np.ndarray) -> None:
-    """Raise ValueError unless every split 6-vector of the stack is a valid action."""
-    if not np.isfinite(vectors).all():
-        raise ValueError("action delta has non-finite components")
-    if (np.linalg.norm(vectors[..., 3:], axis=-1) > np.pi + 1e-12).any():
-        raise ValueError("rotation part exceeds pi")
-
-
-@dataclass(frozen=True)
-class ActionDelta:
-    """One incremental motion as a split 6-vector (mm, rad)."""
-
-    vector: np.ndarray
-
-    def __post_init__(self):
-        vector = np.asarray(self.vector, dtype=np.float64).reshape(6)
-        _check_deltas(vector)
-        vector.setflags(write=False)
-        object.__setattr__(self, "vector", vector)
-
-    def as_pose(self) -> Pose:
-        return se3.exp(self.vector)
-
-
 @dataclass(frozen=True)
 class ActionSequence:
-    deltas: tuple[ActionDelta, ...]
+    """k incremental motions: one read-only (k, 6) array of split 6-vectors (mm, rad).
+    ``from_array`` copies and validates it; the plain constructor takes a checked array."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "deltas", tuple(self.deltas))
+    vectors: np.ndarray
+
+    def __eq__(self, other) -> bool:
+        """Exact equality of the action arrays, with no tolerance."""
+        return isinstance(other, ActionSequence) and np.array_equal(self.vectors, other.vectors)
 
     def __len__(self) -> int:
-        return len(self.deltas)
+        return len(self.vectors)
 
     def as_array(self) -> np.ndarray:
-        return np.stack([d.vector for d in self.deltas])
+        return self.vectors
 
     @staticmethod
     def from_array(arr: np.ndarray) -> "ActionSequence":
-        """Actions of the rows of a (k, 6) array, validated once as a whole."""
+        """Actions of the rows of a (k, 6) array, copied and validated once as a whole."""
         arr = np.array(arr, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[1] != 6:
             raise ValueError(f"actions must be a (k, 6) array, got {arr.shape}")
-        _check_deltas(arr)
+        if not np.isfinite(arr).all():
+            raise ValueError("action delta has non-finite components")
+        if (np.linalg.norm(arr[:, 3:], axis=-1) > np.pi + 1e-12).any():
+            raise ValueError("rotation part exceeds pi")
         arr.setflags(write=False)
-        return ActionSequence(tuple(se3.unchecked(ActionDelta, vector=row) for row in arr))
+        return ActionSequence(arr)
 
 
 @dataclass(frozen=True)
@@ -179,6 +167,26 @@ def anchor(traj: Trajectory) -> Trajectory:
     return Trajectory(tuple(zip(traj.indices, se3.poses(*anchored))), anchored=True)
 
 
+def _steps(rotations: np.ndarray, translations: np.ndarray) -> np.ndarray:
+    """Split 6-vectors log(T_{i-1}^-1 T_i) between consecutive rows of a pose stack."""
+    return se3.log_rt(*se3.relative_rt(rotations[:-1], translations[:-1],
+                                       rotations[1:], translations[1:]))
+
+
+def action_windows(traj: Trajectory, k: int) -> dict[int, ActionSequence]:
+    """Actions of every full length-k window, by start frame in order.
+
+    The steps between consecutive rows are computed and checked once; each
+    window's actions are the read-only (k, 6) slice of them from its start.
+    """
+    if k < 1:
+        raise ValueError("horizon k must be >= 1")
+    steps = ActionSequence.from_array(_steps(traj.rotations, traj.translations)).vectors
+    starts = traj.window_starts(k)
+    return {t: ActionSequence(steps[row:row + k])
+            for t, row in zip(starts, traj.rows(starts).tolist())}
+
+
 def extract_actions(traj: Trajectory, t: int, k: int) -> ActionSequence:
     """Incremental actions log(T_{t+i-1}^-1 T_{t+i}) for i = 1..k.
 
@@ -189,19 +197,17 @@ def extract_actions(traj: Trajectory, t: int, k: int) -> ActionSequence:
     if any(i not in traj for i in range(t, t + k + 1)):
         raise ValueError(f"window out of range: frames {t}..{t + k} not all present")
     rows = traj.rows(range(t, t + k + 1))
-    rot, trans = traj.rotations[rows], traj.translations[rows]
-    steps = se3.relative_rt(rot[:-1], trans[:-1], rot[1:], trans[1:])
-    return ActionSequence.from_array(se3.log_rt(*steps))
+    return ActionSequence.from_array(_steps(traj.rotations[rows], traj.translations[rows]))
 
 
 def compose_window(start: Pose, actions: ActionSequence, w: int) -> Pose:
     """start ∘ exp(d1) ∘ ... ∘ exp(dw), first action applied first."""
     if w > len(actions):
         raise ValueError(f"w={w} exceeds action sequence length {len(actions)}")
-    pose = start
-    for delta in actions.deltas[:w]:
-        pose = se3.compose(pose, delta.as_pose())
-    return pose
+    pose = start.rotation, start.translation
+    for step in zip(*se3.exp_rt(actions.vectors[:w])):
+        pose = se3.compose_rt(*pose, *step)
+    return Pose(*pose)
 
 
 def fit_norm_stats(dataset, epsilon: float = 1e-6) -> NormStats:
@@ -244,13 +250,27 @@ def write_trajectory_file(path, rows) -> None:
 
 
 def read_trajectory_file(path) -> list[tuple[int, Pose | None]]:
-    """Read trajectory rows; non-finite rows come back with pose None."""
-    table = read_table(path, TRAJECTORY_HEADER)
-    vectors = np.array([[float(x) for x in fields] for _, *fields in table]).reshape(-1, 6)
+    """Read trajectory rows; non-finite rows come back with pose None.
+
+    Raises ValueError naming the file and line for a frame that is not an
+    integer or does not strictly increase, and for a non-numeric field.
+    """
+    frames, vectors = [], []
+    for number, (frame, *fields) in enumerate(read_table(path, TRAJECTORY_HEADER), start=2):
+        where = f"{path}, line {number}"
+        if not frame.removeprefix("-").isdecimal():
+            raise ValueError(f"{where}: frame {frame!r} is not an integer")
+        if frames and int(frame) <= frames[-1]:
+            raise ValueError(f"{where}: frame {frame} does not follow frame {frames[-1]}")
+        try:
+            vectors.append([float(x) for x in fields])
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        frames.append(int(frame))
+    vectors = np.array(vectors).reshape(-1, 6)
     valid = np.isfinite(vectors).all(axis=1)
     poses = iter(se3.poses(*se3.exp_rt(vectors[valid])))
-    return [(int(frame), next(poses) if ok else None)
-            for (frame, *_), ok in zip(table, valid.tolist())]
+    return [(frame, next(poses) if ok else None) for frame, ok in zip(frames, valid.tolist())]
 
 
 def rows_to_trajectory(rows, anchored: bool = False) -> Trajectory:

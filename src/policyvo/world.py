@@ -368,13 +368,12 @@ def window_samples(sequence: str, traj: Trajectory,
     """
     if not traj.anchored:
         raise ValueError("trajectory must be anchored")
-    starts = [t for t in traj.window_starts(k)
-              if all(i in observations for i in range(t, t + k + 1))]
+    actions = trj.action_windows(traj, k)
+    starts = [t for t in actions if all(i in observations for i in range(t, t + k + 1))]
     rows = traj.rows(starts)
     states = se3.log_rt(traj.rotations[rows], traj.translations[rows])
     return [WindowSample(sequence=sequence, t=t, obs_t=observations[t],
-                         obs_tk=observations[t + k], state=state,
-                         actions=trj.extract_actions(traj, t, k))
+                         obs_tk=observations[t + k], state=state, actions=actions[t])
             for t, state in zip(starts, states)]
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from policyvo import evaluation as ev
 from policyvo import se3
 from policyvo import trajectory as trj
+from policyvo import world
 from policyvo.se3 import Pose
 from policyvo.trajectory import Trajectory
 
@@ -151,6 +152,24 @@ def windows_loop(rows, w):
     return out
 
 
+def window_samples_loop(traj, k):
+    """Per window: the steps of its own rows, and the log of its start pose."""
+    out = []
+    for t in traj.window_starts(k):
+        rows = traj.rows(range(t, t + k + 1))
+        rot, trans = traj.rotations[rows], traj.translations[rows]
+        steps = se3.relative_rt(rot[:-1], trans[:-1], rot[1:], trans[1:])
+        out.append((t, se3.log(traj.pose_at(t)), se3.log_rt(*steps)))
+    return out
+
+
+def compose_window_loop(start, actions, w):
+    pose = start
+    for vector in actions.as_array()[:w]:
+        pose = se3.compose(pose, se3.exp(vector))
+    return pose
+
+
 def gapped_estimate(seed, n):
     rng = np.random.default_rng(seed)
     pose, rows = se3.random_pose(rng, 20.0, 1.0), []
@@ -203,6 +222,22 @@ class TestPipelineMatchesLoops:
                     for i in range(t, t + 4)]
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_window_samples_and_compose_window_bit_identical(self, seed):
+        traj = trj.anchor(trj.rows_to_trajectory(gapped_estimate(seed, 150)))
+        samples = world.window_samples("s", traj, dict.fromkeys(traj.indices), 8)
+        want = window_samples_loop(traj, 8)
+        assert len(samples) == len(want) and len(want) < len(traj) - 8   # gaps drop windows
+        for sample, (t, state, actions) in zip(samples, want):
+            assert sample.t == t
+            np.testing.assert_array_equal(sample.state, state)
+            np.testing.assert_array_equal(sample.actions.as_array(), actions)
+            assert sample.actions == trj.extract_actions(traj, t, 8)
+            start = traj.pose_at(t)
+            for w in (0, 1, 5, 8):
+                assert (trj.compose_window(start, sample.actions, w)
+                        == compose_window_loop(start, sample.actions, w))
+
     def test_align_rows_to_gt(self):
         gt = Trajectory.from_poses([se3.random_pose(k, 5.0, 0.3) for k in range(30)])
         transform = ev.Sim3(2.5, se3.so3_exp([0.3, -0.2, 0.1]), np.array([1.0, 2.0, 3.0]))
@@ -232,7 +267,7 @@ class TestTrajectoryArrays:
 
     def test_action_array_checked_as_a_whole(self):
         actions = trj.ActionSequence.from_array(np.zeros((3, 6)))
-        assert len(actions) == 3 and not actions.deltas[0].vector.flags.writeable
+        assert len(actions) == 3 and not actions.as_array().flags.writeable
         with pytest.raises(ValueError, match=r"\(k, 6\)"):
             trj.ActionSequence.from_array(np.zeros(6))
         bad = np.zeros((3, 6))
@@ -242,6 +277,25 @@ class TestTrajectoryArrays:
         bad[1, 4] = 4.0
         with pytest.raises(ValueError, match="exceeds pi"):
             trj.ActionSequence.from_array(bad)
+
+    def test_action_windows_are_read_only_slices_of_one_step_array(self):
+        traj = trj.rows_to_trajectory(gapped_estimate(7, 60))
+        windows = trj.action_windows(traj, 4)
+        assert list(windows) == traj.window_starts(4)
+        first, second = list(windows.values())[:2]
+        assert not first.as_array().flags.writeable
+        assert first.as_array().base is second.as_array().base is not None
+        with pytest.raises(ValueError, match="horizon"):
+            trj.action_windows(traj, 0)
+
+    def test_action_sequence_equality_is_exact(self):
+        zeros = trj.ActionSequence.from_array(np.zeros((3, 6)))
+        assert zeros == trj.ActionSequence.from_array(np.zeros((3, 6)))
+        nudged = np.zeros((3, 6))
+        nudged[2, 0] = 1e-300
+        assert zeros != trj.ActionSequence.from_array(nudged)
+        assert zeros != trj.ActionSequence.from_array(np.zeros((2, 6)))
+        assert zeros != np.zeros((3, 6))
 
     def test_empty_trajectory_arrays(self):
         traj = Trajectory(())

@@ -7,6 +7,7 @@ import pytest
 from policyvo import evaluation as ev
 from policyvo import se3
 from policyvo.se3 import Pose
+from policyvo.tables import write_table
 from policyvo.trajectory import Trajectory
 from policyvo.world import (
     Camera,
@@ -342,6 +343,19 @@ class TestRecordsCSV:
         path.write_text("x,y\n1,2\n")
         with pytest.raises(ValueError, match="header"):
             ev.read_records_csv(path)
+
+    @pytest.mark.parametrize("name", ["a,b", "a\nb", "a\r\nb", "a\u2028b"])
+    def test_separator_in_field_names_file(self, tmp_path, name):
+        path = tmp_path / "records.csv"
+        with pytest.raises(ValueError, match=re.escape(f"{path}: a field holds a comma")):
+            ev.write_records_csv(path, [ev.RPERecord(name, 3, 8, 1.25, 0.5)])
+        assert not path.exists()
+
+    def test_wrong_field_count_names_file(self, tmp_path):
+        path = tmp_path / "records.csv"
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*does not have 5 fields"):
+            write_table(path, ev.RECORDS_HEADER, [("seq_000", 3, 8, 1.25)])
+        assert not path.exists()
 
     def test_short_row_names_file(self, tmp_path):
         path = tmp_path / "records.csv"

@@ -188,6 +188,15 @@ class TestPoseEquality:
         with pytest.raises(TypeError, match="unhashable"):
             hash(Pose.identity())
 
+    def test_caller_arrays_stay_writable(self):
+        rotation, translation = np.eye(3), np.zeros(3)
+        pose = Pose(rotation, translation)
+        rotations, translations = np.stack([np.eye(3)] * 2), np.zeros((2, 3))
+        views = se3.poses(rotations, translations)
+        rotation[0, 0] = translation[0] = rotations[1, 0, 0] = translations[1, 2] = 2.0
+        assert pose == Pose.identity() and views[1] == Pose.identity()
+        assert not pose.rotation.flags.writeable and not views[1].translation.flags.writeable
+
 
 class TestNumericalHygiene:
     def test_long_composition_chain_stays_orthonormal(self):

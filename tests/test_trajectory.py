@@ -1,13 +1,23 @@
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from policyvo import se3, trajectory
 from policyvo.se3 import Pose
+from policyvo.tables import read_table
 from policyvo.trajectory import ActionSequence, Trajectory
+
+# A pose as (axis-angle direction, angle, translation), or None for a nan row.
+file_poses = st.one_of(st.none(), st.tuples(
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 1e-3),
+    st.one_of(st.floats(0.0, math.pi), st.floats(math.pi - 1e-6, math.pi)),
+    st.tuples(*[st.floats(-1e3, 1e3)] * 3)).map(
+        lambda a: Pose(se3.so3_exp(np.array(a[0]) / np.linalg.norm(a[0]) * a[1]), a[2])))
 
 
 def random_trajectory(seed, n, trans_scale=2.0, rot_scale=0.3, start_index=0):
@@ -138,7 +148,7 @@ class TestComposeWindow:
         start = se3.random_pose(8, 2.0, 0.4)
         actions = trajectory.extract_actions(random_trajectory(9, 4), 0, 3)
         out = trajectory.compose_window(start, actions, 1)
-        expected = se3.compose(start, actions.deltas[0].as_pose())
+        expected = se3.compose(start, se3.exp(actions.as_array()[0]))
         np.testing.assert_allclose(out.as_matrix(), expected.as_matrix(), atol=1e-12)
 
     def test_w_longer_than_sequence_rejected(self):
@@ -273,6 +283,43 @@ class TestTrajectoryFile:
         text = path.read_text().rstrip()
         path.write_text(text[:text.rfind(",") + 1] + "\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}, line 4: empty field")):
+            trajectory.read_trajectory_file(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(-50, 50), st.lists(st.tuples(st.integers(1, 4), file_poses), max_size=12))
+    def test_round_trip_bit_for_bit(self, first, gaps_and_poses):
+        frames = (first + np.cumsum([g for g, _ in gaps_and_poses])).tolist()
+        rows = [(i, p) for i, (_, p) in zip(frames, gaps_and_poses)]
+        valid = [p for _, p in rows if p is not None]
+        written = se3.log_rt(*se3.stack(valid))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "traj.csv"
+            trajectory.write_trajectory_file(path, rows)
+            numbers = np.array(read_table(path, trajectory.TRAJECTORY_HEADER), dtype=float)
+            back = trajectory.read_trajectory_file(path)
+        assert [i for i, _ in back] == frames
+        assert [p is None for _, p in back] == [p is None for _, p in rows]
+        valid_rows = numbers.reshape(-1, 7)[[p is not None for _, p in rows], 1:]
+        np.testing.assert_array_equal(valid_rows, written)
+        assert [p for _, p in back if p is not None] == se3.poses(*se3.exp_rt(written))
+
+    @pytest.mark.parametrize("frames, line, message", [
+        ("0,1,1,3,2,4", 4, "frame 1 does not follow frame 1"),
+        ("0,1,3,2,4", 5, "frame 2 does not follow frame 3"),
+        ("0,1.5,2", 3, "frame '1.5' is not an integer"),
+        ("0,x,2", 3, "frame 'x' is not an integer"),
+    ])
+    def test_bad_frame_names_file_and_line(self, tmp_path, frames, line, message):
+        path = tmp_path / "traj.csv"
+        path.write_text(trajectory.TRAJECTORY_HEADER + "\n"
+                        + "".join(f"{i},0,0,0,0,0,0\n" for i in frames.split(",")))
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line {line}: {message}")):
+            trajectory.read_trajectory_file(path)
+
+    def test_non_numeric_field_names_file_and_line(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        path.write_text(trajectory.TRAJECTORY_HEADER + "\n0,0,0,0,0,0,0\n1,0,0,abc,0,0,0\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 3: ") + ".*'abc'"):
             trajectory.read_trajectory_file(path)
 
     def test_precision_at_least_15_digits(self, tmp_path):

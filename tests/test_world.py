@@ -1,8 +1,12 @@
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from policyvo import se3, trajectory as trj, world
 from policyvo.se3 import Pose
@@ -358,6 +362,17 @@ class TestDiskFormat:
         world.write_pgm(path, image)
         back = world.read_pgm(path)
         np.testing.assert_allclose(back, image, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(hnp.arrays(np.uint8, hnp.array_shapes(min_dims=2, max_dims=2, max_side=12)),
+           st.booleans())
+    def test_pgm_round_trip_exact(self, levels, as_mask):
+        image = levels % 2 == 1 if as_mask else levels / 255.0
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "img.pgm"
+            world.write_pgm(path, image.astype(np.float64))
+            back = world.read_pgm(path)
+        np.testing.assert_array_equal(back == 1.0 if as_mask else back, image)
 
     def test_truncated_pgm_names_file(self, tmp_path):
         path = tmp_path / "img.pgm"
