@@ -88,10 +88,6 @@ class Sim3:
         object.__setattr__(self, "rotation", rotation)
         object.__setattr__(self, "translation", translation)
 
-    @staticmethod
-    def identity() -> "Sim3":
-        return Sim3(1.0, np.eye(3), np.zeros(3))
-
     def apply_points(self, points: np.ndarray) -> np.ndarray:
         return self.scale * (np.asarray(points) @ self.rotation.T) + self.translation
 
@@ -119,6 +115,8 @@ def summarize(records: list[RPERecord]) -> RPESummary:
 def rpe(pred_windows: list[PredictedWindow], gt_trajs: dict[str, Trajectory],
         w: int) -> tuple[list[RPERecord], RPESummary]:
     """Per-window relative pose error of predictions against ground truth."""
+    if w < 0:
+        raise ValueError("window length must be >= 0")
     windows = [pw for pw in pred_windows if pw.w == w]
     if not windows:
         raise ValueError("empty evaluation")
@@ -255,13 +253,16 @@ def eight_point_relative_pose(pts_a: np.ndarray, pts_b: np.ndarray,
 
     Raises BaselineFailure on fewer than 8 correspondences, a degenerate
     configuration (e.g. pure rotation, where the constraint matrix loses
-    rank), or an ambiguous cheirality vote.
+    rank), or an ambiguous cheirality vote; raises ValueError on a
+    non-finite pixel coordinate.
     """
     pts_a = np.asarray(pts_a, dtype=np.float64).reshape(-1, 2)
     pts_b = np.asarray(pts_b, dtype=np.float64).reshape(-1, 2)
     n = len(pts_a)
     if n < 8 or len(pts_b) != n:
         raise BaselineFailure(f"fewer than 8 correspondences ({n})")
+    if not (np.isfinite(pts_a).all() and np.isfinite(pts_b).all()):
+        raise ValueError("correspondences have non-finite pixel coordinates")
 
     rays_a = _normalized_rays(pts_a, camera)
     rays_b = _normalized_rays(pts_b, camera)
@@ -398,6 +399,8 @@ def windows_from_rows(rows: list[tuple[int, Pose | None]], sequence: str,
 
     Only windows whose endpoints both carry a valid pose are emitted.
     """
+    if w < 0:
+        raise ValueError("window length must be >= 0")
     if not rows:
         return []
     first, last = rows[0][0], rows[-1][0]

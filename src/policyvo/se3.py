@@ -18,7 +18,6 @@ Conventions:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,21 +49,6 @@ def skew(v: np.ndarray) -> np.ndarray:
     """Skew-symmetric (hat) matrices of 3-vectors: (..., 3) -> (..., 3, 3)."""
     v = np.asarray(v, dtype=np.float64)
     return (v @ _HAT).reshape(v.shape[:-1] + (3, 3))
-
-
-def rot_x(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
-def rot_y(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def rot_z(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
 def _norm(vectors: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Trajectory anchoring, incremental-action windows, and normalization.
+"""Trajectory anchoring, incremental-action windows, and trajectory files.
 
 A trajectory is an ordered list of (frame_index, Pose) with strictly
 increasing frame indices.  ``Trajectory`` is the one place that knows how
@@ -137,27 +137,6 @@ class ActionSequence:
         return ActionSequence(arr)
 
 
-@dataclass(frozen=True)
-class NormStats:
-    """Per-dimension mean/std for state and action 6-vectors."""
-
-    state_mean: np.ndarray
-    state_std: np.ndarray
-    action_mean: np.ndarray
-    action_std: np.ndarray
-    epsilon: float = 1e-6
-
-    def __post_init__(self):
-        for name in ("state_mean", "state_std", "action_mean", "action_std"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64).reshape(6)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
-        if np.any(self.state_std < self.epsilon) or np.any(self.action_std < self.epsilon):
-            raise ValueError("std components must be >= epsilon")
-
-
 def anchor(traj: Trajectory) -> Trajectory:
     """Re-express all poses relative to the first frame (T0 becomes identity)."""
     if len(traj) == 0:
@@ -210,43 +189,27 @@ def compose_window(start: Pose, actions: ActionSequence, w: int) -> Pose:
     return Pose(*pose)
 
 
-def fit_norm_stats(dataset, epsilon: float = 1e-6) -> NormStats:
-    """Population mean/std over (state 6-vector, ActionSequence) samples.
-
-    Action statistics are pooled over all horizon steps of all samples; std
-    components are floored at epsilon.
-    """
-    if len(dataset) == 0:
-        raise ValueError("empty dataset")
-    states = np.stack([np.asarray(s, dtype=np.float64).reshape(6) for s, _ in dataset])
-    actions = np.concatenate([a.as_array() for _, a in dataset], axis=0)
-    state_mean = states.mean(axis=0)
-    state_std = np.maximum(states.std(axis=0), epsilon)
-    action_mean = actions.mean(axis=0)
-    action_std = np.maximum(actions.std(axis=0), epsilon)
-    return NormStats(state_mean, state_std, action_mean, action_std, epsilon)
-
-
-def normalize(vec: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
-    return (np.asarray(vec, dtype=np.float64) - mean) / std
-
-
-def denormalize(vec: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
-    return np.asarray(vec, dtype=np.float64) * std + mean
-
-
 def write_trajectory_file(path, rows) -> None:
     """Write trajectory rows to CSV.
 
     ``rows`` is a Trajectory or a list of (frame_index, Pose | None); a None
-    pose is written as a nan row (invalid/missing pose marker).
+    pose is written as a nan row (invalid/missing pose marker).  Raises
+    ValueError naming the file, and writes nothing, when the frames are not
+    integers or do not strictly increase.
     """
     rows = list(rows.frames if isinstance(rows, Trajectory) else rows)
+    frames = np.array([i for i, _ in rows])
+    if rows and frames.dtype.kind not in "iu":
+        raise ValueError(f"{path}: frame indices must be integers, not {frames.dtype}")
+    behind = np.flatnonzero(frames[1:] <= frames[:-1])
+    if len(behind):
+        raise ValueError(f"{path}: frame {frames[behind[0] + 1]} does not follow "
+                         f"frame {frames[behind[0]]}")
     valid = [n for n, (_, p) in enumerate(rows) if p is not None]
     vectors = np.full((len(rows), 6), np.nan)
     vectors[valid] = se3.log_rt(*se3.stack([rows[n][1] for n in valid]))
     write_table(path, TRAJECTORY_HEADER,
-                ((int(i), *vec) for (i, _), vec in zip(rows, vectors.tolist())))
+                ((i, *vec) for i, vec in zip(frames.tolist(), vectors.tolist())))
 
 
 def read_trajectory_file(path) -> list[tuple[int, Pose | None]]:

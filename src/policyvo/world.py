@@ -335,11 +335,11 @@ def generate_trajectory(seed: int, n_frames: int, profile: MotionProfile,
 
 
 # ---------------------------------------------------------------------------
-# Dataset construction
+# Window samples
 
 @dataclass(frozen=True)
 class WindowSample:
-    """One training/eval window: endpoint observations, state, and actions."""
+    """One window: endpoint observations, anchored state, and action chunk."""
 
     sequence: str
     t: int
@@ -352,11 +352,6 @@ class WindowSample:
         state = np.asarray(self.state, dtype=np.float64).reshape(6)
         state.setflags(write=False)
         object.__setattr__(self, "state", state)
-
-
-def render_sequence(scene: Scene, camera: Camera, traj: Trajectory,
-                    blob_sigma: float = 1.0) -> dict[int, Observation]:
-    return {i: render(scene, camera, p, blob_sigma) for i, p in traj.frames}
 
 
 def window_samples(sequence: str, traj: Trajectory,
@@ -375,24 +370,6 @@ def window_samples(sequence: str, traj: Trajectory,
     return [WindowSample(sequence=sequence, t=t, obs_t=observations[t],
                          obs_tk=observations[t + k], state=state, actions=actions[t])
             for t, state in zip(starts, states)]
-
-
-def build_dataset(scene: Scene, camera: Camera, trajectories, k: int,
-                  blob_sigma: float = 1.0) -> tuple[list[WindowSample], int]:
-    """Render every trajectory and emit one sample per valid window.
-
-    Trajectories shorter than k+1 frames are skipped; the second return
-    value counts them.
-    """
-    samples: list[WindowSample] = []
-    skipped = 0
-    for seq_index, traj in enumerate(trajectories):
-        if len(traj) < k + 1:
-            skipped += 1
-            continue
-        observations = render_sequence(scene, camera, traj, blob_sigma)
-        samples.extend(window_samples(f"seq_{seq_index:03d}", traj, observations, k))
-    return samples, skipped
 
 
 # ---------------------------------------------------------------------------

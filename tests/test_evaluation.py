@@ -10,12 +10,16 @@ from policyvo.se3 import Pose
 from policyvo.tables import write_table
 from policyvo.trajectory import Trajectory
 from policyvo.world import (
+    DEFAULT_TUBE,
     Camera,
     MotionProfile,
+    Scene,
     correspondences,
     generate_trajectory,
     make_tube_scene,
 )
+
+from rotations import rot_x, rot_y, rot_z
 
 
 def random_trajectory(seed, n, trans=0.8, rot=0.05):
@@ -62,6 +66,15 @@ class TestRPE:
             rot_err = math.degrees(math.acos(np.clip(cos_a, -1.0, 1.0)))
             assert record.trans_err == pytest.approx(trans_err, abs=1e-9)
             assert record.rot_err == pytest.approx(rot_err, abs=1e-9)
+
+    def test_negative_window_length_rejected(self):
+        traj = random_trajectory(4, 12)
+        rows = list(traj.frames)
+        with pytest.raises(ValueError, match=re.escape("window length must be >= 0")):
+            ev.windows_from_rows(rows, "s", -1)
+        backward = [ev.PredictedWindow("s", 5, -1, se3.relative(traj.pose_at(5), traj.pose_at(4)))]
+        with pytest.raises(ValueError, match=re.escape("window length must be >= 0")):
+            ev.rpe(backward, {"s": traj}, -1)
 
     def test_empty_evaluation_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -141,7 +154,7 @@ class TestUmeyama:
     def test_local_optimality_probe(self):
         rng = np.random.default_rng(9)
         pred = rng.normal(size=(40, 3)) * 6.0
-        gt = 1.5 * pred @ se3.rot_z(0.4).T + np.array([1.0, -2.0, 3.0])
+        gt = 1.5 * pred @ rot_z(0.4).T + np.array([1.0, -2.0, 3.0])
         gt = gt + rng.normal(size=gt.shape) * 0.2   # make the fit non-trivial
         sim = ev.umeyama_sim3(pred, gt)
         base = float(((sim.apply_points(pred) - gt) ** 2).sum())
@@ -237,7 +250,7 @@ class TestEightPoint:
 
     def test_noiseless_recovery(self):
         pose_a = Pose.identity()
-        delta_true = Pose(se3.rot_y(0.02) @ se3.rot_x(-0.01), [0.4, 0.2, 1.0])
+        delta_true = Pose(rot_y(0.02) @ rot_x(-0.01), [0.4, 0.2, 1.0])
         pose_b = se3.compose(pose_a, delta_true)
         _, pts_a, pts_b = correspondences(self.scene, self.camera, pose_a, pose_b,
                                           min_albedo=0.25)
@@ -251,7 +264,7 @@ class TestEightPoint:
 
     def test_pure_rotation_flagged_degenerate(self):
         pose_a = Pose.identity()
-        pose_b = Pose(se3.rot_y(0.05), np.zeros(3))
+        pose_b = Pose(rot_y(0.05), np.zeros(3))
         _, pts_a, pts_b = correspondences(self.scene, self.camera, pose_a, pose_b,
                                           min_albedo=0.25)
         with pytest.raises(ev.BaselineFailure, match="degenerate"):
@@ -291,6 +304,24 @@ class TestEightPoint:
             else:
                 for g, w in zip(got, want):
                     assert np.abs(g - w).max() == 0.0
+
+    @pytest.mark.parametrize("tilt", [(0.0, 0.0), (0.3, -0.2)])
+    def test_planar_scene_flagged_degenerate(self, tilt):
+        xy = np.random.default_rng(23).uniform(-30.0, 30.0, (300, 2))
+        depth = 50.0 + xy @ np.array(tilt)
+        plane = Scene(np.column_stack([xy, depth]), np.full(300, 0.5), DEFAULT_TUBE)
+        pose_b = Pose(rot_y(0.02) @ rot_x(-0.01), [0.4, 0.2, 1.0])
+        _, pts_a, pts_b = correspondences(plane, self.camera, Pose.identity(), pose_b)
+        assert len(pts_a) >= 100
+        with pytest.raises(ev.BaselineFailure, match="degenerate"):
+            ev.eight_point_relative_pose(pts_a, pts_b, self.camera)
+
+    def test_non_finite_pixel_rejected(self):
+        pts = np.random.default_rng(1).uniform(10, 150, (12, 2))
+        bad = pts.copy()
+        bad[5, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            ev.eight_point_relative_pose(pts, bad, self.camera)
 
     def test_seven_correspondences_fail(self):
         pts = np.random.default_rng(0).uniform(10, 150, (7, 2))

@@ -6,6 +6,8 @@ import pytest
 from policyvo import se3
 from policyvo.se3 import Pose
 
+from rotations import rot_x, rot_y, rot_z
+
 
 def random_full_range_rotation(rng):
     """Uniform-axis rotation with angle uniform in [0, pi - 1e-3]."""
@@ -35,9 +37,9 @@ class TestCompose:
 
     def test_hand_matrix_oracle(self):
         # rotZ(pi/2) with t=(1,0,0) squared -> rotZ(pi) with t=(1,1,0)
-        a = Pose(se3.rot_z(math.pi / 2), [1.0, 0.0, 0.0])
+        a = Pose(rot_z(math.pi / 2), [1.0, 0.0, 0.0])
         out = se3.compose(a, a)
-        np.testing.assert_allclose(out.rotation, se3.rot_z(math.pi), atol=1e-12)
+        np.testing.assert_allclose(out.rotation, rot_z(math.pi), atol=1e-12)
         np.testing.assert_allclose(out.translation, [1.0, 1.0, 0.0], atol=1e-12)
 
     def test_matches_4x4_product(self):
@@ -68,8 +70,8 @@ class TestInverse:
 
     def test_minus_rt_oracle(self):
         # inverse(rotZ(pi/2), t=(1,0,0)) -> rotZ(-pi/2), t=(0,1,0)
-        out = se3.inverse(Pose(se3.rot_z(math.pi / 2), [1.0, 0.0, 0.0]))
-        np.testing.assert_allclose(out.rotation, se3.rot_z(-math.pi / 2), atol=1e-12)
+        out = se3.inverse(Pose(rot_z(math.pi / 2), [1.0, 0.0, 0.0]))
+        np.testing.assert_allclose(out.rotation, rot_z(-math.pi / 2), atol=1e-12)
         np.testing.assert_allclose(out.translation, [0.0, 1.0, 0.0], atol=1e-12)
 
 
@@ -78,7 +80,7 @@ class TestExpLog:
         np.testing.assert_allclose(se3.log(Pose.identity()), np.zeros(6), atol=1e-15)
 
     def test_log_rotz_axis_angle(self):
-        vec = se3.log(Pose(se3.rot_z(math.pi / 2), np.zeros(3)))
+        vec = se3.log(Pose(rot_z(math.pi / 2), np.zeros(3)))
         np.testing.assert_allclose(vec, [0, 0, 0, 0, 0, math.pi / 2], atol=1e-12)
 
     def test_round_trip_fixed_vector(self):
@@ -95,7 +97,7 @@ class TestExpLog:
 
     def test_split_form_translation_is_raw(self):
         # The 6-vector pairs the raw translation with the axis-angle.
-        pose = Pose(se3.rot_x(0.7), [4.0, -1.0, 2.5])
+        pose = Pose(rot_x(0.7), [4.0, -1.0, 2.5])
         np.testing.assert_allclose(se3.log(pose)[:3], pose.translation, atol=0)
 
     def test_near_pi_angle_round_trips(self):
@@ -109,7 +111,7 @@ class TestExpLog:
             np.testing.assert_allclose(back, rotation, atol=1e-9)
 
     def test_at_pi_returns_a_principal_branch(self):
-        rotation = se3.rot_x(math.pi)
+        rotation = rot_x(math.pi)
         vec = se3.so3_log(rotation)
         assert abs(np.linalg.norm(vec) - math.pi) < 1e-9
         np.testing.assert_allclose(se3.so3_exp(vec), rotation, atol=1e-9)
@@ -117,13 +119,13 @@ class TestExpLog:
 
 class TestGeodesicAngle:
     def test_zero_for_equal(self):
-        rotation = se3.rot_y(0.9)
+        rotation = rot_y(0.9)
         assert se3.geodesic_angle(rotation, rotation) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("angle", [1e-10, 1e-7, 1e-4])
     def test_tiny_angle_keeps_relative_precision(self, angle):
         # arccos of the trace reads 0 (or ~1.5e-8) here; the atan2 form does not.
-        base = se3.rot_y(0.9)
+        base = rot_y(0.9)
         axis = np.array([1.0, -2.0, 0.5]) / math.sqrt(5.25)
         got = se3.geodesic_angle(base, base @ se3.so3_exp(axis * angle))
         assert got == pytest.approx(angle, rel=1e-6)
@@ -136,10 +138,10 @@ class TestGeodesicAngle:
         assert se3.geodesic_angle(rotation, np.eye(3)) == pytest.approx(math.pi - gap, abs=1e-12)
 
     def test_quarter_turn(self):
-        assert se3.geodesic_angle(np.eye(3), se3.rot_z(math.pi / 2)) == pytest.approx(math.pi / 2, abs=1e-12)
+        assert se3.geodesic_angle(np.eye(3), rot_z(math.pi / 2)) == pytest.approx(math.pi / 2, abs=1e-12)
 
     def test_quaternion_dot_oracle(self):
-        a, b = se3.rot_x(0.3), se3.rot_y(0.4)
+        a, b = rot_x(0.3), rot_y(0.4)
         assert se3.geodesic_angle(a, b) == pytest.approx(quat_dot_angle(a, b), abs=1e-9)
 
     def test_symmetry_and_triangle_inequality(self):
@@ -181,7 +183,7 @@ class TestPoseEquality:
         pose = se3.random_pose(20, 1.0, 0.2)
         assert pose == Pose(pose.rotation.copy(), pose.translation.copy())
         assert pose != Pose(pose.rotation, pose.translation + [0.0, 0.0, 1e-12])
-        assert pose != Pose(se3.rot_z(1e-9) @ pose.rotation, pose.translation)
+        assert pose != Pose(rot_z(1e-9) @ pose.rotation, pose.translation)
         assert pose != pose.as_matrix()
 
     def test_unhashable(self):
@@ -218,7 +220,7 @@ class TestNumericalHygiene:
 
     def test_project_rotation_restores_orthonormality(self):
         rng = np.random.default_rng(15)
-        noisy = se3.rot_x(0.3) + rng.normal(size=(3, 3)) * 1e-6
+        noisy = rot_x(0.3) + rng.normal(size=(3, 3)) * 1e-6
         fixed = se3.project_rotation(noisy)
         assert se3.orthonormality_drift(fixed) < 1e-12
         assert np.linalg.det(fixed) > 0

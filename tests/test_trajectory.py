@@ -167,82 +167,6 @@ class TestComposeWindow:
                                            atol=1e-9)
 
 
-class TestNormStats:
-    def test_identical_vectors_floor_std(self):
-        state = np.arange(6.0)
-        actions = ActionSequence.from_array(np.ones((4, 6)))
-        stats = trajectory.fit_norm_stats([(state, actions)] * 3)
-        np.testing.assert_allclose(stats.state_std, 1e-6)
-        np.testing.assert_allclose(stats.action_std, 1e-6)
-
-    def test_population_convention(self):
-        actions = ActionSequence.from_array(np.zeros((1, 6)))
-        a = (np.full(6, -1.0), actions)
-        b = (np.full(6, 1.0), actions)
-        stats = trajectory.fit_norm_stats([a, b])
-        np.testing.assert_allclose(stats.state_mean, 0.0, atol=1e-15)
-        np.testing.assert_allclose(stats.state_std, 1.0, atol=1e-15)
-
-    def test_two_pass_oracle(self):
-        rng = np.random.default_rng(11)
-        dataset = []
-        for _ in range(50):
-            state = rng.normal(size=6) * 3.0 + 1.0
-            actions = ActionSequence.from_array(rng.normal(size=(8, 6)) * 0.4)
-            dataset.append((state, actions))
-        stats = trajectory.fit_norm_stats(dataset)
-
-        # Independent two-pass mean/std computation.
-        states = np.stack([s for s, _ in dataset])
-        mean = states.sum(axis=0) / len(states)
-        var = ((states - mean) ** 2).sum(axis=0) / len(states)
-        np.testing.assert_allclose(stats.state_mean, mean, atol=1e-12)
-        np.testing.assert_allclose(stats.state_std, np.sqrt(var), atol=1e-12)
-
-        pooled = np.concatenate([a.as_array() for _, a in dataset])
-        mean_a = pooled.sum(axis=0) / len(pooled)
-        var_a = ((pooled - mean_a) ** 2).sum(axis=0) / len(pooled)
-        np.testing.assert_allclose(stats.action_mean, mean_a, atol=1e-12)
-        np.testing.assert_allclose(stats.action_std, np.sqrt(var_a), atol=1e-12)
-
-    def test_empty_dataset_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            trajectory.fit_norm_stats([])
-
-    def test_translation_covariance(self):
-        rng = np.random.default_rng(12)
-        dataset = [(rng.normal(size=6), ActionSequence.from_array(rng.normal(size=(4, 6)) * 0.4))
-                   for _ in range(20)]
-        shift = np.array([5.0, -2.0, 1.0])
-        shifted = []
-        for state, actions in dataset:
-            s = state.copy()
-            s[:3] += shift
-            shifted.append((s, actions))
-        base = trajectory.fit_norm_stats(dataset)
-        moved = trajectory.fit_norm_stats(shifted)
-        np.testing.assert_allclose(moved.state_mean[:3] - base.state_mean[:3], shift, atol=1e-12)
-        np.testing.assert_allclose(moved.state_std, base.state_std, atol=1e-12)
-
-
-class TestNormalize:
-    def test_mean_maps_to_zero(self):
-        mean = np.arange(6.0)
-        std = np.ones(6) * 2.0
-        np.testing.assert_allclose(trajectory.normalize(mean, mean, std), np.zeros(6), atol=0)
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(13)
-        mean, std = rng.normal(size=6), rng.uniform(0.5, 2.0, 6)
-        v = rng.normal(size=6) * 4.0
-        back = trajectory.denormalize(trajectory.normalize(v, mean, std), mean, std)
-        np.testing.assert_allclose(back, v, atol=1e-12)
-
-    def test_explicit_values(self):
-        out = trajectory.normalize(np.full(6, 3.0), np.full(6, 1.0), np.full(6, 2.0))
-        np.testing.assert_allclose(out, np.ones(6), atol=0)
-
-
 class TestTrajectoryFile:
     def test_round_trip(self, tmp_path):
         traj = random_trajectory(14, 7, start_index=3)
@@ -321,6 +245,18 @@ class TestTrajectoryFile:
         path.write_text(trajectory.TRAJECTORY_HEADER + "\n0,0,0,0,0,0,0\n1,0,0,abc,0,0,0\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}, line 3: ") + ".*'abc'"):
             trajectory.read_trajectory_file(path)
+
+    @pytest.mark.parametrize("frames, message", [
+        ([1, 0], "frame 0 does not follow frame 1"),
+        ([0, 2, 2], "frame 2 does not follow frame 2"),
+        ([1.5], "frame indices must be integers"),
+        ([0, 1.0], "frame indices must be integers"),
+    ])
+    def test_writer_rejects_bad_frames_and_writes_nothing(self, tmp_path, frames, message):
+        path = tmp_path / "traj.csv"
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            trajectory.write_trajectory_file(path, [(i, Pose.identity()) for i in frames])
+        assert not path.exists()
 
     def test_precision_at_least_15_digits(self, tmp_path):
         value = 1.0 / 3.0

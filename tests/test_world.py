@@ -16,12 +16,13 @@ from policyvo.world import (
     Observation,
     Scene,
     TubeGeometry,
-    build_dataset,
     correspondences,
     generate_trajectory,
     make_tube_scene,
     render,
 )
+
+from rotations import rot_x, rot_y
 
 BIG_TUBE = TubeGeometry(radius=5000.0, z_min=-5000.0, z_max=5000.0, keep_in_margin=5.0)
 
@@ -210,7 +211,7 @@ class TestRender:
     def test_deterministic_bit_identical(self):
         scene = make_tube_scene(16, n_landmarks=1000)
         camera = Camera.default(40)
-        pose = Pose(se3.rot_y(0.05), [1.0, -0.5, 10.0])
+        pose = Pose(rot_y(0.05), [1.0, -0.5, 10.0])
         a = render(scene, camera, pose)
         b = render(scene, camera, pose)
         np.testing.assert_array_equal(a.image, b.image)
@@ -240,7 +241,7 @@ class TestRenderMatchesAddAtOracle:
         camera = Camera.default(size)
         profile = MotionProfile(trans_std=0.5, rot_std=0.02, forward_speed=2.0)
         poses = generate_trajectory(seed, 4, profile).poses
-        for pose in poses + [Pose(se3.rot_x(0.4) @ se3.rot_y(-0.3), [2.0, -3.0, 20.0])]:
+        for pose in poses + [Pose(rot_x(0.4) @ rot_y(-0.3), [2.0, -3.0, 20.0])]:
             image = render(scene, camera, pose, blob_sigma).image
             assert np.abs(image - add_at_render(scene, camera, pose, blob_sigma)).max() == 0.0
 
@@ -249,7 +250,7 @@ class TestRenderMatchesAddAtOracle:
         # outside it and some within a blob's reach of its left edge.
         camera = Camera(focal=40.0, cx=-30.0, cy=20.0, size=48, mask_radius=24.0)
         scene = make_tube_scene(6)
-        pose = Pose(se3.rot_y(0.3), [0.0, 0.0, 30.0])
+        pose = Pose(rot_y(0.3), [0.0, 0.0, 30.0])
         for blob_sigma in (1.0, 2.0):
             image = render(scene, camera, pose, blob_sigma).image
             np.testing.assert_array_equal(image, add_at_render(scene, camera, pose, blob_sigma))
@@ -302,17 +303,23 @@ class TestCorrespondences:
 
 
 class TestBuildDataset:
-    def _trajs(self, lengths, seed=22):
+    """Windows of rendered sequences, as ``window_samples`` emits them."""
+
+    def _samples(self, scene_seed, lengths, k, seed=22):
+        scene = make_tube_scene(scene_seed, n_landmarks=800)
+        camera = Camera.default(40)
         profile = MotionProfile("smooth-advance", trans_std=0.4, rot_std=0.01,
                                 forward_speed=0.5)
-        return [generate_trajectory(seed + i, n, profile) for i, n in enumerate(lengths)]
+        trajs = [generate_trajectory(seed + i, n, profile) for i, n in enumerate(lengths)]
+        samples = []
+        for n, traj in enumerate(trajs):
+            observations = {i: render(scene, camera, p) for i, p in traj.frames}
+            samples.extend(world.window_samples(f"seq_{n:03d}", traj, observations, k))
+        return samples, trajs
 
     def test_window_counts(self):
-        scene = make_tube_scene(23, n_landmarks=800)
-        camera = Camera.default(40)
         k = 8
-        samples, skipped = build_dataset(scene, camera, self._trajs([k + 1, 20]), k)
-        assert skipped == 0
+        samples, _ = self._samples(23, [k + 1, 20], k)
         per_seq = {}
         for s in samples:
             per_seq.setdefault(s.sequence, 0)
@@ -321,17 +328,12 @@ class TestBuildDataset:
         assert per_seq["seq_001"] == 20 - k
 
     def test_short_trajectory_skipped(self):
-        scene = make_tube_scene(24, n_landmarks=800)
-        camera = Camera.default(40)
-        samples, skipped = build_dataset(scene, camera, self._trajs([5, 12]), 8)
-        assert skipped == 1
-        assert all(s.sequence == "seq_001" for s in samples)
+        samples, _ = self._samples(24, [5, 12], 8)
+        assert samples and all(s.sequence == "seq_001" for s in samples)
 
     def test_actions_recompose_to_end_pose(self):
-        scene = make_tube_scene(25, n_landmarks=800)
-        camera = Camera.default(40)
-        trajs = self._trajs([14])
-        samples, _ = build_dataset(scene, camera, trajs, 8)
+        samples, trajs = self._samples(25, [14], 8)
+        assert len(samples) == 14 - 8
         for sample in samples:
             start = se3.exp(sample.state)
             end = trj.compose_window(start, sample.actions, 8)
@@ -339,9 +341,7 @@ class TestBuildDataset:
             np.testing.assert_allclose(end.as_matrix(), expected.as_matrix(), atol=1e-9)
 
     def test_deterministic_ordering(self):
-        scene = make_tube_scene(26, n_landmarks=800)
-        camera = Camera.default(40)
-        samples, _ = build_dataset(scene, camera, self._trajs([12, 12]), 8)
+        samples, _ = self._samples(26, [12, 12], 8)
         keys = [(s.sequence, s.t) for s in samples]
         assert keys == sorted(keys)
 
@@ -395,7 +395,7 @@ class TestDiskFormat:
         profile = MotionProfile("smooth-advance", trans_std=0.4, rot_std=0.01,
                                 forward_speed=0.5)
         traj = generate_trajectory(30, 10, profile)
-        observations = world.render_sequence(scene, camera, traj)
+        observations = {i: render(scene, camera, p) for i, p in traj.frames}
         seq = world.SequenceData("seq_000", traj, observations)
         world.write_dataset(tmp_path / "data", [seq])
         loaded = world.load_dataset(tmp_path / "data")
