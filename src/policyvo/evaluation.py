@@ -16,6 +16,7 @@ Ground-truth poses are looked up, and full windows listed, through
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,7 +26,7 @@ from . import se3
 from .se3 import Pose
 from .tables import read_table, write_table
 from .trajectory import Trajectory
-from .world import Camera, Scene, correspondences
+from .world import Camera, Scene, _match_views, landmark_projections
 
 RECORDS_HEADER = "sequence,t,w,trans_err_mm,rot_err_deg"
 MIN_CHEIRALITY = 0.75   # share of matches that must triangulate in front of both views
@@ -222,11 +223,12 @@ def _hartley_normalize(rays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _triangulate_depths(rotation_ba: np.ndarray, t_ba: np.ndarray,
                         rays_a: np.ndarray, rays_b: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray]:
+                        ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """Two-view linear depths: minimize ||u*da - v*db + t|| per match.
 
-    Rays have z = 1, so the returned values are z-depths in each camera.
-    Zero-parallax pairs come back with non-positive depths.
+    Returns (depth_a, depth_b) for t_ba, then for -t_ba, whose u.t and v.t,
+    hence depths, are exactly negated.  Rays have z = 1, so the values are
+    z-depths in each camera.  Zero-parallax pairs get depth -1 for both signs.
     """
     u = rays_a @ rotation_ba.T
     v = rays_b
@@ -239,7 +241,8 @@ def _triangulate_depths(rotation_ba: np.ndarray, t_ba: np.ndarray,
     safe = det > 1e-12 * uu * vv
     depth_a = np.where(safe, (-ut * vv + uv * vt) / np.where(safe, det, 1.0), -1.0)
     depth_b = np.where(safe, (uv * -ut + uu * vt) / np.where(safe, det, 1.0), -1.0)
-    return depth_a, depth_b
+    return ((depth_a, depth_b),
+            (np.where(safe, -depth_a, -1.0), np.where(safe, -depth_b, -1.0)))
 
 
 def eight_point_relative_pose(pts_a: np.ndarray, pts_b: np.ndarray,
@@ -286,10 +289,11 @@ def eight_point_relative_pose(pts_a: np.ndarray, pts_b: np.ndarray,
     if np.linalg.det(vt_e) < 0.0:
         vt_e = -vt_e
     w_mat = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    # Candidates (R1, +t), (R1, -t), (R2, +t), (R2, -t); the first maximum wins.
     candidates = []
     for rotation_ba in (u @ w_mat @ vt_e, u @ w_mat.T @ vt_e):
-        for t_ba in (u[:, 2], -u[:, 2]):
-            depth_a, depth_b = _triangulate_depths(rotation_ba, t_ba, rays_a, rays_b)
+        both_signs = _triangulate_depths(rotation_ba, u[:, 2], rays_a, rays_b)
+        for t_ba, (depth_a, depth_b) in zip((u[:, 2], -u[:, 2]), both_signs):
             front = int(np.sum((depth_a > 0.0) & (depth_b > 0.0)))
             candidates.append((front, rotation_ba, t_ba, depth_a, depth_b))
     front, rotation_ba, t_ba, depth_a, depth_b = max(candidates, key=lambda c: c[0])
@@ -316,16 +320,16 @@ def eight_point_vo(scene: Scene, camera: Camera, gt_traj: Trajectory,
     A failed step leaves the next frame without a pose; estimation restarts
     from the following pair in a fresh segment.  Returns (frame, pose or
     None) rows; frames in no successful step have pose None.
+    Each frame is projected once, for both its pairs; the rows equal those
+    of :func:`~policyvo.world.correspondences` called on every pair.
     """
     rng = np.random.default_rng(seed)
     indices = gt_traj.indices
+    views = (landmark_projections(scene, camera, pose, min_albedo) for pose in gt_traj.poses)
     chain = {}      # frame -> (rotation, translation) of the rows that get a pose
     prev = None     # landmark ids and frame-b depths of the last chained step
-    for a, b in zip(indices, indices[1:]):
-        ids, pts_a, pts_b = correspondences(
-            scene, camera, gt_traj.pose_at(a), gt_traj.pose_at(b),
-            min_albedo=min_albedo, noise_px=noise_px,
-            rng=rng if noise_px > 0.0 else None)
+    for (a, b), (view_a, view_b) in zip(itertools.pairwise(indices), itertools.pairwise(views)):
+        ids, pts_a, pts_b = _match_views(*view_a, *view_b, noise_px, rng)
         try:
             delta, depth_a, depth_b = eight_point_relative_pose(pts_a, pts_b, camera)
         except BaselineFailure:
@@ -349,7 +353,7 @@ def eight_point_vo(scene: Scene, camera: Camera, gt_traj: Trajectory,
 def _shared_depth_ratio(prev_ids: np.ndarray, prev_depth_b: np.ndarray,
                         ids: np.ndarray, depth_a: np.ndarray) -> float | None:
     """Baseline-scale ratio from landmarks triangulated by two consecutive steps."""
-    common, ip, ic = np.intersect1d(prev_ids, ids, return_indices=True)
+    common, ip, ic = np.intersect1d(prev_ids, ids, assume_unique=True, return_indices=True)
     if len(common) < MIN_SHARED:
         return None
     prev_depth = prev_depth_b[ip]   # in the shared middle frame

@@ -91,8 +91,9 @@ def _convolve3(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     for dy in range(3):
         for dx in range(3):
             # Convolution flips the kernel relative to correlation.
-            acc += kernel[2 - dy, 2 - dx] * image[dy:dy + image.shape[0] - 2,
-                                                  dx:dx + image.shape[1] - 2]
+            tap = kernel[2 - dy, 2 - dx]
+            if tap != 0.0:      # adding 0 * x changes at most the sign of a zero
+                acc += tap * image[dy:dy + image.shape[0] - 2, dx:dx + image.shape[1] - 2]
     out[1:-1, 1:-1] = acc
     return out
 

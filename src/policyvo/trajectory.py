@@ -21,6 +21,7 @@ invalid/missing pose and is kept for coverage accounting.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +45,11 @@ class Trajectory:
     _row_of: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        frames = tuple((int(i), p) for i, p in self.frames)
+        try:
+            frames = tuple((operator.index(i), p) for i, p in self.frames)
+        except TypeError:
+            bad = next(i for i, _ in self.frames if not hasattr(type(i), "__index__"))
+            raise ValueError(f"frame index {bad!r} is not an integer") from None
         indices = [i for i, _ in frames]
         if any(b <= a for a, b in zip(indices, indices[1:])):
             raise ValueError("frame indices must be strictly increasing")

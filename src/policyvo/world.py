@@ -181,8 +181,12 @@ def render(scene: Scene, camera: Camera, pose: Pose,
     """Splat visible landmarks as Gaussian blobs lit by the headlight.
 
     One ``np.bincount`` scatter sums every (pixel offset, landmark) term,
-    offsets outermost and landmarks in order, into a padded canvas.
+    offsets outermost and landmarks in order, into a padded canvas; the terms,
+    built in place from 1-D x and y offsets, are bit-identical to a 2-D grid's.
+    Raises ValueError unless ``blob_sigma`` is positive and finite.
     """
+    if not (blob_sigma > 0.0 and math.isfinite(blob_sigma)):
+        raise ValueError("blob_sigma must be positive and finite")
     uv, z, in_front = project(camera, pose, scene.points)
     distance2 = np.sum((scene.points - pose.translation) ** 2, axis=1)
     visible = in_front & _inside_mask(camera, uv)
@@ -195,15 +199,18 @@ def render(scene: Scene, camera: Camera, pose: Pose,
         frac = centers - base
         reach = int(math.ceil(3.0 * blob_sigma))
         inv_two_sigma2 = 1.0 / (2.0 * blob_sigma * blob_sigma)
-        dy, dx = np.mgrid[-reach:reach + 1, -reach:reach + 1].reshape(2, -1, 1)
-        w = np.exp(-((dx - frac[:, 0]) ** 2 + (dy - frac[:, 1]) ** 2) * inv_two_sigma2)
+        off = np.arange(-reach, reach + 1)[:, None]
+        terms = ((off - frac[:, 0]) ** 2)[None, :, :] + ((off - frac[:, 1]) ** 2)[:, None, :]
+        terms *= -inv_two_sigma2     # (-x) * c and x * (-c) round alike
+        np.exp(terms, out=terms)
+        terms *= amps
         # Blobs centred over reach pixels off the image miss it and stay off it
         # when clipped, so every index lies in a canvas padded by 2 * reach + 1.
         pad = 2 * reach + 1
         width = camera.size + 2 * pad
         cell = np.clip(base, -reach - 1, camera.size + reach) + pad
-        index = (cell[:, 1] + dy) * width + (cell[:, 0] + dx)
-        canvas = np.bincount(index.ravel(), (amps * w).ravel(), width * width)
+        index = ((cell[:, 1] + off) * width)[:, None, :] + (cell[:, 0] + off)[None, :, :]
+        canvas = np.bincount(index.ravel(), terms.ravel(), width * width)
         image = np.clip(canvas.reshape(width, width)[pad:-pad, pad:-pad], 0.0, 1.0)
 
     mask = circular_mask(camera.size, camera.mask_radius)
@@ -229,9 +236,13 @@ def correspondences(scene: Scene, camera: Camera, pose_a: Pose, pose_b: Pose,
                     rng: np.random.Generator | None = None
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Landmark ids and matched pixel coordinates detectable in both views."""
-    ids_a, uv_a = landmark_projections(scene, camera, pose_a, min_albedo)
-    ids_b, uv_b = landmark_projections(scene, camera, pose_b, min_albedo)
-    common, ia, ib = np.intersect1d(ids_a, ids_b, return_indices=True)
+    return _match_views(*landmark_projections(scene, camera, pose_a, min_albedo),
+                        *landmark_projections(scene, camera, pose_b, min_albedo), noise_px, rng)
+
+
+def _match_views(ids_a, uv_a, ids_b, uv_b, noise_px: float, rng: np.random.Generator | None):
+    """Match two :func:`landmark_projections` views; noise is drawn after, for a then b."""
+    common, ia, ib = np.intersect1d(ids_a, ids_b, assume_unique=True, return_indices=True)
     pts_a, pts_b = uv_a[ia], uv_b[ib]
     if noise_px > 0.0:
         if rng is None:

@@ -32,6 +32,80 @@ def random_trajectory(seed, n, trans=0.8, rot=0.05):
     return Trajectory.from_poses(poses, anchored=True)
 
 
+def one_sign_triangulate_depths(rotation_ba, t_ba, rays_a, rays_b):
+    """Reference two-view linear depths for a single translation sign."""
+    u = rays_a @ rotation_ba.T
+    v = rays_b
+    uu = (u * u).sum(axis=1)
+    vv = (v * v).sum(axis=1)
+    uv = (u * v).sum(axis=1)
+    ut = u @ t_ba
+    vt = v @ t_ba
+    det = uu * vv - uv * uv
+    safe = det > 1e-12 * uu * vv
+    depth_a = np.where(safe, (-ut * vv + uv * vt) / np.where(safe, det, 1.0), -1.0)
+    depth_b = np.where(safe, (uv * -ut + uu * vt) / np.where(safe, det, 1.0), -1.0)
+    return depth_a, depth_b
+
+
+def four_call_relative_pose(pts_a, pts_b, camera):
+    """Reference eight-point solver: one triangulation per cheirality candidate."""
+    n = len(pts_a)
+    if n < 8:
+        raise ev.BaselineFailure(f"fewer than 8 correspondences ({n})")
+    rays_a = ev._normalized_rays(pts_a, camera)
+    rays_b = ev._normalized_rays(pts_b, camera)
+    norm_a, t_a = ev._hartley_normalize(rays_a)
+    norm_b, t_b = ev._hartley_normalize(rays_b)
+    a_mat = np.einsum("ni,nj->nij", norm_b, norm_a).reshape(n, 9)
+    _, sva, vt = np.linalg.svd(a_mat, full_matrices=n < 9)
+    if sva[7] < 1e-9 * sva[0]:
+        raise ev.BaselineFailure("degenerate configuration: essential matrix not unique")
+    u, _, vt_e = np.linalg.svd(t_b.T @ vt[-1].reshape(3, 3) @ t_a)
+    if np.linalg.det(u) < 0.0:
+        u = -u
+    if np.linalg.det(vt_e) < 0.0:
+        vt_e = -vt_e
+    w_mat = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    candidates = []
+    for rotation_ba in (u @ w_mat @ vt_e, u @ w_mat.T @ vt_e):
+        for t_ba in (u[:, 2], -u[:, 2]):
+            depth_a, depth_b = one_sign_triangulate_depths(rotation_ba, t_ba, rays_a, rays_b)
+            front = int(np.sum((depth_a > 0.0) & (depth_b > 0.0)))
+            candidates.append((front, rotation_ba, t_ba, depth_a, depth_b))
+    front, rotation_ba, t_ba, depth_a, depth_b = max(candidates, key=lambda c: c[0])
+    if front < ev.MIN_CHEIRALITY * n:
+        raise ev.BaselineFailure(f"cheirality ambiguity ({front}/{n} points in front)")
+    return Pose(rotation_ba.T, -(rotation_ba.T @ t_ba)), depth_a, depth_b
+
+
+def per_pair_vo(scene, camera, gt_traj, min_albedo, noise_px, seed):
+    """Reference VO chain that calls ``correspondences`` on every frame pair."""
+    rng = np.random.default_rng(seed)
+    indices = gt_traj.indices
+    chain, prev = {}, None
+    for a, b in zip(indices, indices[1:]):
+        ids, pts_a, pts_b = correspondences(
+            scene, camera, gt_traj.pose_at(a), gt_traj.pose_at(b),
+            min_albedo=min_albedo, noise_px=noise_px, rng=rng if noise_px > 0.0 else None)
+        try:
+            delta, depth_a, depth_b = ev.eight_point_relative_pose(pts_a, pts_b, camera)
+        except ev.BaselineFailure:
+            prev = None
+            continue
+        if prev is None:
+            chain[a], scale = (np.eye(3), np.zeros(3)), 1.0
+        else:
+            ratio = ev._shared_depth_ratio(*prev, ids, depth_a)
+            if ratio is None:
+                prev = None
+                continue
+            scale = scale * ratio
+        chain[b] = se3.compose_rt(*chain[a], delta.rotation, scale * delta.translation)
+        prev = ids, depth_b
+    return [(i, chain.get(i)) for i in indices]
+
+
 class TestRPE:
     def test_perfect_prediction_zero_error(self):
         traj = random_trajectory(0, 12)
@@ -323,6 +397,44 @@ class TestEightPoint:
         with pytest.raises(ValueError, match="non-finite"):
             ev.eight_point_relative_pose(pts, bad, self.camera)
 
+    @pytest.mark.parametrize("size, noise_px", [(160, 0.3), (64, 1.0), (48, 2.0)])
+    def test_two_triangulations_match_four(self, size, noise_px):
+        camera = Camera.default(size)
+        rng = np.random.default_rng(29)
+        traj = generate_trajectory(29, 25, MotionProfile(trans_std=0.4, forward_speed=0.8))
+        solved = 0
+        for pose_a, pose_b in zip(traj.poses, traj.poses[1:]):
+            _, pts_a, pts_b = correspondences(self.scene, camera, pose_a, pose_b,
+                                              min_albedo=0.25, noise_px=noise_px, rng=rng)
+            try:
+                want = four_call_relative_pose(pts_a, pts_b, camera)
+            except ev.BaselineFailure as failure:
+                with pytest.raises(ev.BaselineFailure, match=re.escape(str(failure))):
+                    ev.eight_point_relative_pose(pts_a, pts_b, camera)
+                continue
+            delta, depth_a, depth_b = ev.eight_point_relative_pose(pts_a, pts_b, camera)
+            np.testing.assert_array_equal(delta.rotation, want[0].rotation)
+            np.testing.assert_array_equal(delta.translation, want[0].translation)
+            np.testing.assert_array_equal(depth_a, want[1])
+            np.testing.assert_array_equal(depth_b, want[2])
+            solved += 1
+        assert solved > 0
+
+    def test_negated_translation_depths_are_exact(self):
+        rng = np.random.default_rng(31)
+        rays_a = np.column_stack([rng.normal(0.0, 0.4, (200, 2)), np.ones(200)])
+        rays_b = np.column_stack([rng.normal(0.0, 0.4, (200, 2)), np.ones(200)])
+        rays_b[:5] = rays_a[:5]     # zero parallax under the identity rotation
+        t_ba = rng.normal(size=3)
+        for rotation_ba in (np.eye(3), rot_y(0.1) @ rot_z(-0.2)):
+            plus, minus = ev._triangulate_depths(rotation_ba, t_ba, rays_a, rays_b)
+            for got, want in zip(plus + minus, (
+                    one_sign_triangulate_depths(rotation_ba, t_ba, rays_a, rays_b)
+                    + one_sign_triangulate_depths(rotation_ba, -t_ba, rays_a, rays_b))):
+                np.testing.assert_array_equal(got, want)
+        plus, minus = ev._triangulate_depths(np.eye(3), t_ba, rays_a, rays_b)
+        assert np.all(np.stack(plus + minus)[:, :5] == -1.0)
+
     def test_seven_correspondences_fail(self):
         pts = np.random.default_rng(0).uniform(10, 150, (7, 2))
         with pytest.raises(ev.BaselineFailure, match="fewer than 8"):
@@ -352,6 +464,32 @@ class TestEightPointVO:
         rows = ev.eight_point_vo(self.scene, camera, traj, min_albedo=0.25,
                                  noise_px=1.0, seed=2)
         assert ev.coverage(rows).percent < 100.0
+
+    @pytest.mark.parametrize("size, landmarks, noise_px, frames", [
+        (160, 2500, 0.05, 30),
+        (64, 1500, 1.0, 60),
+    ])
+    def test_rows_equal_per_pair_correspondences(self, size, landmarks, noise_px, frames):
+        scene = make_tube_scene(5, n_landmarks=landmarks)
+        camera = Camera.default(size)
+        traj = generate_trajectory(5, frames, self.profile)
+        rows = ev.eight_point_vo(scene, camera, traj, noise_px=noise_px, seed=3)
+        want = per_pair_vo(scene, camera, traj, 0.25, noise_px, seed=3)
+        assert [i for i, _ in rows] == [i for i, _ in want]
+        if noise_px == 1.0:
+            assert 0 < sum(p is None for _, p in rows) < frames
+        for (_, got), (_, expected) in zip(rows, want):
+            if expected is None:
+                assert got is None
+            else:
+                np.testing.assert_array_equal(got.rotation, expected[0])
+                np.testing.assert_array_equal(got.translation, expected[1])
+
+    def test_empty_and_one_frame_trajectories(self):
+        camera = Camera.default(64)
+        assert ev.eight_point_vo(self.scene, camera, Trajectory(())) == []
+        one = Trajectory(((4, Pose.identity()),))
+        assert ev.eight_point_vo(self.scene, camera, one, noise_px=1.0) == [(4, None)]
 
     def test_alignment_needs_three_frames(self):
         rows = [(0, Pose.identity()), (1, Pose(np.eye(3), [1, 0, 0])), (2, None)]

@@ -6,7 +6,15 @@ import pytest
 
 from policyvo import robustness as rb
 from policyvo.evaluation import RPERecord
-from policyvo.world import Observation, circular_mask
+from policyvo.world import (
+    Camera,
+    MotionProfile,
+    Observation,
+    circular_mask,
+    generate_trajectory,
+    make_tube_scene,
+    render,
+)
 
 
 class TestScoresCSV:
@@ -37,6 +45,18 @@ def masked(values, mask):
     return Observation(np.where(mask, values, 0.0), mask)
 
 
+def nine_tap_convolve3(image, kernel):
+    """Reference 3x3 convolution that multiplies and adds every tap, zeros included."""
+    acc = np.zeros((image.shape[0] - 2, image.shape[1] - 2))
+    for dy in range(3):
+        for dx in range(3):
+            acc += kernel[2 - dy, 2 - dx] * image[dy:dy + image.shape[0] - 2,
+                                                  dx:dx + image.shape[1] - 2]
+    out = np.zeros_like(image)
+    out[1:-1, 1:-1] = acc
+    return out
+
+
 def records_and_scores(texture, dillum, errors):
     scores = [rb.WindowScore("s", t, 8, x, y) for t, (x, y) in enumerate(zip(texture, dillum))]
     records = [RPERecord("s", t, 8, e, 0.0) for t, e in enumerate(errors)]
@@ -59,6 +79,23 @@ class TestScores:
         assert rb.texture_score(ramp) == pytest.approx(0.08, rel=1e-12)
         with pytest.raises(ValueError, match="empty mask"):
             rb.texture_score(Observation(np.zeros((8, 8)), np.zeros((8, 8), dtype=bool)))
+
+    def test_texture_score_equals_nine_tap_convolution(self):
+        # Rendered frames, plus frames with exact zeros and constant runs,
+        # where skipped 0 * x terms could only have changed the sign of a zero.
+        scene = make_tube_scene(11)
+        camera = Camera.default(64)
+        frames = [render(scene, camera, pose).image for pose in
+                  generate_trajectory(11, 4, MotionProfile(forward_speed=2.0)).poses]
+        rng = np.random.default_rng(12)
+        frames += [rng.choice([0.0, 0.25, 1.0], (64, 64)), np.zeros((64, 64))]
+        mask = circular_mask(64, camera.mask_radius)
+        for image in frames:
+            obs = masked(image, mask)
+            gx = nine_tap_convolve3(obs.image, rb.SOBEL_X)
+            gy = nine_tap_convolve3(obs.image, rb.SOBEL_Y)
+            want = float(np.sqrt(gx * gx + gy * gy)[rb._interior_valid(mask)].mean())
+            assert rb.texture_score(obs) == want
 
     def test_illum_change_of_two_constant_frames(self):
         mask = circular_mask(16, 7.0)

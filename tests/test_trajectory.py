@@ -38,6 +38,18 @@ class TestTrajectoryType:
         with pytest.raises(ValueError):
             Trajectory(((2, p), (1, p)))
 
+    @pytest.mark.parametrize("bad", [1.5, 2.0, np.float64(3.0), "4"])
+    def test_non_integer_frame_index_rejected(self, bad):
+        p = Pose.identity()
+        with pytest.raises(ValueError, match=re.escape(f"frame index {bad!r} is not an integer")):
+            Trajectory(((0, p), (bad, p)))
+
+    def test_numpy_integer_frame_indices_accepted(self):
+        p = Pose.identity()
+        traj = Trajectory(((np.int64(1), p), (np.int32(2), p), (3, p)))
+        assert traj.indices == [1, 2, 3]
+        assert all(type(i) is int for i in traj.indices)
+
     def test_anchored_flag_requires_identity_start(self):
         with pytest.raises(ValueError):
             Trajectory(((0, Pose(np.eye(3), [1.0, 0, 0])),), anchored=True)

@@ -208,6 +208,12 @@ class TestRender:
         ratio = near.image.sum() / far.image.sum()
         assert ratio == pytest.approx(4.0, rel=0.05)
 
+    @pytest.mark.parametrize("blob_sigma", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_blob_sigma_rejected(self, blob_sigma):
+        scene = single_landmark_scene([0.0, 0.0, 20.0])
+        with pytest.raises(ValueError, match="blob_sigma must be positive and finite"):
+            render(scene, Camera.default(32), Pose.identity(), blob_sigma)
+
     def test_deterministic_bit_identical(self):
         scene = make_tube_scene(16, n_landmarks=1000)
         camera = Camera.default(40)
@@ -255,6 +261,17 @@ class TestRenderMatchesAddAtOracle:
             image = render(scene, camera, pose, blob_sigma).image
             np.testing.assert_array_equal(image, add_at_render(scene, camera, pose, blob_sigma))
 
+    @pytest.mark.parametrize("blob_sigma", [0.6, 1.7])
+    def test_bit_identical_where_reach_exceeds_three_sigma(self, blob_sigma):
+        # reach = ceil(3 sigma) is 2 and 6 here, so the blob's outer ring is
+        # cut off at more than 3 sigma on both sides.
+        for seed, size in ((8, 160), (9, 64)):
+            scene = make_tube_scene(seed)
+            camera = Camera.default(size)
+            for pose in generate_trajectory(seed, 3, MotionProfile(forward_speed=2.0)).poses:
+                image = render(scene, camera, pose, blob_sigma).image
+                np.testing.assert_array_equal(image, add_at_render(scene, camera, pose, blob_sigma))
+
     def test_mask_is_cached_and_read_only(self):
         mask = world.circular_mask(40, 19.2)
         assert world.circular_mask(40, 19.2) is mask
@@ -293,6 +310,19 @@ class TestCorrespondences:
         _, all_a, _ = correspondences(scene, camera, pose, pose, min_albedo=0.0)
         _, bright_a, _ = correspondences(scene, camera, pose, pose, min_albedo=0.5)
         assert len(bright_a) < len(all_a)
+
+    def test_noise_drawn_after_the_match_for_a_then_b(self):
+        scene = make_tube_scene(22, n_landmarks=1500)
+        camera = Camera.default(64)
+        pose_a, pose_b = Pose.identity(), Pose(rot_x(0.02), [0.3, -0.2, 1.5])
+        ids, clean_a, clean_b = correspondences(scene, camera, pose_a, pose_b, min_albedo=0.3)
+        noisy_ids, noisy_a, noisy_b = correspondences(scene, camera, pose_a, pose_b,
+                                                      min_albedo=0.3, noise_px=0.5,
+                                                      rng=np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        np.testing.assert_array_equal(noisy_ids, ids)
+        np.testing.assert_array_equal(noisy_a, clean_a + rng.normal(0.0, 0.5, clean_a.shape))
+        np.testing.assert_array_equal(noisy_b, clean_b + rng.normal(0.0, 0.5, clean_b.shape))
 
     def test_noise_requires_rng(self):
         scene = make_tube_scene(21, n_landmarks=1000)
