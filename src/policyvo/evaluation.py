@@ -9,8 +9,9 @@ Scale-ambiguous estimates (the eight-point visual-odometry baseline) are
 aligned to ground truth with a least-squares similarity transform before
 windowed errors are computed; metric methods need no alignment.
 
-Ground-truth poses are looked up, and full windows listed, through
-:class:`~policyvo.trajectory.Trajectory`.  Per-window records are stored as
+Ground truth and estimates are :class:`~policyvo.trajectory.Trajectory` pose
+stacks (an estimate masks the frames it has no pose for), and the windows of a
+sequence are one :class:`PredictedWindows` batch.  Per-window records are
 :mod:`policyvo.tables` CSV with the header ``sequence,t,w,trans_err_mm,rot_err_deg``.
 """
 
@@ -25,7 +26,7 @@ import numpy as np
 from . import se3
 from .se3 import Pose
 from .tables import read_table, write_table
-from .trajectory import Trajectory
+from .trajectory import Trajectory, as_trajectory
 from .world import Camera, Scene, _match_views, landmark_projections
 
 RECORDS_HEADER = "sequence,t,w,trans_err_mm,rot_err_deg"
@@ -45,6 +46,34 @@ class PredictedWindow:
     t: int
     w: int
     delta: Pose
+
+
+@dataclass(frozen=True, eq=False)
+class PredictedWindows:
+    """Predicted motions from frames ``starts`` to ``starts + w`` of a sequence, one row
+    per window of read-only, once-checked ``starts`` (M,), ``rotations`` (M, 3, 3) and
+    ``translations`` (M, 3); ``windows[j]`` is window j as a :class:`PredictedWindow`."""
+
+    sequence: str
+    w: int
+    starts: np.ndarray
+    rotations: np.ndarray
+    translations: np.ndarray
+
+    def __post_init__(self):
+        starts = np.array(self.starts, dtype=np.int64)
+        starts.setflags(write=False)
+        rotations, translations = se3._validated(self.rotations, self.translations)
+        if rotations.shape[:-2] != starts.shape:
+            raise ValueError(f"window starts {starts.shape} but pose stacks {rotations.shape}")
+        self.__dict__.update(starts=starts, rotations=rotations, translations=translations)
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, j) -> PredictedWindow:
+        return PredictedWindow(self.sequence, int(self.starts[j]), self.w,
+                               Pose(self.rotations[j], self.translations[j]))
 
 
 @dataclass(frozen=True)
@@ -113,22 +142,24 @@ def summarize(records: list[RPERecord]) -> RPESummary:
                       float(rot.mean()), float(rot.std()), len(records))
 
 
-def rpe(pred_windows: list[PredictedWindow], gt_trajs: dict[str, Trajectory],
+def rpe(windows: PredictedWindows, gt_trajs: dict[str, Trajectory],
         w: int) -> tuple[list[RPERecord], RPESummary]:
-    """Per-window relative pose error of predictions against ground truth."""
+    """Per-window relative pose error of a batch of windows of length w against ground truth."""
     if w < 0:
         raise ValueError("window length must be >= 0")
-    windows = [pw for pw in pred_windows if pw.w == w]
-    if not windows:
+    if len(windows) == 0:
         raise ValueError("empty evaluation")
-    starts = se3.stack([gt_trajs[pw.sequence].pose_at(pw.t) for pw in windows])
-    ends = se3.stack([gt_trajs[pw.sequence].pose_at(pw.t + w) for pw in windows])
-    gt_rot, gt_trans = se3.relative_rt(*starts, *ends)
-    pred_rot, pred_trans = se3.stack([pw.delta for pw in windows])
-    trans_err = np.linalg.norm(pred_trans - gt_trans, axis=-1)
-    rot_err = np.degrees(se3.geodesic_angle(pred_rot, gt_rot))
-    records = [RPERecord(pw.sequence, pw.t, w, e_trans, e_rot)
-               for pw, e_trans, e_rot in zip(windows, trans_err.tolist(), rot_err.tolist())]
+    if windows.w != w:
+        raise ValueError(f"windows span w={windows.w}, not w={w}")
+    gt = gt_trajs[windows.sequence]
+    starts = windows.starts.tolist()
+    first, last = gt.rows(starts), gt.rows([t + w for t in starts])
+    gt_rot, gt_trans = se3.relative_rt(gt.rotations[first], gt.translations[first],
+                                       gt.rotations[last], gt.translations[last])
+    trans_err = np.linalg.norm(windows.translations - gt_trans, axis=-1)
+    rot_err = np.degrees(se3.geodesic_angle(windows.rotations, gt_rot))
+    records = [RPERecord(windows.sequence, t, w, e_trans, e_rot)
+               for t, e_trans, e_rot in zip(starts, trans_err.tolist(), rot_err.tolist())]
     return records, summarize(records)
 
 
@@ -163,40 +194,40 @@ def umeyama_sim3(pred_points: np.ndarray, gt_points: np.ndarray) -> Sim3:
     return Sim3(scale, rotation, translation)
 
 
-def coverage(rows: list[tuple[int, Pose | None]]) -> CoverageReport:
-    """Fraction of frames that carry a valid pose estimate."""
-    if not rows:
+def coverage(estimate) -> CoverageReport:
+    """Fraction of the frames of an estimate (Trajectory or rows) that have a pose."""
+    estimate = as_trajectory(estimate)
+    if len(estimate) == 0:
         raise ValueError("zero frames")
-    valid = sum(1 for _, pose in rows if pose is not None)
-    return CoverageReport(total=len(rows), valid=valid)
+    return CoverageReport(total=len(estimate), valid=int(np.count_nonzero(estimate.valid)))
 
 
 # ---------------------------------------------------------------------------
 # Floor baselines
 
-def zero_motion_windows(gt_traj: Trajectory, sequence: str, w: int) -> list[PredictedWindow]:
+def zero_motion_windows(gt_traj: Trajectory, sequence: str, w: int) -> PredictedWindows:
     """Predicts the identity relative motion for every full window."""
-    identity = Pose.identity()
-    return [PredictedWindow(sequence, t, w, identity) for t in gt_traj.window_starts(w)]
-
-
-def constant_velocity_windows(gt_traj: Trajectory, sequence: str,
-                              w: int) -> list[PredictedWindow]:
-    """Repeats the last observed ground-truth per-step delta w times.
-
-    The first window has no history and falls back to zero motion.
-    """
     starts = gt_traj.window_starts(w)
-    moving = [t for t in starts if t - 1 in gt_traj]
-    rows = gt_traj.rows(moving)
+    return PredictedWindows(sequence, w, starts, np.broadcast_to(np.eye(3), (len(starts), 3, 3)),
+                            np.zeros((len(starts), 3)))
+
+
+def constant_velocity_windows(gt_traj: Trajectory, sequence: str, w: int) -> PredictedWindows:
+    """Repeats the last observed ground-truth per-step delta w times; a window
+    whose frame t-1 has no pose (the first, and the first after each gap) has
+    no history and falls back to zero motion."""
+    starts = np.array(gt_traj.window_starts(w), dtype=np.int64)
+    moving = np.isin(starts - 1, gt_traj.frame_array[gt_traj.valid])
+    rows = gt_traj.rows(starts[moving].tolist())
     rot, trans = gt_traj.rotations, gt_traj.translations
     step = se3.relative_rt(rot[rows - 1], trans[rows - 1], rot[rows], trans[rows])
     delta = np.broadcast_to(np.eye(3), step[0].shape), np.zeros_like(step[1])
     for _ in range(w):
         delta = se3.compose_rt(*delta, *step)
-    predicted = dict(zip(moving, se3.poses(*delta)))
-    identity = Pose.identity()
-    return [PredictedWindow(sequence, t, w, predicted.get(t, identity)) for t in starts]
+    rotations = np.tile(np.eye(3), (len(starts), 1, 1))
+    translations = np.zeros((len(starts), 3))
+    rotations[moving], translations[moving] = delta
+    return PredictedWindows(sequence, w, starts, rotations, translations)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +339,7 @@ def eight_point_relative_pose(pts_a: np.ndarray, pts_b: np.ndarray,
 
 def eight_point_vo(scene: Scene, camera: Camera, gt_traj: Trajectory,
                    min_albedo: float = 0.25, noise_px: float = 0.0,
-                   seed: int = 0) -> list[tuple[int, Pose | None]]:
+                   seed: int = 0) -> Trajectory:
     """Chain frame-to-frame eight-point estimates into a trajectory.
 
     Correspondences come from the scene's known landmark projections
@@ -318,13 +349,13 @@ def eight_point_vo(scene: Scene, camera: Camera, gt_traj: Trajectory,
     so each contiguous segment is consistent up to one global scale.
 
     A failed step leaves the next frame without a pose; estimation restarts
-    from the following pair in a fresh segment.  Returns (frame, pose or
-    None) rows; frames in no successful step have pose None.
+    from the following pair in a fresh segment.  Returns the estimate over
+    the ground truth's posed frames; frames in no successful step have no pose.
     Each frame is projected once, for both its pairs; the rows equal those
     of :func:`~policyvo.world.correspondences` called on every pair.
     """
     rng = np.random.default_rng(seed)
-    indices = gt_traj.indices
+    indices = gt_traj.frame_array[gt_traj.valid].tolist()
     views = (landmark_projections(scene, camera, pose, min_albedo) for pose in gt_traj.poses)
     chain = {}      # frame -> (rotation, translation) of the rows that get a pose
     prev = None     # landmark ids and frame-b depths of the last chained step
@@ -345,9 +376,10 @@ def eight_point_vo(scene: Scene, camera: Camera, gt_traj: Trajectory,
             scale = scale * ratio
         chain[b] = se3.compose_rt(*chain[a], delta.rotation, scale * delta.translation)
         prev = ids, depth_b
-    posed = dict(zip(chain, se3.poses(np.reshape([r for r, _ in chain.values()], (-1, 3, 3)),
-                                      np.reshape([t for _, t in chain.values()], (-1, 3)))))
-    return [(i, posed.get(i)) for i in indices]
+    # Frames enter the chain in increasing order, so its values are in frame order.
+    return Trajectory.from_stacks(indices, np.reshape([r for r, _ in chain.values()], (-1, 3, 3)),
+                                  np.reshape([t for _, t in chain.values()], (-1, 3)),
+                                  [i in chain for i in indices])
 
 
 def _shared_depth_ratio(prev_ids: np.ndarray, prev_depth_b: np.ndarray,
@@ -365,55 +397,42 @@ def _shared_depth_ratio(prev_ids: np.ndarray, prev_depth_b: np.ndarray,
     return ratio if ratio > 0.0 else None
 
 
-def align_rows_to_gt(rows: list[tuple[int, Pose | None]],
-                     gt_traj: Trajectory) -> list[tuple[int, Pose | None]]:
-    """Per-segment Sim(3) alignment of an estimated trajectory to ground truth.
-
-    Each contiguous run of valid rows is aligned independently (a chained
-    estimate restarts in a fresh coordinate frame after a failure).
-    Segments too short or too degenerate to align lose their poses.
-    """
-    aligned: dict[int, Pose | None] = {i: None for i, _ in rows}
-    segment: list[tuple[int, Pose]] = []
-
-    def flush(segment):
-        if len(segment) < 3:
-            return
-        frames = [i for i, _ in segment]
-        rot, trans = se3.stack([p for _, p in segment])
-        try:
-            sim = umeyama_sim3(trans, gt_traj.translations[gt_traj.rows(frames)])
+def align_rows_to_gt(estimate, gt_traj: Trajectory) -> Trajectory:
+    """Per-segment Sim(3) alignment of an estimate (Trajectory or rows) to ground truth:
+    each run of consecutive frames with a pose is aligned on its own (a chained
+    estimate restarts in a fresh frame after a failure), and runs too short or
+    too degenerate to align lose their poses."""
+    estimate = as_trajectory(estimate)
+    posed = np.flatnonzero(estimate.valid)      # frame positions of the stack rows
+    rotations, translations = estimate.rotations.copy(), estimate.translations.copy()
+    aligned = np.zeros(len(posed), bool)
+    for run in np.split(np.arange(len(posed)), np.flatnonzero(np.diff(posed) > 1) + 1):
+        frames = estimate.frame_array[posed[run]].tolist()
+        try:    # raises for fewer than 3 poses, too
+            sim = umeyama_sim3(translations[run], gt_traj.translations[gt_traj.rows(frames)])
         except ValueError:
-            return
-        aligned.update(zip(frames, se3.poses(sim.rotation @ rot, sim.apply_points(trans))))
-
-    for i, pose in rows:
-        if pose is None:
-            flush(segment)
-            segment = []
-        else:
-            segment.append((i, pose))
-    flush(segment)
-    return [(i, aligned[i]) for i, _ in rows]
+            continue
+        rotations[run] = sim.rotation @ rotations[run]
+        translations[run] = sim.apply_points(translations[run])
+        aligned[run] = True
+    valid = estimate.valid.copy()
+    valid[posed[~aligned]] = False
+    return Trajectory.from_stacks(estimate.frame_array, rotations[aligned], translations[aligned],
+                                  valid)
 
 
-def windows_from_rows(rows: list[tuple[int, Pose | None]], sequence: str,
-                      w: int) -> list[PredictedWindow]:
-    """Relative-motion windows over an estimated trajectory.
-
-    Only windows whose endpoints both carry a valid pose are emitted.
-    """
+def windows_from_rows(estimate, sequence: str, w: int) -> PredictedWindows:
+    """Relative-motion windows over an estimate (Trajectory or rows) whose
+    endpoints both carry a pose."""
     if w < 0:
         raise ValueError("window length must be >= 0")
-    if not rows:
-        return []
-    first, last = rows[0][0], rows[-1][0]
-    valid = {i: p for i, p in dict(rows).items() if p is not None}
-    starts = [t for t in sorted(valid) if first <= t <= last - w and t + w in valid]
-    deltas = se3.relative_rt(*se3.stack([valid[t] for t in starts]),
-                             *se3.stack([valid[t + w] for t in starts]))
-    return [PredictedWindow(sequence, t, w, delta)
-            for t, delta in zip(starts, se3.poses(*deltas))]
+    estimate = as_trajectory(estimate)
+    posed = estimate.frame_array[estimate.valid]
+    first = np.flatnonzero(np.isin(posed + w, posed))
+    last = np.searchsorted(posed, posed[first] + w)
+    rot, trans = estimate.rotations, estimate.translations
+    return PredictedWindows(sequence, w, posed[first],
+                            *se3.relative_rt(rot[first], trans[first], rot[last], trans[last]))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ Conventions:
       (..., 3, 3), translations (..., 3), 6-vectors (..., 6)), so one pose and
       an (N, ...) stack run the same code; the ``Pose`` functions are thin
       calls into the ``*_rt`` ones.  A stack is validated once as a whole by
-      :func:`poses`, whose rows are then read-only ``Pose`` views.
+      :func:`poses`, whose rows are then read-only :func:`pose_view` views.
 """
 
 from __future__ import annotations
@@ -202,14 +202,16 @@ class Pose:
         return m
 
 
+def pose_view(rotation: np.ndarray, translation: np.ndarray) -> Pose:
+    """A Pose on validated read-only arrays, neither copied nor checked again."""
+    view = object.__new__(Pose)
+    view.__dict__.update(rotation=rotation, translation=translation)
+    return view
+
+
 def poses(rotations, translations) -> list[Pose]:
-    """Read-only Pose views of the rows of a pose stack, validated once as a whole
-    (the views skip Pose.__post_init__, which would check each row again)."""
-    rotations, translations = _validated(rotations, translations)
-    views = [object.__new__(Pose) for _ in range(len(rotations))]
-    for view, rotation, translation in zip(views, rotations, translations):
-        view.__dict__.update(rotation=rotation, translation=translation)
-    return views
+    """Read-only Pose views of the rows of a pose stack, validated once as a whole."""
+    return list(map(pose_view, *_validated(rotations, translations)))
 
 
 def stack(pose_list: list[Pose]) -> tuple[np.ndarray, np.ndarray]:

@@ -1,12 +1,12 @@
-"""Trajectory anchoring, incremental-action windows, and trajectory files.
+"""Trajectories as pose stacks with a validity mask, action windows, and trajectory files.
 
-A trajectory is an ordered list of (frame_index, Pose) with strictly
-increasing frame indices.  ``Trajectory`` is the one place that knows how
-frames are indexed: it looks poses up by frame index in constant time and
-lists the windows t..t+w whose frames are all present.  Anchoring
-re-expresses every pose relative to the first frame so the sequence starts
-at the identity; relative transforms between frames are unchanged by
-anchoring.
+A ``Trajectory`` is the one pose container of ground truth and estimates:
+strictly increasing frames, a mask of those that carry a pose, and their
+poses as read-only rotation and translation stacks, each pose stored once
+(``Pose`` objects are only views of stack rows, built on demand).  It looks
+poses up by frame in constant time and lists the windows t..t+w whose frames
+all have a pose.  Anchoring re-expresses every pose relative to the first so
+the sequence starts at the identity; relative transforms are unchanged.
 
 The actions of a window are the steps log(T_{i-1}^-1 T_i) between its
 consecutive frames.  ``action_windows`` computes a trajectory's steps as one
@@ -15,14 +15,14 @@ read-only slice of it from the window's start.
 
 Trajectory files are :mod:`policyvo.tables` CSV with the header
 ``frame,tx,ty,tz,rx,ry,rz`` (translation mm, rotation axis-angle rad,
-17 significant digits).  A row with any non-finite field marks an
-invalid/missing pose and is kept for coverage accounting.
+17 significant digits).  A row with any non-finite field marks a frame
+without a pose and is kept for coverage accounting.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,82 +33,111 @@ from .tables import read_table, write_table
 TRAJECTORY_HEADER = "frame,tx,ty,tz,rx,ry,rz"
 
 
-@dataclass(frozen=True)
 class Trajectory:
-    """(frame, Pose) rows, also held as read-only ``rotations`` (N, 3, 3) and
-    ``translations`` (N, 3) stacks built once at construction."""
+    """Frames in strictly increasing order, each with a pose or without one, held in
+    four read-only arrays: ``frame_array`` (N,) int64 and ``valid`` (N,) bool over
+    every frame, ``rotations`` (V, 3, 3) and ``translations`` (V, 3) over the V
+    frames with a pose.  ``Trajectory(rows)`` takes (frame, Pose | None) rows and
+    :meth:`from_stacks` the arrays, either checking the stacks once; ``frames``,
+    ``poses``, iteration and ``pose_at`` build ``Pose`` views of them.  Equality
+    is exact; instances are immutable and unhashable."""
 
-    frames: tuple[tuple[int, Pose], ...]
-    anchored: bool = False
-    rotations: np.ndarray = field(init=False, repr=False, compare=False)
-    translations: np.ndarray = field(init=False, repr=False, compare=False)
-    _row_of: dict[int, int] = field(init=False, repr=False, compare=False)
+    def __init__(self, rows=(), anchored: bool = False):
+        rows = tuple(rows)
+        self.__dict__.update(vars(Trajectory.from_stacks(
+            [i for i, _ in rows], *se3.stack([p for _, p in rows if p is not None]),
+            [p is not None for _, p in rows], anchored)))
 
-    def __post_init__(self):
-        try:
-            frames = tuple((operator.index(i), p) for i, p in self.frames)
-        except TypeError:
-            bad = next(i for i, _ in self.frames if not hasattr(type(i), "__index__"))
-            raise ValueError(f"frame index {bad!r} is not an integer") from None
-        indices = [i for i, _ in frames]
-        if any(b <= a for a, b in zip(indices, indices[1:])):
-            raise ValueError("frame indices must be strictly increasing")
-        rotations, translations = se3.stack([p for _, p in frames])
-        if self.anchored and frames and max(np.abs(rotations[0] - np.eye(3)).max(),
-                                            np.abs(translations[0]).max()) > 1e-9:
+    @classmethod
+    def from_stacks(cls, indices, rotations, translations, valid=None,
+                    anchored: bool = False) -> "Trajectory":
+        """Frames ``indices``; those ``valid`` marks (default all) have the stacks' poses."""
+        frames = np.asarray(indices)
+        if frames.dtype.kind not in "iu":
+            try:
+                frames = np.array([operator.index(i) for i in indices], dtype=np.int64)
+            except TypeError:
+                bad = next(i for i in indices if not hasattr(type(i), "__index__"))
+                raise ValueError(f"frame indices must be integers; frame index {bad!r} "
+                                 "is not an integer") from None
+        frames = frames.astype(np.int64)
+        valid = np.ones(frames.shape, bool) if valid is None else np.array(valid, dtype=bool)
+        if frames.ndim != 1 or valid.shape != frames.shape:
+            raise ValueError("frames and valid mask must be 1-D arrays of one length")
+        if len(back := np.flatnonzero(frames[1:] <= frames[:-1])):
+            raise ValueError(f"frame {frames[back[0] + 1]} does not follow frame {frames[back[0]]}")
+        rotations, translations = se3._validated(rotations, translations)
+        if rotations.shape[:-2] != (np.count_nonzero(valid),):
+            raise ValueError(f"{np.count_nonzero(valid)} valid frames, {len(rotations)} poses")
+        if anchored and len(rotations) and max(np.abs(rotations[0] - np.eye(3)).max(),
+                                               np.abs(translations[0]).max()) > 1e-9:
             raise ValueError("anchored trajectory must start at identity")
-        rotations.setflags(write=False)
-        translations.setflags(write=False)
-        object.__setattr__(self, "frames", frames)
-        object.__setattr__(self, "rotations", rotations)
-        object.__setattr__(self, "translations", translations)
-        object.__setattr__(self, "_row_of", {i: n for n, i in enumerate(indices)})
+        frames.setflags(write=False)
+        valid.setflags(write=False)
+        posed = frames[valid].tolist()
+        traj = cls.__new__(cls)
+        traj.__dict__.update(frame_array=frames, valid=valid, rotations=rotations,
+                             translations=translations, anchored=bool(anchored),
+                             _row_of=dict(zip(posed, range(len(posed)))))
+        return traj
 
-    @staticmethod
-    def from_poses(poses, start_index: int = 0, anchored: bool = False) -> "Trajectory":
-        return Trajectory(tuple((start_index + i, p) for i, p in enumerate(poses)),
-                          anchored=anchored)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Trajectory is immutable; cannot set {name!r}")
+
+    def __eq__(self, other) -> bool:
+        """Exact equality of the four arrays and the anchoring flag, with no tolerance."""
+        return (isinstance(other, Trajectory) and self.anchored == other.anchored
+                and all(np.array_equal(getattr(self, name), getattr(other, name))
+                        for name in ("frame_array", "valid", "rotations", "translations")))
 
     def __len__(self) -> int:
-        return len(self.frames)
+        return len(self.frame_array)
 
     def __iter__(self):
         return iter(self.frames)
 
     def __contains__(self, frame_index) -> bool:
+        """Whether the frame has a pose."""
         return frame_index in self._row_of
 
     @property
     def indices(self) -> list[int]:
-        return [i for i, _ in self.frames]
+        return self.frame_array.tolist()
 
     @property
     def poses(self) -> list[Pose]:
-        return [p for _, p in self.frames]
+        return list(map(se3.pose_view, self.rotations, self.translations))
+
+    @property
+    def frames(self) -> tuple[tuple[int, Pose | None], ...]:
+        """(frame, Pose view or None) of every frame; ``poses`` has the V views alone."""
+        poses = iter(self.poses)
+        return tuple((i, next(poses) if ok else None)
+                     for i, ok in zip(self.indices, self.valid.tolist()))
 
     def rows(self, frame_indices) -> np.ndarray:
         """Positions of the given frames in ``rotations``/``translations``."""
         try:
             return np.array([self._row_of[i] for i in frame_indices], dtype=np.intp)
         except KeyError as exc:
-            raise KeyError(f"no frame {exc.args[0]} in trajectory") from None
+            raise KeyError(f"no frame {exc.args[0]} with a pose in trajectory") from None
 
     def pose_at(self, frame_index: int) -> Pose:
-        try:
-            return self.frames[self._row_of[frame_index]][1]
-        except KeyError:
-            raise KeyError(f"no frame {frame_index} in trajectory") from None
+        row = self.rows([frame_index])[0]
+        return se3.pose_view(self.rotations[row], self.translations[row])
 
     def window_starts(self, w: int) -> list[int]:
-        """Frames t, in order, for which every frame t..t+w is present.
-
-        Indices strictly increase, so frames t..t+w are all present exactly
-        when the index w positions after t is t + w.
-        """
+        """Frames t, in order, for which every frame t..t+w has a pose: those whose
+        posed frame w positions later is t + w, as frames strictly increase."""
         if w < 0:
             raise ValueError("window length must be >= 0")
-        indices = self.indices
-        return [t for t, end in zip(indices, indices[w:]) if end == t + w]
+        posed = list(self._row_of)
+        return [t for t, end in zip(posed, posed[w:]) if end == t + w]
+
+
+def as_trajectory(rows) -> Trajectory:
+    """``rows`` if it is a Trajectory, else the Trajectory of its (frame, Pose | None) rows."""
+    return rows if isinstance(rows, Trajectory) else Trajectory(rows)
 
 
 @dataclass(frozen=True)
@@ -143,12 +172,13 @@ class ActionSequence:
 
 
 def anchor(traj: Trajectory) -> Trajectory:
-    """Re-express all poses relative to the first frame (T0 becomes identity)."""
-    if len(traj) == 0:
-        raise ValueError("empty trajectory")
+    """Re-express all poses relative to the first one (it becomes the identity)."""
+    if len(traj.rotations) == 0:
+        raise ValueError("empty trajectory: no frame has a pose")
     first_inv = se3.inverse_rt(traj.rotations[0], traj.translations[0])
-    anchored = se3.compose_rt(*first_inv, traj.rotations, traj.translations)
-    return Trajectory(tuple(zip(traj.indices, se3.poses(*anchored))), anchored=True)
+    return Trajectory.from_stacks(traj.frame_array,
+                                  *se3.compose_rt(*first_inv, traj.rotations, traj.translations),
+                                  traj.valid, anchored=True)
 
 
 def _steps(rotations: np.ndarray, translations: np.ndarray) -> np.ndarray:
@@ -174,7 +204,7 @@ def action_windows(traj: Trajectory, k: int) -> dict[int, ActionSequence]:
 def extract_actions(traj: Trajectory, t: int, k: int) -> ActionSequence:
     """Incremental actions log(T_{t+i-1}^-1 T_{t+i}) for i = 1..k.
 
-    Requires frames t..t+k to be present with consecutive indices.
+    Requires frames t..t+k all to have a pose.
     """
     if k < 1:
         raise ValueError("horizon k must be >= 1")
@@ -195,30 +225,21 @@ def compose_window(start: Pose, actions: ActionSequence, w: int) -> Pose:
 
 
 def write_trajectory_file(path, rows) -> None:
-    """Write trajectory rows to CSV.
-
-    ``rows`` is a Trajectory or a list of (frame_index, Pose | None); a None
-    pose is written as a nan row (invalid/missing pose marker).  Raises
-    ValueError naming the file, and writes nothing, when the frames are not
-    integers or do not strictly increase.
-    """
-    rows = list(rows.frames if isinstance(rows, Trajectory) else rows)
-    frames = np.array([i for i, _ in rows])
-    if rows and frames.dtype.kind not in "iu":
-        raise ValueError(f"{path}: frame indices must be integers, not {frames.dtype}")
-    behind = np.flatnonzero(frames[1:] <= frames[:-1])
-    if len(behind):
-        raise ValueError(f"{path}: frame {frames[behind[0] + 1]} does not follow "
-                         f"frame {frames[behind[0]]}")
-    valid = [n for n, (_, p) in enumerate(rows) if p is not None]
-    vectors = np.full((len(rows), 6), np.nan)
-    vectors[valid] = se3.log_rt(*se3.stack([rows[n][1] for n in valid]))
+    """Write a Trajectory, or (frame, Pose | None) rows, as CSV; a frame without
+    a pose is a nan row.  Raises ValueError naming the file, and writes nothing,
+    when the frames are not integers or do not strictly increase."""
+    try:
+        traj = as_trajectory(rows)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    vectors = np.full((len(traj), 6), np.nan)
+    vectors[traj.valid] = se3.log_rt(traj.rotations, traj.translations)
     write_table(path, TRAJECTORY_HEADER,
-                ((i, *vec) for i, vec in zip(frames.tolist(), vectors.tolist())))
+                ((i, *vec) for i, vec in zip(traj.indices, vectors.tolist())))
 
 
-def read_trajectory_file(path) -> list[tuple[int, Pose | None]]:
-    """Read trajectory rows; non-finite rows come back with pose None.
+def read_trajectory_file(path) -> Trajectory:
+    """Read a trajectory file; frames of non-finite rows have no pose.
 
     Raises ValueError naming the file and line for a frame that is not an
     integer or does not strictly increase, and for a non-numeric field.
@@ -237,11 +258,11 @@ def read_trajectory_file(path) -> list[tuple[int, Pose | None]]:
         frames.append(int(frame))
     vectors = np.array(vectors).reshape(-1, 6)
     valid = np.isfinite(vectors).all(axis=1)
-    poses = iter(se3.poses(*se3.exp_rt(vectors[valid])))
-    return [(frame, next(poses) if ok else None) for frame, ok in zip(frames, valid.tolist())]
+    return Trajectory.from_stacks(frames, *se3.exp_rt(vectors[valid]), valid)
 
 
 def rows_to_trajectory(rows, anchored: bool = False) -> Trajectory:
-    """Valid rows as a Trajectory (invalid rows dropped)."""
-    return Trajectory(tuple((i, p) for i, p in rows if p is not None),
-                      anchored=anchored)
+    """The frames of a Trajectory, or of (frame, Pose | None) rows, that have a pose."""
+    traj = as_trajectory(rows)
+    return Trajectory.from_stacks(traj.frame_array[traj.valid], traj.rotations,
+                                  traj.translations, anchored=anchored)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,6 +31,8 @@ from .trajectory import ActionSequence, Trajectory
 MANIFEST_HEADER = "sequence,frame,image_path,mask_path"
 NEAR_MM = 1.0           # points at camera depth <= this are not in front of it
 MAX_RESAMPLES = 1000    # redraws of one trajectory step before generation gives up
+# "P5", width, height and maxval, each after whitespace or comment lines, then one whitespace.
+_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")
 
 
 @dataclass(frozen=True)
@@ -113,8 +116,8 @@ class Camera:
     def __post_init__(self):
         if self.focal <= 0.0:
             raise ValueError("focal length must be positive")
-        if self.mask_radius > self.size / 2.0:
-            raise ValueError("mask radius must be <= size/2")
+        if not 0.0 < self.mask_radius <= self.size / 2.0:     # false for nan
+            raise ValueError("mask radius must lie in (0, size/2]")
 
     @staticmethod
     def default(size: int = 160) -> "Camera":
@@ -242,6 +245,8 @@ def correspondences(scene: Scene, camera: Camera, pose_a: Pose, pose_b: Pose,
 
 def _match_views(ids_a, uv_a, ids_b, uv_b, noise_px: float, rng: np.random.Generator | None):
     """Match two :func:`landmark_projections` views; noise is drawn after, for a then b."""
+    if not 0.0 <= noise_px < math.inf:      # false for nan
+        raise ValueError(f"noise_px must be finite and >= 0, got {noise_px}")
     common, ia, ib = np.intersect1d(ids_a, ids_b, assume_unique=True, return_indices=True)
     pts_a, pts_b = uv_a[ia], uv_b[ib]
     if noise_px > 0.0:
@@ -342,7 +347,7 @@ def generate_trajectory(seed: int, n_frames: int, profile: MotionProfile,
             rotation = se3.project_rotation(rotation)
         rotations.append(rotation)
         positions.append(position)
-    return Trajectory.from_poses(se3.poses(rotations, positions), anchored=True)
+    return Trajectory.from_stacks(np.arange(n_frames), rotations, positions, anchored=True)
 
 
 # ---------------------------------------------------------------------------
@@ -398,27 +403,14 @@ def write_pgm(path, image01: np.ndarray) -> None:
 def read_pgm(path) -> np.ndarray:
     """Read an 8-bit binary PGM back to float64 in [0, 1]."""
     raw = Path(path).read_bytes()
-    fields: list[bytes] = []
-    pos = 0
-    while len(fields) < 4:
-        while pos < len(raw) and raw[pos:pos + 1].isspace():
-            pos += 1
-        if raw[pos:pos + 1] == b"#":
-            while pos < len(raw) and raw[pos:pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos:pos + 1].isspace():
-            pos += 1
-        fields.append(raw[start:pos])
-    if fields[0] != b"P5" or fields[3] != b"255":
+    header = _PGM_HEADER.match(raw)
+    if header is None or header[3] != b"255":
         raise ValueError(f"unsupported PGM header in {path}")
-    w, h = int(fields[1]), int(fields[2])
-    pos += 1  # single whitespace after maxval
-    if len(raw) - pos < w * h:
-        raise ValueError(f"truncated PGM {path}: {len(raw) - pos} of {w * h} pixel bytes")
-    data = np.frombuffer(raw[pos:pos + w * h], dtype=np.uint8).reshape(h, w)
-    return data.astype(np.float64) / 255.0
+    w, h = int(header[1]), int(header[2])
+    pixels = raw[header.end():header.end() + w * h]
+    if len(pixels) < w * h:
+        raise ValueError(f"truncated PGM {path}: {len(pixels)} of {w * h} pixel bytes")
+    return np.frombuffer(pixels, dtype=np.uint8).reshape(h, w) / 255.0
 
 
 def write_observation(image_path, mask_path, obs: Observation) -> None:

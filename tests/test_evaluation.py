@@ -29,7 +29,13 @@ def random_trajectory(seed, n, trans=0.8, rot=0.05):
     for _ in range(n - 1):
         pose = se3.compose(pose, se3.random_pose(rng, trans, rot))
         poses.append(pose)
-    return Trajectory.from_poses(poses, anchored=True)
+    return Trajectory(enumerate(poses), anchored=True)
+
+
+def batch(windows):
+    """The PredictedWindows of a list of PredictedWindow of one sequence and length."""
+    return ev.PredictedWindows(windows[0].sequence, windows[0].w, [pw.t for pw in windows],
+                               *se3.stack([pw.delta for pw in windows]))
 
 
 def one_sign_triangulate_depths(rotation_ba, t_ba, rays_a, rays_b):
@@ -109,8 +115,9 @@ def per_pair_vo(scene, camera, gt_traj, min_albedo, noise_px, seed):
 class TestRPE:
     def test_perfect_prediction_zero_error(self):
         traj = random_trajectory(0, 12)
-        windows = [ev.PredictedWindow("s", t, 8, se3.relative(traj.pose_at(t), traj.pose_at(t + 8)))
-                   for t in range(4)]
+        windows = batch([ev.PredictedWindow("s", t, 8, se3.relative(traj.pose_at(t),
+                                                                    traj.pose_at(t + 8)))
+                         for t in range(4)])
         records, summary = ev.rpe(windows, {"s": traj}, 8)
         assert summary.trans_mean == pytest.approx(0.0, abs=1e-12)
         assert summary.rot_mean == pytest.approx(0.0, abs=1e-12)
@@ -119,7 +126,7 @@ class TestRPE:
         traj = random_trajectory(1, 10)
         gt_delta = se3.relative(traj.pose_at(0), traj.pose_at(8))
         off = Pose(gt_delta.rotation, gt_delta.translation + np.array([1.0, 0, 0]))
-        records, summary = ev.rpe([ev.PredictedWindow("s", 0, 8, off)], {"s": traj}, 8)
+        records, summary = ev.rpe(batch([ev.PredictedWindow("s", 0, 8, off)]), {"s": traj}, 8)
         assert summary.trans_mean == pytest.approx(1.0, abs=1e-12)
         assert summary.rot_mean == pytest.approx(0.0, abs=1e-9)
 
@@ -131,7 +138,7 @@ class TestRPE:
             noise = se3.random_pose(rng, 0.5, 0.05)
             pred = se3.compose(se3.relative(traj.pose_at(t), traj.pose_at(t + 8)), noise)
             windows.append(ev.PredictedWindow("s", t, 8, pred))
-        records, _ = ev.rpe(windows, {"s": traj}, 8)
+        records, _ = ev.rpe(batch(windows), {"s": traj}, 8)
 
         for record, pw in zip(records, windows):
             gt_mat = np.linalg.inv(traj.pose_at(pw.t).as_matrix()) @ traj.pose_at(pw.t + 8).as_matrix()
@@ -146,13 +153,30 @@ class TestRPE:
         rows = list(traj.frames)
         with pytest.raises(ValueError, match=re.escape("window length must be >= 0")):
             ev.windows_from_rows(rows, "s", -1)
-        backward = [ev.PredictedWindow("s", 5, -1, se3.relative(traj.pose_at(5), traj.pose_at(4)))]
+        backward = batch([ev.PredictedWindow("s", 5, -1,
+                                             se3.relative(traj.pose_at(5), traj.pose_at(4)))])
         with pytest.raises(ValueError, match=re.escape("window length must be >= 0")):
             ev.rpe(backward, {"s": traj}, -1)
 
     def test_empty_evaluation_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             ev.rpe([], {}, 8)
+
+    def test_windows_of_another_length_rejected(self):
+        traj = random_trajectory(4, 12)
+        with pytest.raises(ValueError, match="windows span w=4, not w=8"):
+            ev.rpe(ev.zero_motion_windows(traj, "s", 4), {"s": traj}, 8)
+
+    def test_window_batch_checks_its_arrays_and_views_rows(self):
+        traj = random_trajectory(5, 12)
+        windows = ev.windows_from_rows(traj, "s", 8)
+        assert len(windows) == 4 and not windows.rotations.flags.writeable
+        assert windows[-1] == ev.PredictedWindow("s", 3, 8, se3.relative(traj.pose_at(3),
+                                                                        traj.pose_at(11)))
+        with pytest.raises(ValueError, match="window starts"):
+            ev.PredictedWindows("s", 8, [0, 1], windows.rotations[:1], windows.translations[:1])
+        with pytest.raises(ValueError, match="orthonormal"):
+            ev.PredictedWindows("s", 8, [0], 2.0 * windows.rotations[:1], windows.translations[:1])
 
     def test_anchoring_invariance(self):
         from policyvo.trajectory import anchor
@@ -163,11 +187,11 @@ class TestRPE:
         poses = [start]
         for _ in range(11):
             poses.append(se3.compose(poses[-1], se3.random_pose(rng, 0.8, 0.05)))
-        raw = Trajectory.from_poses(poses)
+        raw = Trajectory(enumerate(poses))
         anchored = anchor(raw)
-        windows = [ev.PredictedWindow("s", t, 8, se3.compose(
+        windows = batch([ev.PredictedWindow("s", t, 8, se3.compose(
             se3.relative(raw.pose_at(t), raw.pose_at(t + 8)), se3.random_pose(rng, 0.3, 0.02)))
-            for t in range(3)]
+            for t in range(3)])
         rec_raw, _ = ev.rpe(windows, {"s": raw}, 8)
         rec_anchored, _ = ev.rpe(windows, {"s": anchored}, 8)
         for a, b in zip(rec_raw, rec_anchored):
@@ -177,14 +201,14 @@ class TestRPE:
     def test_ranking_invariant_under_global_gt_transform(self):
         rng = np.random.default_rng(5)
         traj = random_trajectory(6, 20)
-        good = [ev.PredictedWindow("s", t, 8, se3.compose(
+        good = batch([ev.PredictedWindow("s", t, 8, se3.compose(
             se3.relative(traj.pose_at(t), traj.pose_at(t + 8)), se3.random_pose(rng, 0.1, 0.01)))
-            for t in range(10)]
-        bad = [ev.PredictedWindow("s", t, 8, se3.compose(
+            for t in range(10)])
+        bad = batch([ev.PredictedWindow("s", t, 8, se3.compose(
             se3.relative(traj.pose_at(t), traj.pose_at(t + 8)), se3.random_pose(rng, 2.0, 0.2)))
-            for t in range(10)]
+            for t in range(10)])
         transform = se3.random_pose(rng, 50.0, 1.5)
-        moved = Trajectory.from_poses([se3.compose(transform, p) for p in traj.poses])
+        moved = Trajectory(enumerate(se3.compose(transform, p) for p in traj.poses))
         _, good_raw = ev.rpe(good, {"s": traj}, 8)
         _, good_moved = ev.rpe(good, {"s": moved}, 8)
         _, bad_raw = ev.rpe(bad, {"s": traj}, 8)
@@ -262,7 +286,7 @@ class TestCoverage:
 
 class TestFloorBaselines:
     def test_static_trajectory_zero_error_for_both(self):
-        traj = Trajectory.from_poses([Pose.identity()] * 12, anchored=True)
+        traj = Trajectory(enumerate([Pose.identity()] * 12), anchored=True)
         for maker in (ev.zero_motion_windows, ev.constant_velocity_windows):
             windows = maker(traj, "s", 8)
             _, summary = ev.rpe(windows, {"s": traj}, 8)
@@ -271,10 +295,11 @@ class TestFloorBaselines:
     def test_constant_step_trajectory(self):
         step = 0.7
         poses = [Pose(np.eye(3), [step * i, 0, 0]) for i in range(14)]
-        traj = Trajectory.from_poses(poses, anchored=True)
+        traj = Trajectory(enumerate(poses), anchored=True)
         w = 8
         cv = ev.constant_velocity_windows(traj, "s", w)
-        _, cv_summary = ev.rpe(cv[1:], {"s": traj}, w)   # skip the no-history start
+        moving = ev.PredictedWindows("s", w, cv.starts[1:], cv.rotations[1:], cv.translations[1:])
+        _, cv_summary = ev.rpe(moving, {"s": traj}, w)   # skip the no-history start
         assert cv_summary.trans_mean == pytest.approx(0.0, abs=1e-9)
         zm = ev.zero_motion_windows(traj, "s", w)
         _, zm_summary = ev.rpe(zm, {"s": traj}, w)
@@ -296,7 +321,7 @@ class TestFloorBaselines:
             assert record.trans_err == pytest.approx(np.linalg.norm(gt.translation), abs=1e-9)
         cv = ev.constant_velocity_windows(traj, "s", w)
         records, _ = ev.rpe(cv, {"s": traj}, w)
-        for record, pw in zip(records[1:], cv[1:]):
+        for record, pw in zip(records[1:], list(cv)[1:]):
             step = se3.relative(traj.pose_at(pw.t - 1), traj.pose_at(pw.t))
             pred = Pose.identity()
             for _ in range(w):
@@ -309,10 +334,27 @@ class TestFloorBaselines:
         traj = random_trajectory(12, 30)
         assert len(ev.zero_motion_windows(traj, "s", 8)) == 30 - 8
 
+    def test_constant_velocity_after_a_ground_truth_gap(self):
+        poses = random_trajectory(14, 30).poses
+        traj = Trajectory([(i, p) for i, p in enumerate(poses) if i not in (10, 11, 20)])
+        w = 3
+        cv = ev.constant_velocity_windows(traj, "s", w)
+        assert list(cv.starts) == [t for t in traj.window_starts(w)]
+        for window in cv:
+            if window.t in (0, 12, 21):      # frame t-1 has no pose: no history
+                assert window.delta == Pose.identity()
+                continue
+            step = se3.relative(traj.pose_at(window.t - 1), traj.pose_at(window.t))
+            pred = Pose.identity()
+            for _ in range(w):
+                pred = se3.compose(pred, step)
+            np.testing.assert_allclose(window.delta.as_matrix(), pred.as_matrix(), atol=1e-12)
+        assert sum(window.delta == Pose.identity() for window in cv) == 3
+
     def test_empty_trajectory_gives_no_windows(self):
         empty = Trajectory(())
-        assert ev.zero_motion_windows(empty, "s", 8) == []
-        assert ev.constant_velocity_windows(empty, "s", 8) == []
+        assert len(ev.zero_motion_windows(empty, "s", 8)) == 0
+        assert len(ev.constant_velocity_windows(empty, "s", 8)) == 0
         with pytest.raises(ValueError, match="empty evaluation"):
             ev.rpe(ev.zero_motion_windows(empty, "s", 8), {"s": empty}, 8)
 
@@ -487,9 +529,16 @@ class TestEightPointVO:
 
     def test_empty_and_one_frame_trajectories(self):
         camera = Camera.default(64)
-        assert ev.eight_point_vo(self.scene, camera, Trajectory(())) == []
+        assert list(ev.eight_point_vo(self.scene, camera, Trajectory(()))) == []
         one = Trajectory(((4, Pose.identity()),))
-        assert ev.eight_point_vo(self.scene, camera, one, noise_px=1.0) == [(4, None)]
+        assert list(ev.eight_point_vo(self.scene, camera, one, noise_px=1.0)) == [(4, None)]
+
+    @pytest.mark.parametrize("noise_px", [float("nan"), -1.0])
+    def test_bad_noise_rejected(self, noise_px):
+        camera = Camera.default(48)
+        traj = generate_trajectory(0, 5, MotionProfile(forward_speed=1.0))
+        with pytest.raises(ValueError, match="noise_px must be finite and >= 0"):
+            ev.eight_point_vo(make_tube_scene(0), camera, traj, noise_px=noise_px)
 
     def test_alignment_needs_three_frames(self):
         rows = [(0, Pose.identity()), (1, Pose(np.eye(3), [1, 0, 0])), (2, None)]

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from policyvo import se3, trajectory
 from policyvo.se3 import Pose
@@ -20,6 +20,15 @@ file_poses = st.one_of(st.none(), st.tuples(
         lambda a: Pose(se3.so3_exp(np.array(a[0]) / np.linalg.norm(a[0]) * a[1]), a[2])))
 
 
+# Trajectories with frame gaps (steps of 1 to 4) and frames without a pose.
+gapped_trajectories = st.tuples(st.integers(-50, 50), st.lists(
+    st.tuples(st.integers(1, 4), file_poses), max_size=12)).map(
+        lambda a: Trajectory([(a[0] + gaps, pose) for gaps, pose in
+                              zip(np.cumsum([g for g, _ in a[1]]).tolist(), [p for _, p in a[1]])]))
+EMPTY = Trajectory(())
+ALL_INVALID = Trajectory([(0, None), (1, None), (5, None)])
+
+
 def random_trajectory(seed, n, trans_scale=2.0, rot_scale=0.3, start_index=0):
     rng = np.random.default_rng(seed)
     pose = se3.random_pose(rng, 10.0, 1.0)
@@ -27,7 +36,7 @@ def random_trajectory(seed, n, trans_scale=2.0, rot_scale=0.3, start_index=0):
     for _ in range(n - 1):
         pose = se3.compose(pose, se3.random_pose(rng, trans_scale, rot_scale))
         poses.append(pose)
-    return Trajectory.from_poses(poses, start_index=start_index)
+    return Trajectory(enumerate(poses, start_index))
 
 
 class TestTrajectoryType:
@@ -61,15 +70,56 @@ class TestTrajectoryType:
         assert traj == copy
         assert traj != random_trajectory(21, 3, start_index=1)
         assert traj != random_trajectory(22, 3)
-        assert Trajectory.from_poses([Pose.identity()]) != Trajectory.from_poses(
-            [Pose.identity()], anchored=True)
+        assert Trajectory([(0, Pose.identity())]) != Trajectory([(0, Pose.identity())],
+                                                                anchored=True)
 
     def test_lookup_by_frame_index(self):
         traj = random_trajectory(16, 4, start_index=5)
         assert 5 in traj and 8 in traj and 4 not in traj and 9 not in traj
-        assert traj.pose_at(7) is traj.poses[2]
+        assert traj.pose_at(7) == traj.poses[2]
         with pytest.raises(KeyError, match="no frame 9"):
             traj.pose_at(9)
+
+    def test_frames_without_a_pose_are_masked(self):
+        a, b = se3.random_pose(1, 2.0, 0.3), se3.random_pose(2, 2.0, 0.3)
+        traj = Trajectory([(3, a), (4, None), (6, b)])
+        assert len(traj) == 3 and traj.indices == [3, 4, 6]
+        assert traj.valid.tolist() == [True, False, True] and traj.poses == [a, b]
+        assert list(traj) == [(3, a), (4, None), (6, b)]
+        assert 4 not in traj and traj.window_starts(0) == [3, 6]
+        with pytest.raises(KeyError, match="no frame 4 with a pose"):
+            traj.pose_at(4)
+
+    def test_from_stacks_checks_its_arrays(self):
+        rotations, translations = np.stack([np.eye(3)] * 2), np.zeros((2, 3))
+        traj = Trajectory.from_stacks([2, 5, 7], rotations, translations, [True, False, True])
+        assert traj == Trajectory([(2, Pose.identity()), (5, None), (7, Pose.identity())])
+        assert not (traj.frame_array.flags.writeable or traj.valid.flags.writeable)
+        with pytest.raises(ValueError, match="2 valid frames, 3 poses"):
+            Trajectory.from_stacks([2, 5], np.stack([np.eye(3)] * 3), np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="frame 5 does not follow frame 7"):
+            Trajectory.from_stacks([2, 7, 5], np.stack([np.eye(3)] * 3), np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="1-D arrays of one length"):
+            Trajectory.from_stacks([2, 5], rotations, translations, [True, True, False])
+        with pytest.raises(ValueError, match="orthonormal"):
+            Trajectory.from_stacks([2, 5], 2.0 * rotations, translations)
+
+    def test_immutable_and_unhashable(self):
+        traj = random_trajectory(24, 3)
+        with pytest.raises(AttributeError, match="immutable"):
+            traj.anchored = True
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(traj)
+
+    @settings(max_examples=60, deadline=None)
+    @given(gapped_trajectories)
+    @example(EMPTY)
+    @example(ALL_INVALID)
+    def test_rows_round_trip(self, traj):
+        assert Trajectory(traj.frames) == traj
+        if len(traj.rotations):
+            anchored = trajectory.anchor(traj)
+            assert Trajectory(anchored.frames, anchored=True) == anchored != traj
 
 
 class TestWindowStarts:
@@ -126,13 +176,13 @@ class TestAnchor:
 class TestExtractActions:
     def test_static_trajectory_gives_zero_deltas(self):
         pose = se3.random_pose(4, 2.0, 0.3)
-        traj = Trajectory.from_poses([pose] * 5)
+        traj = Trajectory(enumerate([pose] * 5))
         actions = trajectory.extract_actions(traj, 0, 4)
         np.testing.assert_allclose(actions.as_array(), np.zeros((4, 6)), atol=1e-12)
 
     def test_constant_step_translation(self):
         poses = [Pose(np.eye(3), [float(i), 0.0, 0.0]) for i in range(6)]
-        traj = Trajectory.from_poses(poses)
+        traj = Trajectory(enumerate(poses))
         actions = trajectory.extract_actions(traj, 1, 3)
         expected = np.tile([1.0, 0, 0, 0, 0, 0], (3, 1))
         np.testing.assert_allclose(actions.as_array(), expected, atol=1e-12)
@@ -194,8 +244,8 @@ class TestTrajectoryFile:
         path = tmp_path / "traj.csv"
         trajectory.write_trajectory_file(path, rows)
         back = trajectory.read_trajectory_file(path)
-        assert back[1][1] is None
-        assert back[0][1] is not None
+        assert back.frames[1][1] is None
+        assert back.frames[0][1] is not None
         traj = trajectory.rows_to_trajectory(back)
         assert traj.indices == [0, 2]
 
@@ -239,6 +289,25 @@ class TestTrajectoryFile:
         np.testing.assert_array_equal(valid_rows, written)
         assert [p for _, p in back if p is not None] == se3.poses(*se3.exp_rt(written))
 
+    @settings(max_examples=60, deadline=None)
+    @given(gapped_trajectories)
+    @example(EMPTY)
+    @example(ALL_INVALID)
+    def test_trajectory_round_trip(self, traj):
+        """A file holds the frames and mask exactly; rotations go through log and exp."""
+        through_log = Trajectory.from_stacks(
+            traj.frame_array, *se3.exp_rt(se3.log_rt(traj.rotations, traj.translations)),
+            traj.valid)
+        translated = Trajectory.from_stacks(
+            traj.frame_array, np.broadcast_to(np.eye(3), traj.rotations.shape),
+            traj.translations, traj.valid)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "traj.csv"
+            trajectory.write_trajectory_file(path, traj)
+            assert trajectory.read_trajectory_file(path) == through_log
+            trajectory.write_trajectory_file(path, translated)
+            assert trajectory.read_trajectory_file(path) == translated
+
     @pytest.mark.parametrize("frames, line, message", [
         ("0,1,1,3,2,4", 4, "frame 1 does not follow frame 1"),
         ("0,1,3,2,4", 5, "frame 2 does not follow frame 3"),
@@ -276,4 +345,4 @@ class TestTrajectoryFile:
         path = tmp_path / "traj.csv"
         trajectory.write_trajectory_file(path, traj)
         rows = trajectory.read_trajectory_file(path)
-        assert rows[0][1].translation[0] == value
+        assert rows.frames[0][1].translation[0] == value

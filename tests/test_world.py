@@ -293,6 +293,16 @@ class TestObservationType:
             Observation(np.full((4, 4), 1.5), mask)
 
 
+class TestCameraType:
+    @pytest.mark.parametrize("radius", [-3.0, 0.0, float("nan"), 4.5, float("inf")])
+    def test_mask_radius_outside_half_size_rejected(self, radius):
+        with pytest.raises(ValueError, match=re.escape("mask radius must lie in (0, size/2]")):
+            Camera(10.0, 4, 4, 8, radius)
+
+    def test_mask_radius_of_half_size_accepted(self):
+        assert Camera(10.0, 4, 4, 8, 4.0).mask_radius == 4.0
+
+
 class TestCorrespondences:
     def test_shared_landmarks_match_projection(self):
         scene = make_tube_scene(19, n_landmarks=1500)
@@ -330,6 +340,14 @@ class TestCorrespondences:
         with pytest.raises(ValueError, match="rng"):
             correspondences(scene, camera, Pose.identity(), Pose.identity(),
                             noise_px=1.0)
+
+    @pytest.mark.parametrize("noise_px", [float("nan"), -1.0, float("inf")])
+    def test_bad_noise_rejected(self, noise_px):
+        scene = make_tube_scene(21, n_landmarks=1000)
+        camera = Camera.default(40)
+        with pytest.raises(ValueError, match="noise_px must be finite and >= 0"):
+            correspondences(scene, camera, Pose.identity(), Pose.identity(),
+                            noise_px=noise_px, rng=np.random.default_rng(0))
 
 
 class TestBuildDataset:
