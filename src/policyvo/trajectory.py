@@ -216,6 +216,8 @@ def extract_actions(traj: Trajectory, t: int, k: int) -> ActionSequence:
 
 def compose_window(start: Pose, actions: ActionSequence, w: int) -> Pose:
     """start ∘ exp(d1) ∘ ... ∘ exp(dw), first action applied first."""
+    if w < 0:
+        raise ValueError("window length must be >= 0")
     if w > len(actions):
         raise ValueError(f"w={w} exceeds action sequence length {len(actions)}")
     pose = start.rotation, start.translation

@@ -1,16 +1,17 @@
 """Synthetic desk-scale camera world with exact ground-truth trajectories.
 
 The scene is the interior of a tube around the +z axis, populated with
-point landmarks whose albedo follows a seeded texture function (alternating
-speckled and smooth zones along the tube, so some views are feature-rich and
-others nearly uniform).  A camera-mounted light makes intensity fall off
-with the inverse square of the landmark distance, so advancing or retreating
-changes overall image brightness.
+point landmarks whose albedo follows a seeded texture function (speckled and
+smooth zones alternating along the tube, so some views are feature-rich and
+others nearly uniform).  A camera-mounted light makes intensity fall off with
+the inverse square of the landmark distance, so advancing or retreating
+changes overall image brightness.  The world model is fixed: its settings are
+the module constants below.
 
 Cameras start at the world origin looking down +z, so generated trajectories
 are born anchored (first pose = identity).  Rendering projects landmarks
-through an ideal pinhole and splats each visible one as a small Gaussian
-blob; a circular field-of-view mask is applied last.
+through an ideal pinhole and splats each visible one as a Gaussian blob of
+BLOB_SIGMA_PX; a circular field-of-view mask is applied last.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,11 @@ from .trajectory import ActionSequence, Trajectory
 MANIFEST_HEADER = "sequence,frame,image_path,mask_path"
 NEAR_MM = 1.0           # points at camera depth <= this are not in front of it
 MAX_RESAMPLES = 1000    # redraws of one trajectory step before generation gives up
+BLOB_SIGMA_PX = 1.0     # blob std; its 3-sigma reach keeps a splat within a 7 x 7 patch
+ZONE_PERIOD_MM = 60.0   # a 30 mm zone spans the brightly lit part of a view: low-texture windows
+LIGHT_GAIN = 400.0      # mm^2; albedo 1 saturates nearer than 20 mm, so advancing brightens a view
+KEEP_IN_MARGIN_MM = 5.0  # the camera stays this far inside the wall, well beyond NEAR_MM
+SMOOTHING = 0.8         # smooth-advance's velocity AR(1) coefficient: successive steps correlate
 # "P5", width, height and maxval, each after whitespace or comment lines, then one whitespace.
 _PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")
 
@@ -42,11 +48,10 @@ class TubeGeometry:
     radius: float = 18.0       # mm, landmark surface
     z_min: float = -30.0       # mm
     z_max: float = 200.0       # mm
-    keep_in_margin: float = 5.0  # camera must stay this far from the wall
 
     @property
     def keep_in_radius(self) -> float:
-        return self.radius - self.keep_in_margin
+        return self.radius - KEEP_IN_MARGIN_MM
 
     def contains_camera(self, position: np.ndarray) -> bool:
         lateral = math.hypot(position[0], position[1])
@@ -59,17 +64,19 @@ DEFAULT_TUBE = TubeGeometry()
 
 @dataclass(frozen=True)
 class Scene:
-    """Landmark cloud with per-point albedo and an inverse-square headlight."""
+    """Landmark cloud with per-point albedo."""
 
     points: np.ndarray          # (N, 3) mm
     albedo: np.ndarray          # (N,) in [0, 1]
-    tube: TubeGeometry
-    light_gain: float = 400.0   # mm^2; intensity = albedo * gain / distance^2
 
     def __post_init__(self):
         points = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
         albedo = np.asarray(self.albedo, dtype=np.float64).reshape(-1)
-        if np.any(albedo < 0.0) or np.any(albedo > 1.0):
+        if len(albedo) != len(points):
+            raise ValueError(f"{len(points)} points but {len(albedo)} albedo values")
+        if not np.isfinite(points).all():
+            raise ValueError("landmark points must be finite")
+        if not ((albedo >= 0.0) & (albedo <= 1.0)).all():     # false for nan
             raise ValueError("albedo must lie in [0, 1]")
         points.setflags(write=False)
         albedo.setflags(write=False)
@@ -77,11 +84,8 @@ class Scene:
         object.__setattr__(self, "albedo", albedo)
 
 
-def make_tube_scene(seed: int, n_landmarks: int = 2500,
-                    tube: TubeGeometry = DEFAULT_TUBE,
-                    zone_period: float = 60.0,
-                    light_gain: float = 400.0) -> Scene:
-    """Seeded landmark scene on the tube interior.
+def make_tube_scene(seed: int, n_landmarks: int = 2500) -> Scene:
+    """Seeded landmark scene on the DEFAULT_TUBE interior.
 
     Texture alternates along z between speckled zones (albedo uniform in
     [0.3, 1.0], strong gradients) and smooth zones (albedo a gentle function
@@ -90,17 +94,18 @@ def make_tube_scene(seed: int, n_landmarks: int = 2500,
     if n_landmarks < 500:
         raise ValueError("generated scenes need at least 500 landmarks")
     rng = np.random.default_rng(seed)
+    tube = DEFAULT_TUBE
     phi = rng.uniform(0.0, 2.0 * math.pi, n_landmarks)
     z = rng.uniform(tube.z_min, tube.z_max, n_landmarks)
     points = np.stack([tube.radius * np.cos(phi), tube.radius * np.sin(phi), z], axis=1)
 
     zone_phase = rng.uniform(0.0, 2.0 * math.pi)
-    speckled = np.sin(2.0 * math.pi * z / zone_period + zone_phase) >= 0.0
+    speckled = np.sin(2.0 * math.pi * z / ZONE_PERIOD_MM + zone_phase) >= 0.0
     speckle_albedo = rng.uniform(0.3, 1.0, n_landmarks)
     smooth_phase = rng.uniform(0.0, 2.0 * math.pi)
     smooth_albedo = 0.12 + 0.08 * (0.5 + 0.5 * np.sin(3.0 * phi + 0.05 * z + smooth_phase))
     albedo = np.where(speckled, speckle_albedo, smooth_albedo)
-    return Scene(points, albedo, tube, light_gain)
+    return Scene(points, albedo)
 
 
 @dataclass(frozen=True)
@@ -114,8 +119,10 @@ class Camera:
     mask_radius: float          # pixels
 
     def __post_init__(self):
-        if self.focal <= 0.0:
-            raise ValueError("focal length must be positive")
+        if not 0.0 < self.focal < math.inf:     # false for nan
+            raise ValueError(f"focal length must be positive and finite, got {self.focal}")
+        if not (math.isfinite(self.cx) and math.isfinite(self.cy)):
+            raise ValueError(f"principal point must be finite, got ({self.cx}, {self.cy})")
         if not 0.0 < self.mask_radius <= self.size / 2.0:     # false for nan
             raise ValueError("mask radius must lie in (0, size/2]")
 
@@ -179,17 +186,14 @@ def _inside_mask(camera: Camera, uv: np.ndarray) -> np.ndarray:
             <= camera.mask_radius ** 2)
 
 
-def render(scene: Scene, camera: Camera, pose: Pose,
-           blob_sigma: float = 1.0) -> Observation:
-    """Splat visible landmarks as Gaussian blobs lit by the headlight.
+def render(scene: Scene, camera: Camera, pose: Pose) -> Observation:
+    """Splat visible landmarks as BLOB_SIGMA_PX Gaussian blobs lit by the headlight.
 
+    A landmark at distance d adds albedo * LIGHT_GAIN / d^2 at its blob centre.
     One ``np.bincount`` scatter sums every (pixel offset, landmark) term,
     offsets outermost and landmarks in order, into a padded canvas; the terms,
     built in place from 1-D x and y offsets, are bit-identical to a 2-D grid's.
-    Raises ValueError unless ``blob_sigma`` is positive and finite.
     """
-    if not (blob_sigma > 0.0 and math.isfinite(blob_sigma)):
-        raise ValueError("blob_sigma must be positive and finite")
     uv, z, in_front = project(camera, pose, scene.points)
     distance2 = np.sum((scene.points - pose.translation) ** 2, axis=1)
     visible = in_front & _inside_mask(camera, uv)
@@ -197,11 +201,11 @@ def render(scene: Scene, camera: Camera, pose: Pose,
     image = np.zeros((camera.size, camera.size))
     if np.any(visible):
         centers = uv[visible]
-        amps = scene.albedo[visible] * scene.light_gain / distance2[visible]
+        amps = scene.albedo[visible] * LIGHT_GAIN / distance2[visible]
         base = np.round(centers).astype(np.int64)
         frac = centers - base
-        reach = int(math.ceil(3.0 * blob_sigma))
-        inv_two_sigma2 = 1.0 / (2.0 * blob_sigma * blob_sigma)
+        reach = int(math.ceil(3.0 * BLOB_SIGMA_PX))
+        inv_two_sigma2 = 1.0 / (2.0 * BLOB_SIGMA_PX * BLOB_SIGMA_PX)
         off = np.arange(-reach, reach + 1)[:, None]
         terms = ((off - frac[:, 0]) ** 2)[None, :, :] + ((off - frac[:, 1]) ** 2)[:, None, :]
         terms *= -inv_two_sigma2     # (-x) * c and x * (-c) round alike
@@ -268,24 +272,24 @@ class MotionProfile:
     """Per-step motion statistics for trajectory generation.
 
     trans_std / rot_std are per-step standard deviations (mm / rad).
-    forward_speed adds a deterministic drift along the camera's +z.
-    smoothing is the AR(1) coefficient of the low-pass filtered velocity
-    used by smooth-advance.
+    forward_speed adds a deterministic drift (mm per step) along the camera's +z.
     """
 
     kind: str = "smooth-advance"
     trans_std: float = 0.4
     rot_std: float = 0.01
     forward_speed: float = 0.0
-    smoothing: float = 0.8
+    # Not settable; shown so that a profile's repr, which the benchmark's stored
+    # reference outputs are keyed on, stays the same.
+    smoothing: float = field(default=SMOOTHING, init=False)
 
     def __post_init__(self):
         if self.kind not in PROFILE_KINDS:
             raise ValueError(f"unknown motion profile {self.kind!r}")
-        if self.trans_std < 0.0 or self.rot_std < 0.0:
-            raise ValueError("motion stds must be non-negative")
-        if not 0.0 <= self.smoothing < 1.0:
-            raise ValueError("smoothing must lie in [0, 1)")
+        if not (0.0 <= self.trans_std < math.inf and 0.0 <= self.rot_std < math.inf):
+            raise ValueError(f"motion stds must be finite and >= 0: {self.trans_std}, {self.rot_std}")
+        if not math.isfinite(self.forward_speed):
+            raise ValueError(f"forward_speed must be finite, got {self.forward_speed}")
 
 
 def generate_trajectory(seed: int, n_frames: int, profile: MotionProfile,
@@ -302,7 +306,7 @@ def generate_trajectory(seed: int, n_frames: int, profile: MotionProfile,
     rotation = np.eye(3)
     rotations, positions = [rotation], [position]
 
-    alpha = profile.smoothing
+    alpha = SMOOTHING
     beta = math.sqrt(1.0 - alpha * alpha)
     velocity = rng.normal(0.0, profile.trans_std, 3)      # stationary AR(1) init
     omega = rng.normal(0.0, profile.rot_std, 3)
@@ -392,8 +396,12 @@ def window_samples(sequence: str, traj: Trajectory,
 # Disk format: 8-bit PGM images + masks, CSV manifest, trajectory CSV
 
 def write_pgm(path, image01: np.ndarray) -> None:
-    """8-bit binary portable graymap of an image with values in [0, 1]."""
-    data = np.round(np.asarray(image01) * 255.0).astype(np.uint8)
+    """8-bit binary portable graymap of an image with values in [0, 1]; for any
+    other value, raises ValueError naming the file and writes nothing."""
+    image01 = np.asarray(image01)
+    if not ((image01 >= 0.0) & (image01 <= 1.0)).all():    # false for nan
+        raise ValueError(f"{path}: PGM values must be finite and lie in [0, 1]")
+    data = np.round(image01 * 255.0).astype(np.uint8)
     h, w = data.shape
     with open(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))

@@ -10,7 +10,6 @@ from policyvo.se3 import Pose
 from policyvo.tables import write_table
 from policyvo.trajectory import Trajectory
 from policyvo.world import (
-    DEFAULT_TUBE,
     Camera,
     MotionProfile,
     Scene,
@@ -425,7 +424,7 @@ class TestEightPoint:
     def test_planar_scene_flagged_degenerate(self, tilt):
         xy = np.random.default_rng(23).uniform(-30.0, 30.0, (300, 2))
         depth = 50.0 + xy @ np.array(tilt)
-        plane = Scene(np.column_stack([xy, depth]), np.full(300, 0.5), DEFAULT_TUBE)
+        plane = Scene(np.column_stack([xy, depth]), np.full(300, 0.5))
         pose_b = Pose(rot_y(0.02) @ rot_x(-0.01), [0.4, 0.2, 1.0])
         _, pts_a, pts_b = correspondences(plane, self.camera, Pose.identity(), pose_b)
         assert len(pts_a) >= 100

@@ -24,6 +24,17 @@ def quat_dot_angle(rot_a, rot_b):
     return 2.0 * math.acos(min(1.0, abs(float(np.dot(qa, qb)))))
 
 
+class TestSkew:
+    def test_matches_cross_product_batched(self):
+        rng = np.random.default_rng(0)
+        v, u = rng.normal(size=(2, 5, 4, 3))
+        hat = se3.skew(v)
+        assert hat.shape == (5, 4, 3, 3)
+        np.testing.assert_allclose((hat @ u[..., None])[..., 0], np.cross(v, u),
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(hat.swapaxes(-1, -2), -hat)
+
+
 class TestCompose:
     def test_identity(self):
         t = se3.random_pose(3, 2.0, 0.4)

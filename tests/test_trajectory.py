@@ -218,6 +218,12 @@ class TestComposeWindow:
         with pytest.raises(ValueError):
             trajectory.compose_window(Pose.identity(), actions, 3)
 
+    def test_negative_w_rejected(self):
+        # w = -1 would otherwise compose all but the last of three unit-x steps.
+        actions = ActionSequence.from_array(np.tile([1.0, 0, 0, 0, 0, 0], (3, 1)))
+        with pytest.raises(ValueError, match="window length must be >= 0"):
+            trajectory.compose_window(Pose.identity(), actions, -1)
+
     def test_thousand_random_windows_round_trip(self):
         rng = np.random.default_rng(10)
         for case in range(100):

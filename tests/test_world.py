@@ -24,7 +24,7 @@ from policyvo.world import (
 
 from rotations import rot_x, rot_y
 
-BIG_TUBE = TubeGeometry(radius=5000.0, z_min=-5000.0, z_max=5000.0, keep_in_margin=5.0)
+BIG_TUBE = TubeGeometry(radius=5000.0, z_min=-5000.0, z_max=5000.0)
 
 
 def blob_centroid(image):
@@ -34,17 +34,17 @@ def blob_centroid(image):
 
 
 def single_landmark_scene(point, albedo=1.0):
-    return Scene(np.array([point]), np.array([albedo]), world.DEFAULT_TUBE)
+    return Scene(np.array([point]), np.array([albedo]))
 
 
-def add_at_render(scene, camera, pose, blob_sigma=1.0):
-    """Reference renderer: one np.add.at scatter per blob pixel offset."""
+def add_at_render(scene, camera, pose, blob_sigma):
+    """Reference renderer: one np.add.at scatter per pixel offset of a ``blob_sigma`` blob."""
     uv, _, in_front = world.project(camera, pose, scene.points)
     distance2 = np.sum((scene.points - pose.translation) ** 2, axis=1)
     visible = in_front & ((uv[:, 0] - camera.cx) ** 2 + (uv[:, 1] - camera.cy) ** 2
                           <= camera.mask_radius ** 2)
     centers = uv[visible]
-    amps = scene.albedo[visible] * scene.light_gain / distance2[visible]
+    amps = scene.albedo[visible] * world.LIGHT_GAIN / distance2[visible]
     base = np.round(centers).astype(np.int64)
     frac = centers - base
     reach = int(math.ceil(3.0 * blob_sigma))
@@ -71,7 +71,7 @@ class TestSceneGeneration:
     def test_landmarks_on_tube_surface(self):
         scene = make_tube_scene(1, n_landmarks=800)
         lateral = np.hypot(scene.points[:, 0], scene.points[:, 1])
-        np.testing.assert_allclose(lateral, scene.tube.radius, atol=1e-9)
+        np.testing.assert_allclose(lateral, world.DEFAULT_TUBE.radius, atol=1e-9)
         assert scene.albedo.min() >= 0.0 and scene.albedo.max() <= 1.0
 
     def test_texture_zones_present(self):
@@ -84,6 +84,23 @@ class TestSceneGeneration:
         b = make_tube_scene(3)
         np.testing.assert_array_equal(a.points, b.points)
         np.testing.assert_array_equal(a.albedo, b.albedo)
+
+
+class TestSceneType:
+    def test_point_and_albedo_counts_must_agree(self):
+        with pytest.raises(ValueError, match="5 points but 3 albedo values"):
+            Scene(np.zeros((5, 3)), np.full(3, 0.5))
+
+    def test_non_finite_point_rejected(self):
+        points = np.zeros((2, 3))
+        points[1, 2] = math.nan
+        with pytest.raises(ValueError, match="landmark points must be finite"):
+            Scene(points, np.full(2, 0.5))
+
+    @pytest.mark.parametrize("bad", [math.nan, -0.1, 1.5])
+    def test_albedo_outside_unit_interval_rejected(self, bad):
+        with pytest.raises(ValueError, match=re.escape("albedo must lie in [0, 1]")):
+            Scene(np.zeros((2, 3)), np.array([0.5, bad]))
 
 
 class TestGenerateTrajectory:
@@ -112,8 +129,7 @@ class TestGenerateTrajectory:
         assert abs(steps.mean() - expected) / expected < 0.2
 
     def test_smooth_advance_steps_are_correlated(self):
-        profile = MotionProfile("smooth-advance", trans_std=0.5, rot_std=0.0,
-                                smoothing=0.8)
+        profile = MotionProfile("smooth-advance", trans_std=0.5, rot_std=0.0)
         traj = generate_trajectory(9, 5000, profile, tube=BIG_TUBE)
         positions = np.stack([p.translation for p in traj.poses])
         deltas = np.diff(positions, axis=0)
@@ -149,6 +165,17 @@ class TestGenerateTrajectory:
         for pose in traj.poses:
             assert world.DEFAULT_TUBE.contains_camera(pose.translation)
 
+    @pytest.mark.parametrize("field, value", [("trans_std", math.nan), ("rot_std", math.nan),
+                                              ("trans_std", math.inf), ("rot_std", -0.1)])
+    def test_bad_motion_std_rejected(self, field, value):
+        with pytest.raises(ValueError, match="motion stds must be finite and >= 0"):
+            MotionProfile("jitter", **{field: value})
+
+    @pytest.mark.parametrize("speed", [math.nan, math.inf, -math.inf])
+    def test_non_finite_forward_speed_rejected(self, speed):
+        with pytest.raises(ValueError, match="forward_speed must be finite"):
+            MotionProfile(forward_speed=speed)
+
     def test_starts_at_identity(self):
         profile = MotionProfile("jitter", trans_std=0.3, rot_std=0.01)
         traj = generate_trajectory(14, 5, profile)
@@ -158,7 +185,7 @@ class TestGenerateTrajectory:
 
 class TestRender:
     def test_empty_scene_all_zero(self):
-        scene = Scene(np.zeros((0, 3)), np.zeros(0), world.DEFAULT_TUBE)
+        scene = Scene(np.zeros((0, 3)), np.zeros(0))
         obs = render(scene, Camera.default(40), Pose.identity())
         np.testing.assert_array_equal(obs.image, 0.0)
 
@@ -208,12 +235,6 @@ class TestRender:
         ratio = near.image.sum() / far.image.sum()
         assert ratio == pytest.approx(4.0, rel=0.05)
 
-    @pytest.mark.parametrize("blob_sigma", [0.0, -1.0, math.nan, math.inf])
-    def test_bad_blob_sigma_rejected(self, blob_sigma):
-        scene = single_landmark_scene([0.0, 0.0, 20.0])
-        with pytest.raises(ValueError, match="blob_sigma must be positive and finite"):
-            render(scene, Camera.default(32), Pose.identity(), blob_sigma)
-
     def test_deterministic_bit_identical(self):
         scene = make_tube_scene(16, n_landmarks=1000)
         camera = Camera.default(40)
@@ -241,14 +262,14 @@ class TestRender:
 class TestRenderMatchesAddAtOracle:
     @pytest.mark.parametrize("seed", [3, 4, 5])
     @pytest.mark.parametrize("size", [160, 64, 48])
-    @pytest.mark.parametrize("blob_sigma", [1.0, 2.0])
+    @pytest.mark.parametrize("blob_sigma", [1.0])     # render's fixed BLOB_SIGMA_PX
     def test_bit_identical_on_seeded_scenes(self, seed, size, blob_sigma):
         scene = make_tube_scene(seed)
         camera = Camera.default(size)
         profile = MotionProfile(trans_std=0.5, rot_std=0.02, forward_speed=2.0)
         poses = generate_trajectory(seed, 4, profile).poses
         for pose in poses + [Pose(rot_x(0.4) @ rot_y(-0.3), [2.0, -3.0, 20.0])]:
-            image = render(scene, camera, pose, blob_sigma).image
+            image = render(scene, camera, pose).image
             assert np.abs(image - add_at_render(scene, camera, pose, blob_sigma)).max() == 0.0
 
     def test_bit_identical_with_off_image_blob_centres(self):
@@ -257,20 +278,8 @@ class TestRenderMatchesAddAtOracle:
         camera = Camera(focal=40.0, cx=-30.0, cy=20.0, size=48, mask_radius=24.0)
         scene = make_tube_scene(6)
         pose = Pose(rot_y(0.3), [0.0, 0.0, 30.0])
-        for blob_sigma in (1.0, 2.0):
-            image = render(scene, camera, pose, blob_sigma).image
-            np.testing.assert_array_equal(image, add_at_render(scene, camera, pose, blob_sigma))
-
-    @pytest.mark.parametrize("blob_sigma", [0.6, 1.7])
-    def test_bit_identical_where_reach_exceeds_three_sigma(self, blob_sigma):
-        # reach = ceil(3 sigma) is 2 and 6 here, so the blob's outer ring is
-        # cut off at more than 3 sigma on both sides.
-        for seed, size in ((8, 160), (9, 64)):
-            scene = make_tube_scene(seed)
-            camera = Camera.default(size)
-            for pose in generate_trajectory(seed, 3, MotionProfile(forward_speed=2.0)).poses:
-                image = render(scene, camera, pose, blob_sigma).image
-                np.testing.assert_array_equal(image, add_at_render(scene, camera, pose, blob_sigma))
+        image = render(scene, camera, pose).image
+        np.testing.assert_array_equal(image, add_at_render(scene, camera, pose, 1.0))
 
     def test_mask_is_cached_and_read_only(self):
         mask = world.circular_mask(40, 19.2)
@@ -301,6 +310,43 @@ class TestCameraType:
 
     def test_mask_radius_of_half_size_accepted(self):
         assert Camera(10.0, 4, 4, 8, 4.0).mask_radius == 4.0
+
+    @pytest.mark.parametrize("focal", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_focal_rejected(self, focal):
+        with pytest.raises(ValueError, match="focal length must be positive and finite"):
+            Camera(focal, 4, 4, 8, 3.0)
+
+    @pytest.mark.parametrize("cx, cy", [(math.nan, 4.0), (4.0, math.inf), (-math.inf, 4.0)])
+    def test_non_finite_principal_point_rejected(self, cx, cy):
+        with pytest.raises(ValueError, match="principal point must be finite"):
+            Camera(10.0, cx, cy, 8, 3.0)
+
+
+class TestLandmarkProjections:
+    CAMERA = Camera.default(160)
+    # in front and inside; behind; nearer than NEAR_MM; outside the mask; dim but inside
+    SCENE = Scene(np.array([[0.0, 0.0, 50.0], [0.0, 0.0, -50.0], [0.0, 0.0, 0.5],
+                            [60.0, 0.0, 50.0], [0.0, 5.0, 50.0]]),
+                  np.array([0.5, 0.5, 0.5, 0.5, 0.1]))
+
+    def test_in_front_and_inside_mask_filters(self):
+        ids, uv = world.landmark_projections(self.SCENE, self.CAMERA, Pose.identity())
+        np.testing.assert_array_equal(ids, [0, 4])
+        expected, _, _ = world.project(self.CAMERA, Pose.identity(), self.SCENE.points[[0, 4]])
+        np.testing.assert_array_equal(uv, expected)
+
+    def test_min_albedo_filter(self):
+        ids, uv = world.landmark_projections(self.SCENE, self.CAMERA, Pose.identity(),
+                                             min_albedo=0.2)
+        np.testing.assert_array_equal(ids, [0])
+        np.testing.assert_array_equal(uv, [[self.CAMERA.cx, self.CAMERA.cy]])
+
+    def test_moving_the_camera_changes_what_is_in_front(self):
+        # Turned to look down -z, only the landmark at z = -50 is ahead, centred.
+        turned = Pose(rot_y(math.pi), [0.0, 0.0, 0.0])
+        ids, uv = world.landmark_projections(self.SCENE, self.CAMERA, turned)
+        np.testing.assert_array_equal(ids, [1])
+        np.testing.assert_allclose(uv, [[self.CAMERA.cx, self.CAMERA.cy]], atol=1e-9)
 
 
 class TestCorrespondences:
@@ -421,6 +467,13 @@ class TestDiskFormat:
             world.write_pgm(path, image.astype(np.float64))
             back = world.read_pgm(path)
         np.testing.assert_array_equal(back == 1.0 if as_mask else back, image)
+
+    @pytest.mark.parametrize("bad", [2.0, -0.5, math.nan, math.inf])
+    def test_write_pgm_rejects_values_outside_unit_interval(self, tmp_path, bad):
+        path = tmp_path / "img.pgm"
+        with pytest.raises(ValueError, match=re.escape(f"{path}: PGM values must be finite")):
+            world.write_pgm(path, np.array([[0.5, bad], [0.0, 1.0]]))
+        assert not path.exists()
 
     def test_truncated_pgm_names_file(self, tmp_path):
         path = tmp_path / "img.pgm"
