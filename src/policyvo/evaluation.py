@@ -27,7 +27,7 @@ from . import se3
 from .se3 import Pose
 from .tables import read_table, write_table
 from .trajectory import Trajectory, as_trajectory
-from .world import Camera, Scene, _match_views, landmark_projections
+from .world import Camera, Scene, _match_views, _shared_ids, landmark_projections
 
 RECORDS_HEADER = "sequence,t,w,trans_err_mm,rot_err_deg"
 MIN_CHEIRALITY = 0.75   # share of matches that must triangulate in front of both views
@@ -85,8 +85,8 @@ class RPERecord:
     rot_err: float     # degrees
 
     def __post_init__(self):
-        if self.trans_err < 0.0 or self.rot_err < 0.0:
-            raise ValueError("errors must be non-negative")
+        if not (0.0 <= self.trans_err < math.inf and 0.0 <= self.rot_err < math.inf):  # nan fails
+            raise ValueError(f"errors must be finite and >= 0: {self.trans_err}, {self.rot_err}")
 
 
 @dataclass(frozen=True)
@@ -166,13 +166,14 @@ def rpe(windows: PredictedWindows, gt_trajs: dict[str, Trajectory],
 def umeyama_sim3(pred_points: np.ndarray, gt_points: np.ndarray) -> Sim3:
     """Closed-form least-squares similarity mapping pred onto gt.
 
-    Cross-covariance SVD with reflection-sign correction; raises on fewer
-    than 3 correspondences or a collinear configuration.
+    Cross-covariance SVD with reflection-sign correction; raises ValueError
+    on arrays that are not both (n, 3), fewer than 3 correspondences or a
+    collinear configuration.
     """
-    pred = np.asarray(pred_points, dtype=np.float64).reshape(-1, 3)
-    gt = np.asarray(gt_points, dtype=np.float64).reshape(-1, 3)
-    if pred.shape != gt.shape:
-        raise ValueError("point sets must have equal shapes")
+    pred = np.asarray(pred_points, dtype=np.float64)
+    gt = np.asarray(gt_points, dtype=np.float64)
+    if pred.shape[1:] != (3,) or pred.shape != gt.shape:
+        raise ValueError(f"point sets must be equal (n, 3) arrays, got {pred.shape} and {gt.shape}")
     n = len(pred)
     if n < 3:
         raise ValueError("degenerate alignment: need at least 3 points")
@@ -244,7 +245,8 @@ def _hartley_normalize(rays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Center and scale the xy part to RMS sqrt(2); returns (rays', T)."""
     xy = rays[:, :2]
     centroid = xy.mean(axis=0)
-    rms = float(np.sqrt(((xy - centroid) ** 2).sum(axis=1).mean()))
+    d2 = (xy - centroid) ** 2
+    rms = math.sqrt((d2[:, 0] + d2[:, 1]).mean())     # numpy's own row-sum order
     scale = math.sqrt(2.0) / max(rms, 1e-12)
     transform = np.array([[scale, 0.0, -scale * centroid[0]],
                           [0.0, scale, -scale * centroid[1]],
@@ -252,46 +254,41 @@ def _hartley_normalize(rays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rays @ transform.T, transform
 
 
-def _triangulate_depths(rotation_ba: np.ndarray, t_ba: np.ndarray,
-                        rays_a: np.ndarray, rays_b: np.ndarray
-                        ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Two-view linear depths: minimize ||u*da - v*db + t|| per match.
+def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise x.y of (n, 3) arrays, added left to right like ``(x * y).sum(axis=1)``."""
+    return x[:, 0] * y[:, 0] + x[:, 1] * y[:, 1] + x[:, 2] * y[:, 2]
 
-    Returns (depth_a, depth_b) for t_ba, then for -t_ba, whose u.t and v.t,
-    hence depths, are exactly negated.  Rays have z = 1, so the values are
-    z-depths in each camera.  Zero-parallax pairs get depth -1 for both signs.
+
+def _triangulate_depths(rotations, t_ba: np.ndarray, rays_a: np.ndarray, rays_b: np.ndarray):
+    """Two-view linear depths: minimize ||u*da - v*db + t|| per match (u = R_ba a, v = b).
+
+    Yields per rotation R_ba the (2, n) depths (depth_a, depth_b) for t_ba, then
+    for -t_ba, whose u.t and v.t, hence depths, are exactly negated.  Rays have
+    z = 1, so these are z-depths in each camera; zero parallax gives -1 for both.
     """
-    u = rays_a @ rotation_ba.T
-    v = rays_b
-    uu = (u * u).sum(axis=1)
-    vv = (v * v).sum(axis=1)
-    uv = (u * v).sum(axis=1)
-    ut = u @ t_ba
-    vt = v @ t_ba
-    det = uu * vv - uv * uv
-    safe = det > 1e-12 * uu * vv
-    depth_a = np.where(safe, (-ut * vv + uv * vt) / np.where(safe, det, 1.0), -1.0)
-    depth_b = np.where(safe, (uv * -ut + uu * vt) / np.where(safe, det, 1.0), -1.0)
-    return ((depth_a, depth_b),
-            (np.where(safe, -depth_a, -1.0), np.where(safe, -depth_b, -1.0)))
+    vv = _row_dots(rays_b, rays_b)
+    vt = rays_b @ t_ba
+    for rotation_ba in rotations:
+        u = rays_a @ rotation_ba.T
+        uu = _row_dots(u, u)
+        uv = _row_dots(u, rays_b)
+        ut = u @ t_ba
+        det = uu * vv - uv * uv
+        flat = ~(det > 1e-12 * uu * vv)     # zero parallax
+        det[flat] = 1.0
+        depths = np.stack([-ut * vv + uv * vt, uv * -ut + uu * vt]) / det
+        depths[:, flat] = -1.0
+        negated = -depths
+        negated[:, flat] = -1.0
+        yield depths, negated
 
 
-def eight_point_relative_pose(pts_a: np.ndarray, pts_b: np.ndarray,
-                              camera: Camera) -> tuple[Pose, np.ndarray, np.ndarray]:
-    """Relative camera motion from >= 8 pixel correspondences.
-
-    Normalized eight-point estimate of the essential matrix, projected to
-    the essential manifold and decomposed with cheirality disambiguation.
-    Returns (delta pose with unit-norm translation, depths in frame a,
-    depths in frame b); the translation scale is unresolved by construction.
-
-    Raises BaselineFailure on fewer than 8 correspondences, a degenerate
-    configuration (e.g. pure rotation, where the constraint matrix loses
-    rank), or an ambiguous cheirality vote; raises ValueError on a
-    non-finite pixel coordinate.
-    """
-    pts_a = np.asarray(pts_a, dtype=np.float64).reshape(-1, 2)
-    pts_b = np.asarray(pts_b, dtype=np.float64).reshape(-1, 2)
+def _eight_point(pts_a, pts_b, camera: Camera):
+    """:func:`eight_point_relative_pose` as arrays: (rotation, translation, depth_a, depth_b)."""
+    pts_a = np.asarray(pts_a, dtype=np.float64)
+    pts_b = np.asarray(pts_b, dtype=np.float64)
+    if pts_a.shape[1:] != (2,) or pts_b.shape[1:] != (2,):
+        raise ValueError(f"pixel arrays must be (n, 2), got {pts_a.shape} and {pts_b.shape}")
     n = len(pts_a)
     if n < 8 or len(pts_b) != n:
         raise BaselineFailure(f"fewer than 8 correspondences ({n})")
@@ -321,20 +318,37 @@ def eight_point_relative_pose(pts_a: np.ndarray, pts_b: np.ndarray,
         vt_e = -vt_e
     w_mat = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     # Candidates (R1, +t), (R1, -t), (R2, +t), (R2, -t); the first maximum wins.
+    rotations = (u @ w_mat @ vt_e, u @ w_mat.T @ vt_e)
     candidates = []
-    for rotation_ba in (u @ w_mat @ vt_e, u @ w_mat.T @ vt_e):
-        both_signs = _triangulate_depths(rotation_ba, u[:, 2], rays_a, rays_b)
+    both = _triangulate_depths(rotations, u[:, 2], rays_a, rays_b)
+    for rotation_ba, both_signs in zip(rotations, both):
         for t_ba, (depth_a, depth_b) in zip((u[:, 2], -u[:, 2]), both_signs):
-            front = int(np.sum((depth_a > 0.0) & (depth_b > 0.0)))
+            front = np.count_nonzero((depth_a > 0.0) & (depth_b > 0.0))
             candidates.append((front, rotation_ba, t_ba, depth_a, depth_b))
     front, rotation_ba, t_ba, depth_a, depth_b = max(candidates, key=lambda c: c[0])
     if front < MIN_CHEIRALITY * n:
         raise BaselineFailure(f"cheirality ambiguity ({front}/{n} points in front)")
-
     # (R_ba, t_ba) maps frame-a coords to frame-b; the relative pose of
     # camera b in camera a's frame is the inverse.
-    delta = Pose(rotation_ba.T, -(rotation_ba.T @ t_ba))
-    return delta, depth_a, depth_b
+    return rotation_ba.T, -(rotation_ba.T @ t_ba), depth_a, depth_b
+
+
+def eight_point_relative_pose(pts_a: np.ndarray, pts_b: np.ndarray,
+                              camera: Camera) -> tuple[Pose, np.ndarray, np.ndarray]:
+    """Relative camera motion from >= 8 pixel correspondences.
+
+    Normalized eight-point estimate of the essential matrix, projected to
+    the essential manifold and decomposed with cheirality disambiguation.
+    Returns (delta pose with unit-norm translation, depths in frame a,
+    depths in frame b); the translation scale is unresolved by construction.
+
+    Raises BaselineFailure on fewer than 8 correspondences, a degenerate
+    configuration (e.g. pure rotation, where the constraint matrix loses
+    rank), or an ambiguous cheirality vote; raises ValueError on arrays
+    that are not (n, 2) or on a non-finite pixel coordinate.
+    """
+    rotation, translation, depth_a, depth_b = _eight_point(pts_a, pts_b, camera)
+    return Pose(rotation, translation), depth_a, depth_b
 
 
 def eight_point_vo(scene: Scene, camera: Camera, gt_traj: Trajectory,
@@ -362,7 +376,7 @@ def eight_point_vo(scene: Scene, camera: Camera, gt_traj: Trajectory,
     for (a, b), (view_a, view_b) in zip(itertools.pairwise(indices), itertools.pairwise(views)):
         ids, pts_a, pts_b = _match_views(*view_a, *view_b, noise_px, rng)
         try:
-            delta, depth_a, depth_b = eight_point_relative_pose(pts_a, pts_b, camera)
+            rotation, translation, depth_a, depth_b = _eight_point(pts_a, pts_b, camera)
         except BaselineFailure:
             prev = None
             continue
@@ -374,7 +388,7 @@ def eight_point_vo(scene: Scene, camera: Camera, gt_traj: Trajectory,
                 prev = None
                 continue
             scale = scale * ratio
-        chain[b] = se3.compose_rt(*chain[a], delta.rotation, scale * delta.translation)
+        chain[b] = se3.compose_rt(*chain[a], rotation, scale * translation)
         prev = ids, depth_b
     # Frames enter the chain in increasing order, so its values are in frame order.
     return Trajectory.from_stacks(indices, np.reshape([r for r, _ in chain.values()], (-1, 3, 3)),
@@ -385,13 +399,13 @@ def eight_point_vo(scene: Scene, camera: Camera, gt_traj: Trajectory,
 def _shared_depth_ratio(prev_ids: np.ndarray, prev_depth_b: np.ndarray,
                         ids: np.ndarray, depth_a: np.ndarray) -> float | None:
     """Baseline-scale ratio from landmarks triangulated by two consecutive steps."""
-    common, ip, ic = np.intersect1d(prev_ids, ids, assume_unique=True, return_indices=True)
+    common, ip, ic = _shared_ids(prev_ids, ids)
     if len(common) < MIN_SHARED:
         return None
     prev_depth = prev_depth_b[ip]   # in the shared middle frame
     cur_depth = depth_a[ic]
     ok = (prev_depth > 0.0) & (cur_depth > 0.0)
-    if ok.sum() < MIN_SHARED:
+    if np.count_nonzero(ok) < MIN_SHARED:
         return None
     ratio = float(np.median(prev_depth[ok] / cur_depth[ok]))
     return ratio if ratio > 0.0 else None

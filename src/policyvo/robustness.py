@@ -12,6 +12,7 @@ the gradient score).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,10 +23,6 @@ from .world import Observation
 
 SCORES_HEADER = "sequence,t,w,s_texture,s_dillum"
 
-SOBEL_X = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
-SOBEL_Y = SOBEL_X.T
-
-
 @dataclass(frozen=True)
 class WindowScore:
     sequence: str
@@ -35,8 +32,8 @@ class WindowScore:
     s_dillum: float
 
     def __post_init__(self):
-        if self.s_texture < 0.0 or self.s_dillum < 0.0:
-            raise ValueError("scores must be non-negative")
+        if not (0.0 <= self.s_texture < math.inf and 0.0 <= self.s_dillum < math.inf):  # nan fails
+            raise ValueError(f"scores must be finite and >= 0: {self.s_texture}, {self.s_dillum}")
 
     @property
     def key(self) -> tuple[str, int, int]:
@@ -70,49 +67,48 @@ class StratifiedReport:
         return abs(self.dillum_high.mean - self.dillum_low.mean)
 
 
-def _interior_valid(mask: np.ndarray) -> np.ndarray:
-    """Pixels whose full 3x3 stencil lies inside the mask (and the image)."""
-    h, w = mask.shape
-    valid = np.zeros_like(mask)
-    if h < 3 or w < 3:
-        return valid
-    core = np.ones((h - 2, w - 2), dtype=bool)
-    for dy in range(3):
-        for dx in range(3):
-            core &= mask[dy:dy + h - 2, dx:dx + w - 2]
-    valid[1:-1, 1:-1] = core
-    return valid
-
-
-def _convolve3(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """3x3 convolution, valid only on interior pixels (borders stay zero)."""
-    out = np.zeros_like(image)
-    acc = np.zeros((image.shape[0] - 2, image.shape[1] - 2))
-    for dy in range(3):
-        for dx in range(3):
-            # Convolution flips the kernel relative to correlation.
-            tap = kernel[2 - dy, 2 - dx]
-            if tap != 0.0:      # adding 0 * x changes at most the sign of a zero
-                acc += tap * image[dy:dy + image.shape[0] - 2, dx:dx + image.shape[1] - 2]
-    out[1:-1, 1:-1] = acc
-    return out
-
-
 def texture_score(obs: Observation) -> float:
     """Masked mean Sobel gradient magnitude of one frame.
 
     Only pixels whose whole 3x3 Sobel stencil lies inside the mask count;
-    pixels with stencil overhang are excluded from the average.
+    pixels with stencil overhang are excluded from the average.  Each
+    gradient adds its six non-zero taps (+-1 and +-2, so every product is
+    exact) as contiguous slices of the flat image.
     """
-    if not np.any(obs.mask):
+    mask = obs.mask
+    if not np.any(mask):
         raise ValueError("empty mask")
-    valid = _interior_valid(obs.mask)
+    rows = mask[:, :-2] & mask[:, 1:-1] & mask[:, 2:]       # 3-wide erosion, then 3-tall
+    valid = rows[:-2] & rows[1:-1] & rows[2:]
     if not np.any(valid):
         raise ValueError("empty mask interior for the Sobel stencil")
-    gx = _convolve3(obs.image, SOBEL_X)
-    gy = _convolve3(obs.image, SOBEL_Y)
-    magnitude = np.sqrt(gx * gx + gy * gy)
-    return float(magnitude[valid].mean())
+    # Element p = y * width + x of the slice that starts at dy * width + dx is
+    # pixel (y + dy, x + dx): for x < width - 2 the slices are the stencil of
+    # pixel (y + 1, x + 1), and the other p wrap across a row end and are
+    # dropped with the mask.  Taps are added in the convolution's order.
+    h, width = mask.shape
+    n = (h - 2) * width - 2
+    flat = obs.image.ravel()
+
+    def tap(dy, dx):
+        return flat[dy * width + dx:dy * width + dx + n]
+
+    gx = tap(0, 0) - tap(0, 2)
+    gx += 2.0 * tap(1, 0)
+    gx -= 2.0 * tap(1, 2)
+    gx += tap(2, 0)
+    gx -= tap(2, 2)
+    gy = tap(0, 0) + 2.0 * tap(0, 1)
+    gy += tap(0, 2)
+    gy -= tap(2, 0)
+    gy -= 2.0 * tap(2, 1)
+    gy -= tap(2, 2)
+    gx *= gx
+    gy *= gy
+    gx += gy
+    keep = np.zeros((h - 2, width), bool)
+    keep[:, :-2] = valid
+    return float(np.sqrt(gx[keep.ravel()[:n]]).mean())
 
 
 def illum_change_score(obs_t: Observation, obs_tk: Observation) -> float:
@@ -131,11 +127,6 @@ def score_window(sequence: str, t: int, w: int, obs_t: Observation,
                        illum_change_score(obs_t, obs_tw))
 
 
-def _percentile(values: np.ndarray, q: float) -> float:
-    # Linear interpolation between closest ranks (numpy's default).
-    return float(np.percentile(values, q, method="linear"))
-
-
 def _bin_stats(errors: np.ndarray) -> BinStats:
     return BinStats(float(errors.mean()), float(errors.std()), len(errors))
 
@@ -148,11 +139,16 @@ def stratify(window_scores: list[WindowScore],
     scores of the windows that carry an RPE record; scored windows without a
     record (e.g. where VO gave no pose) do not move them.  The low bin takes
     score <= P25, the high bin score >= P75 (ties included).  Every RPE
-    record must have a matching score keyed by (sequence, t, w).
+    record must have a matching score keyed by (sequence, t, w), and no key
+    may be scored twice.
     """
     if len(window_scores) < 4:
         raise ValueError("insufficient windows: need at least 4")
-    by_key = {s.key: s for s in window_scores}
+    by_key = {}
+    for s in window_scores:
+        if s.key in by_key:
+            raise ValueError("duplicate scores for window ({},{},{})".format(*s.key))
+        by_key[s.key] = s
     missing = [r for r in rpe_records if (r.sequence, r.t, r.w) not in by_key]
     if missing:
         head = ", ".join(f"({r.sequence},{r.t},{r.w})" for r in missing[:10])
@@ -166,21 +162,14 @@ def stratify(window_scores: list[WindowScore],
     for attr in ("s_texture", "s_dillum"):
         scores = np.array([getattr(by_key[(r.sequence, r.t, r.w)], attr)
                            for r in rpe_records])
-        low_thresh = _percentile(scores, 25.0)
-        high_thresh = _percentile(scores, 75.0)
+        low_thresh, high_thresh = np.percentile(scores, (25.0, 75.0), method="linear").tolist()
         low = scores <= low_thresh
         high = scores >= high_thresh
         degenerate[attr] = bool(low_thresh == high_thresh)
         bins[attr] = (_bin_stats(errors[low]), _bin_stats(errors[high]))
 
-    return StratifiedReport(
-        texture_low=bins["s_texture"][0],
-        texture_high=bins["s_texture"][1],
-        dillum_low=bins["s_dillum"][0],
-        dillum_high=bins["s_dillum"][1],
-        degenerate_texture=degenerate["s_texture"],
-        degenerate_dillum=degenerate["s_dillum"],
-    )
+    return StratifiedReport(*bins["s_texture"], *bins["s_dillum"],
+                            degenerate["s_texture"], degenerate["s_dillum"])
 
 
 def format_stratified_report(report: StratifiedReport) -> str:

@@ -15,6 +15,7 @@ from policyvo.world import (
     Scene,
     correspondences,
     generate_trajectory,
+    landmark_projections,
     make_tube_scene,
 )
 
@@ -53,15 +54,33 @@ def one_sign_triangulate_depths(rotation_ba, t_ba, rays_a, rays_b):
     return depth_a, depth_b
 
 
+def reference_rays(points_px, camera):
+    x = (points_px[:, 0] - camera.cx) / camera.focal
+    y = (points_px[:, 1] - camera.cy) / camera.focal
+    return np.stack([x, y, np.ones_like(x)], axis=1)
+
+
+def reference_hartley_normalize(rays):
+    xy = rays[:, :2]
+    centroid = xy.mean(axis=0)
+    rms = float(np.sqrt(((xy - centroid) ** 2).sum(axis=1).mean()))
+    scale = math.sqrt(2.0) / max(rms, 1e-12)
+    transform = np.array([[scale, 0.0, -scale * centroid[0]],
+                          [0.0, scale, -scale * centroid[1]],
+                          [0.0, 0.0, 1.0]])
+    return rays @ transform.T, transform
+
+
 def four_call_relative_pose(pts_a, pts_b, camera):
-    """Reference eight-point solver: one triangulation per cheirality candidate."""
+    """Reference eight-point solver: one triangulation per cheirality candidate,
+    with numpy's own row sums and ``np.where`` fills throughout."""
     n = len(pts_a)
     if n < 8:
         raise ev.BaselineFailure(f"fewer than 8 correspondences ({n})")
-    rays_a = ev._normalized_rays(pts_a, camera)
-    rays_b = ev._normalized_rays(pts_b, camera)
-    norm_a, t_a = ev._hartley_normalize(rays_a)
-    norm_b, t_b = ev._hartley_normalize(rays_b)
+    rays_a = reference_rays(pts_a, camera)
+    rays_b = reference_rays(pts_b, camera)
+    norm_a, t_a = reference_hartley_normalize(rays_a)
+    norm_b, t_b = reference_hartley_normalize(rays_b)
     a_mat = np.einsum("ni,nj->nij", norm_b, norm_a).reshape(n, 9)
     _, sva, vt = np.linalg.svd(a_mat, full_matrices=n < 9)
     if sva[7] < 1e-9 * sva[0]:
@@ -82,6 +101,45 @@ def four_call_relative_pose(pts_a, pts_b, camera):
     if front < ev.MIN_CHEIRALITY * n:
         raise ev.BaselineFailure(f"cheirality ambiguity ({front}/{n} points in front)")
     return Pose(rotation_ba.T, -(rotation_ba.T @ t_ba)), depth_a, depth_b
+
+
+def reference_vo(scene, camera, gt_traj, noise_px, seed, min_albedo=0.25):
+    """Reference VO chain built only from test-side parts: per-pair projections,
+    ``np.intersect1d`` matches and scale links, and :func:`four_call_relative_pose`.
+
+    Returns the rows and the counts of failed steps and broken scale chains."""
+    rng = np.random.default_rng(seed)
+    indices = gt_traj.indices
+    chain, prev, failed, broken = {}, None, 0, 0
+    for a, b in zip(indices, indices[1:]):
+        (ids_a, uv_a), (ids_b, uv_b) = (
+            landmark_projections(scene, camera, gt_traj.pose_at(i), min_albedo) for i in (a, b))
+        ids, ia, ib = np.intersect1d(ids_a, ids_b, assume_unique=True, return_indices=True)
+        pts_a, pts_b = uv_a[ia], uv_b[ib]
+        if noise_px > 0.0:
+            pts_a = pts_a + rng.normal(0.0, noise_px, pts_a.shape)
+            pts_b = pts_b + rng.normal(0.0, noise_px, pts_b.shape)
+        try:
+            delta, depth_a, depth_b = four_call_relative_pose(pts_a, pts_b, camera)
+        except ev.BaselineFailure:
+            prev, failed = None, failed + 1
+            continue
+        if prev is None:
+            chain[a], scale = (np.eye(3), np.zeros(3)), 1.0
+        else:
+            common, ip, ic = np.intersect1d(prev[0], ids, assume_unique=True,
+                                            return_indices=True)
+            prev_depth, cur_depth = prev[1][ip], depth_a[ic]
+            ok = (prev_depth > 0.0) & (cur_depth > 0.0)
+            ratio = (float(np.median(prev_depth[ok] / cur_depth[ok]))
+                     if len(common) >= ev.MIN_SHARED and ok.sum() >= ev.MIN_SHARED else None)
+            if ratio is None or not ratio > 0.0:
+                prev, broken = None, broken + 1
+                continue
+            scale = scale * ratio
+        chain[b] = se3.compose_rt(*chain[a], delta.rotation, scale * delta.translation)
+        prev = ids, depth_b
+    return [(i, chain.get(i)) for i in indices], failed, broken
 
 
 def per_pair_vo(scene, camera, gt_traj, min_albedo, noise_px, seed):
@@ -219,6 +277,15 @@ class TestRPE:
 
 
 class TestUmeyama:
+    @pytest.mark.parametrize("shape_a, shape_b", [((6, 2), (6, 2)), ((6, 3), (6, 2)),
+                                                  ((3,), (3,)), ((4, 3, 1), (4, 3, 1)),
+                                                  ((6, 3), (5, 3))])
+    def test_arrays_not_equal_n_by_3_rejected(self, shape_a, shape_b):
+        # Two (6, 2) arrays were once read as 4 invented 3-D points and fitted.
+        rng = np.random.default_rng(9)
+        with pytest.raises(ValueError, match=re.escape("point sets must be equal (n, 3) arrays")):
+            ev.umeyama_sim3(rng.normal(size=shape_a), rng.normal(size=shape_b))
+
     def test_identity_for_equal_sets(self):
         rng = np.random.default_rng(7)
         pts = rng.normal(size=(20, 3)) * 10.0
@@ -467,14 +534,25 @@ class TestEightPoint:
         rays_b = np.column_stack([rng.normal(0.0, 0.4, (200, 2)), np.ones(200)])
         rays_b[:5] = rays_a[:5]     # zero parallax under the identity rotation
         t_ba = rng.normal(size=3)
-        for rotation_ba in (np.eye(3), rot_y(0.1) @ rot_z(-0.2)):
-            plus, minus = ev._triangulate_depths(rotation_ba, t_ba, rays_a, rays_b)
-            for got, want in zip(plus + minus, (
+        rotations = (np.eye(3), rot_y(0.1) @ rot_z(-0.2))
+        both = ev._triangulate_depths(rotations, t_ba, rays_a, rays_b)
+        for rotation_ba, (plus, minus) in zip(rotations, both, strict=True):
+            for got, want in zip((*plus, *minus), (
                     one_sign_triangulate_depths(rotation_ba, t_ba, rays_a, rays_b)
-                    + one_sign_triangulate_depths(rotation_ba, -t_ba, rays_a, rays_b))):
+                    + one_sign_triangulate_depths(rotation_ba, -t_ba, rays_a, rays_b)),
+                    strict=True):
                 np.testing.assert_array_equal(got, want)
-        plus, minus = ev._triangulate_depths(np.eye(3), t_ba, rays_a, rays_b)
-        assert np.all(np.stack(plus + minus)[:, :5] == -1.0)
+        plus, minus = next(ev._triangulate_depths((np.eye(3),), t_ba, rays_a, rays_b))
+        assert np.all(np.stack((*plus, *minus))[:, :5] == -1.0)
+
+    @pytest.mark.parametrize("shape", [(12, 3), (24,), (12, 2, 1), (12, 1)])
+    def test_pixel_arrays_not_n_by_2_rejected(self, shape):
+        # A (12, 3) array was once read as 18 points and solved.
+        bad = np.random.default_rng(2).uniform(10, 150, shape)
+        good = np.random.default_rng(3).uniform(10, 150, (12, 2))
+        for pts_a, pts_b in ((bad, good), (good, bad)):
+            with pytest.raises(ValueError, match=re.escape("pixel arrays must be (n, 2)")):
+                ev.eight_point_relative_pose(pts_a, pts_b, self.camera)
 
     def test_seven_correspondences_fail(self):
         pts = np.random.default_rng(0).uniform(10, 150, (7, 2))
@@ -526,6 +604,32 @@ class TestEightPointVO:
                 np.testing.assert_array_equal(got.rotation, expected[0])
                 np.testing.assert_array_equal(got.translation, expected[1])
 
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_noisy_rows_equal_reference_solver(self, seed):
+        # 64 px and 1 px noise make steps fail.  Every sixth frame the camera
+        # turns by half its field of view twice in a row, so the middle frame
+        # shares its two pairs' matches on opposite sides and the scale chain
+        # breaks.  Every row, posed or not, equals the reference chain's bit for bit.
+        scene = make_tube_scene(seed, n_landmarks=1500)
+        camera = Camera.default(64)
+        half_fov = math.atan(camera.mask_radius / camera.focal)
+        turns = half_fov * np.cumsum(np.isin(np.arange(60), [k for j in range(5, 60, 6)
+                                                              for k in (j, j + 1)]))
+        traj = Trajectory([(i, se3.compose(pose, Pose(rot_y(turn), np.zeros(3))))
+                           for (i, pose), turn in zip(
+                               generate_trajectory(seed, 60, MotionProfile("jitter")).frames,
+                               turns)])
+        got = ev.eight_point_vo(scene, camera, traj, noise_px=1.0, seed=seed)
+        rows, failed, broken = reference_vo(scene, camera, traj, 1.0, seed=seed)
+        assert failed > 0 and broken > 0
+        want = Trajectory.from_stacks(
+            traj.indices, np.reshape([p[0] for _, p in rows if p is not None], (-1, 3, 3)),
+            np.reshape([p[1] for _, p in rows if p is not None], (-1, 3)),
+            [p is not None for _, p in rows])
+        for name in ("frame_array", "valid", "rotations", "translations"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+            assert getattr(got, name).shape == getattr(want, name).shape
+
     def test_empty_and_one_frame_trajectories(self):
         camera = Camera.default(64)
         assert list(ev.eight_point_vo(self.scene, camera, Trajectory(()))) == []
@@ -544,6 +648,17 @@ class TestEightPointVO:
         traj = random_trajectory(13, 3)
         aligned = ev.align_rows_to_gt(rows, traj)
         assert all(p is None for _, p in aligned)
+
+
+class TestRPERecord:
+    @pytest.mark.parametrize("bad", [-1e-300, math.nan, math.inf, -math.inf])
+    def test_negative_and_non_finite_errors_rejected(self, bad):
+        for trans_err, rot_err in ((bad, 0.0), (0.0, bad)):
+            with pytest.raises(ValueError, match="errors must be finite and >= 0"):
+                ev.RPERecord("s", 0, 8, trans_err, rot_err)
+
+    def test_zero_and_large_errors_accepted(self):
+        assert ev.summarize([ev.RPERecord("s", 0, 8, 0.0, 1e300)]).rot_mean == 1e300
 
 
 class TestRecordsCSV:

@@ -17,6 +17,17 @@ from policyvo.world import (
 )
 
 
+class TestWindowScore:
+    @pytest.mark.parametrize("bad", [-1e-300, math.nan, math.inf, -math.inf])
+    def test_negative_and_non_finite_scores_rejected(self, bad):
+        for s_texture, s_dillum in ((bad, 0.0), (0.0, bad)):
+            with pytest.raises(ValueError, match="scores must be finite and >= 0"):
+                rb.WindowScore("s", 0, 8, s_texture, s_dillum)
+
+    def test_zero_and_large_scores_accepted(self):
+        assert rb.WindowScore("s", 0, 8, 0.0, 1e300).s_dillum == 1e300
+
+
 class TestScoresCSV:
     def test_round_trip(self, tmp_path):
         scores = [rb.WindowScore("seq_000", 3, 8, 0.1, 1.0 / 3.0),
@@ -43,6 +54,30 @@ class TestScoresCSV:
 
 def masked(values, mask):
     return Observation(np.where(mask, values, 0.0), mask)
+
+
+SOBEL_X = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
+SOBEL_Y = SOBEL_X.T
+
+
+def nine_and_interior_valid(mask):
+    """Reference stencil mask: pixels whose 3x3 stencil lies inside the mask (and the image)."""
+    h, w = mask.shape
+    valid = np.zeros_like(mask)
+    if h < 3 or w < 3:
+        return valid
+    core = np.ones((h - 2, w - 2), dtype=bool)
+    for dy in range(3):
+        for dx in range(3):
+            core &= mask[dy:dy + h - 2, dx:dx + w - 2]
+    valid[1:-1, 1:-1] = core
+    return valid
+
+
+def nine_tap_texture_score(obs):
+    gx = nine_tap_convolve3(obs.image, SOBEL_X)
+    gy = nine_tap_convolve3(obs.image, SOBEL_Y)
+    return float(np.sqrt(gx * gx + gy * gy)[nine_and_interior_valid(obs.mask)].mean())
 
 
 def nine_tap_convolve3(image, kernel):
@@ -92,10 +127,27 @@ class TestScores:
         mask = circular_mask(64, camera.mask_radius)
         for image in frames:
             obs = masked(image, mask)
-            gx = nine_tap_convolve3(obs.image, rb.SOBEL_X)
-            gy = nine_tap_convolve3(obs.image, rb.SOBEL_Y)
-            want = float(np.sqrt(gx * gx + gy * gy)[rb._interior_valid(mask)].mean())
-            assert rb.texture_score(obs) == want
+            assert rb.texture_score(obs) == nine_tap_texture_score(obs)
+
+    @pytest.mark.parametrize("shape, keep", [((64, 64), 0.9), ((40, 57), 0.95), ((3, 9), 1.0),
+                                             ((17, 3), 1.0), ((30, 30), 0.8)])
+    def test_texture_score_equals_nine_tap_convolution_on_random_masks(self, shape, keep):
+        # Holes, ragged edges and masks that reach the image border, so a stencil
+        # that wraps across a row end or leaves the image would be counted.
+        rng = np.random.default_rng(shape[0] * shape[1])
+        for _ in range(5):
+            mask = rng.random(shape) < keep
+            obs = masked(rng.uniform(0.0, 1.0, shape), mask)
+            if not nine_and_interior_valid(mask).any():
+                with pytest.raises(ValueError, match="empty mask interior"):
+                    rb.texture_score(obs)
+                continue
+            assert rb.texture_score(obs) == nine_tap_texture_score(obs)
+
+    @pytest.mark.parametrize("shape", [(2, 8), (8, 2), (1, 1)])
+    def test_texture_score_of_a_frame_too_small_for_the_stencil(self, shape):
+        with pytest.raises(ValueError, match="empty mask interior"):
+            rb.texture_score(Observation(np.zeros(shape), np.ones(shape, dtype=bool)))
 
     def test_illum_change_of_two_constant_frames(self):
         mask = circular_mask(16, 7.0)
@@ -138,6 +190,11 @@ class TestStratify:
         scores, records = records_and_scores([1, 2, 3, 4], [1, 2, 3, 4], [1.0] * 4)
         with pytest.raises(ValueError, match=r"records without matching scores: \(s,9,8\)"):
             rb.stratify(scores, records + [RPERecord("s", 9, 8, 1.0, 0.0)])
+
+    def test_duplicate_score_keys_rejected(self):
+        scores, records = records_and_scores([1, 2, 3, 4], [1, 2, 3, 4], [1.0] * 4)
+        with pytest.raises(ValueError, match=re.escape("duplicate scores for window (s,2,8)")):
+            rb.stratify(scores + [rb.WindowScore("s", 2, 8, 9.0, 9.0)], records)
 
     def test_format_stratified_report(self):
         report = rb.StratifiedReport(rb.BinStats(1.0, 0.5, 3), rb.BinStats(3.25, 0.125, 4),

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from policyvo import se3, trajectory as trj, world
@@ -347,6 +347,22 @@ class TestLandmarkProjections:
         ids, uv = world.landmark_projections(self.SCENE, self.CAMERA, turned)
         np.testing.assert_array_equal(ids, [1])
         np.testing.assert_allclose(uv, [[self.CAMERA.cx, self.CAMERA.cy]], atol=1e-9)
+
+
+class TestSharedIds:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sets(st.integers(0, 3000), max_size=400), st.sets(st.integers(0, 3000), max_size=400))
+    @example(set(), set())
+    @example({0, 4, 9}, set())
+    @example({1, 3, 5}, {0, 2, 4, 6})
+    @example({7}, {7})
+    def test_equals_intersect1d(self, a, b):
+        ids_a, ids_b = np.array(sorted(a), dtype=np.int64), np.array(sorted(b), dtype=np.int64)
+        got = world._shared_ids(ids_a, ids_b)
+        want = np.intersect1d(ids_a, ids_b, assume_unique=True, return_indices=True)
+        for g, w in zip(got, want, strict=True):
+            np.testing.assert_array_equal(g, w)
+            assert g.dtype == w.dtype
 
 
 class TestCorrespondences:
