@@ -30,6 +30,7 @@ from .trajectory import Trajectory, as_trajectory
 from .world import Camera, Scene, _match_views, _shared_ids, landmark_projections
 
 RECORDS_HEADER = "sequence,t,w,trans_err_mm,rot_err_deg"
+RECORDS_ROW = "%s,%d,%d,%.17g,%.17g"
 MIN_CHEIRALITY = 0.75   # share of matches that must triangulate in front of both views
 MIN_SHARED = 3          # landmarks two VO steps must share to carry the scale across
 
@@ -51,8 +52,10 @@ class PredictedWindow:
 @dataclass(frozen=True, eq=False)
 class PredictedWindows:
     """Predicted motions from frames ``starts`` to ``starts + w`` of a sequence, one row
-    per window of read-only, once-checked ``starts`` (M,), ``rotations`` (M, 3, 3) and
-    ``translations`` (M, 3); ``windows[j]`` is window j as a :class:`PredictedWindow`."""
+    per window of read-only ``starts`` (M,), ``rotations`` (M, 3, 3) and
+    ``translations`` (M, 3); ``windows[j]`` is window j as a :class:`PredictedWindow`.
+    The constructor checks the stacks in full; this module's window builders derive
+    them from checked trajectories and use :meth:`_trusted` (see ``se3._frozen``)."""
 
     sequence: str
     w: int
@@ -68,6 +71,18 @@ class PredictedWindows:
             raise ValueError(f"window starts {starts.shape} but pose stacks {rotations.shape}")
         self.__dict__.update(starts=starts, rotations=rotations, translations=translations)
 
+    @classmethod
+    def _trusted(cls, sequence: str, w: int, starts, rotations,
+                 translations) -> "PredictedWindows":
+        """Windows on stacks derived from checked ones; only translations are tested."""
+        starts = np.asarray(starts, dtype=np.int64)
+        starts.setflags(write=False)
+        rotations, translations = se3._frozen(rotations, translations)
+        windows = object.__new__(cls)
+        windows.__dict__.update(sequence=sequence, w=w, starts=starts, rotations=rotations,
+                                translations=translations)
+        return windows
+
     def __len__(self) -> int:
         return len(self.starts)
 
@@ -76,7 +91,7 @@ class PredictedWindows:
                                Pose(self.rotations[j], self.translations[j]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RPERecord:
     sequence: str
     t: int
@@ -85,8 +100,16 @@ class RPERecord:
     rot_err: float     # degrees
 
     def __post_init__(self):
+        _check_window_key(self.t, self.w)
         if not (0.0 <= self.trans_err < math.inf and 0.0 <= self.rot_err < math.inf):  # nan fails
             raise ValueError(f"errors must be finite and >= 0: {self.trans_err}, {self.rot_err}")
+
+
+def _check_window_key(t, w) -> None:
+    """Raise ValueError unless window start t and length w are integers, not bool, and w >= 0."""
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+               for v in (t, w)) or w < 0:
+        raise ValueError(f"t and w must be integers with w >= 0: t={t!r}, w={w!r}")
 
 
 @dataclass(frozen=True)
@@ -136,10 +159,23 @@ def summarize(records: list[RPERecord]) -> RPESummary:
     """Mean and population std of the per-window errors."""
     if not records:
         raise ValueError("empty evaluation")
-    trans = np.array([r.trans_err for r in records])
-    rot = np.array([r.rot_err for r in records])
+    return _summary(np.array([r.trans_err for r in records]),
+                    np.array([r.rot_err for r in records]))
+
+
+def _summary(trans: np.ndarray, rot: np.ndarray) -> RPESummary:
     return RPESummary(float(trans.mean()), float(trans.std()),
-                      float(rot.mean()), float(rot.std()), len(records))
+                      float(rot.mean()), float(rot.std()), len(trans))
+
+
+def _records(sequence: str, starts: list, w: int, trans_err: list, rot_err: list) -> list:
+    """RPERecords of fields the caller checked, built without the per-record check:
+    each field is set on every record by one ``map`` over the field's slot setter."""
+    records = list(map(object.__new__, itertools.repeat(RPERecord, len(starts))))
+    columns = itertools.repeat(sequence), starts, itertools.repeat(w), trans_err, rot_err
+    for name, values in zip(RPERecord.__slots__, columns):
+        list(map(getattr(RPERecord, name).__set__, records, values))
+    return records
 
 
 def rpe(windows: PredictedWindows, gt_trajs: dict[str, Trajectory],
@@ -158,9 +194,14 @@ def rpe(windows: PredictedWindows, gt_trajs: dict[str, Trajectory],
                                        gt.rotations[last], gt.translations[last])
     trans_err = np.linalg.norm(windows.translations - gt_trans, axis=-1)
     rot_err = np.degrees(se3.geodesic_angle(windows.rotations, gt_rot))
-    records = [RPERecord(windows.sequence, t, w, e_trans, e_rot)
-               for t, e_trans, e_rot in zip(starts, trans_err.tolist(), rot_err.tolist())]
-    return records, summarize(records)
+    # The records' fields are checked once, as arrays (starts are int64).
+    _check_window_key(starts[0], w)
+    ok = (trans_err >= 0.0) & (trans_err < math.inf) & (rot_err >= 0.0) & (rot_err < math.inf)
+    if not ok.all():    # nan fails
+        bad = ok.argmin()
+        raise ValueError(f"errors must be finite and >= 0: {trans_err[bad]}, {rot_err[bad]}")
+    records = _records(windows.sequence, starts, w, trans_err.tolist(), rot_err.tolist())
+    return records, _summary(trans_err, rot_err)
 
 
 def umeyama_sim3(pred_points: np.ndarray, gt_points: np.ndarray) -> Sim3:
@@ -209,8 +250,9 @@ def coverage(estimate) -> CoverageReport:
 def zero_motion_windows(gt_traj: Trajectory, sequence: str, w: int) -> PredictedWindows:
     """Predicts the identity relative motion for every full window."""
     starts = gt_traj.window_starts(w)
-    return PredictedWindows(sequence, w, starts, np.broadcast_to(np.eye(3), (len(starts), 3, 3)),
-                            np.zeros((len(starts), 3)))
+    return PredictedWindows._trusted(sequence, w, starts,
+                                     np.broadcast_to(np.eye(3), (len(starts), 3, 3)),
+                                     np.zeros((len(starts), 3)))
 
 
 def constant_velocity_windows(gt_traj: Trajectory, sequence: str, w: int) -> PredictedWindows:
@@ -228,7 +270,7 @@ def constant_velocity_windows(gt_traj: Trajectory, sequence: str, w: int) -> Pre
     rotations = np.tile(np.eye(3), (len(starts), 1, 1))
     translations = np.zeros((len(starts), 3))
     rotations[moving], translations[moving] = delta
-    return PredictedWindows(sequence, w, starts, rotations, translations)
+    return PredictedWindows._trusted(sequence, w, starts, rotations, translations)
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +433,9 @@ def eight_point_vo(scene: Scene, camera: Camera, gt_traj: Trajectory,
         chain[b] = se3.compose_rt(*chain[a], rotation, scale * translation)
         prev = ids, depth_b
     # Frames enter the chain in increasing order, so its values are in frame order.
-    return Trajectory.from_stacks(indices, np.reshape([r for r, _ in chain.values()], (-1, 3, 3)),
-                                  np.reshape([t for _, t in chain.values()], (-1, 3)),
-                                  [i in chain for i in indices])
+    return Trajectory._trusted(indices, np.reshape([r for r, _ in chain.values()], (-1, 3, 3)),
+                               np.reshape([t for _, t in chain.values()], (-1, 3)),
+                               [i in chain for i in indices])
 
 
 def _shared_depth_ratio(prev_ids: np.ndarray, prev_depth_b: np.ndarray,
@@ -431,8 +473,8 @@ def align_rows_to_gt(estimate, gt_traj: Trajectory) -> Trajectory:
         aligned[run] = True
     valid = estimate.valid.copy()
     valid[posed[~aligned]] = False
-    return Trajectory.from_stacks(estimate.frame_array, rotations[aligned], translations[aligned],
-                                  valid)
+    return Trajectory._trusted(estimate.frame_array, rotations[aligned], translations[aligned],
+                               valid)
 
 
 def windows_from_rows(estimate, sequence: str, w: int) -> PredictedWindows:
@@ -445,8 +487,9 @@ def windows_from_rows(estimate, sequence: str, w: int) -> PredictedWindows:
     first = np.flatnonzero(np.isin(posed + w, posed))
     last = np.searchsorted(posed, posed[first] + w)
     rot, trans = estimate.rotations, estimate.translations
-    return PredictedWindows(sequence, w, posed[first],
-                            *se3.relative_rt(rot[first], trans[first], rot[last], trans[last]))
+    return PredictedWindows._trusted(sequence, w, posed[first],
+                                     *se3.relative_rt(rot[first], trans[first],
+                                                      rot[last], trans[last]))
 
 
 # ---------------------------------------------------------------------------
@@ -472,10 +515,21 @@ def format_results_table(results: list[MethodResult], w: int) -> str:
 
 
 def write_records_csv(path, records: list[RPERecord]) -> None:
-    write_table(path, RECORDS_HEADER,
+    write_table(path, RECORDS_HEADER, RECORDS_ROW,
                 ((r.sequence, r.t, r.w, r.trans_err, r.rot_err) for r in records))
 
 
 def read_records_csv(path) -> list[RPERecord]:
-    return [RPERecord(seq, int(t), int(w), float(trans_err), float(rot_err))
-            for seq, t, w, trans_err, rot_err in read_table(path, RECORDS_HEADER)]
+    return _read_window_rows(path, RECORDS_HEADER, RPERecord)
+
+
+def _read_window_rows(path, header: str, record_type) -> list:
+    """``record_type(sequence, int t, int w, float, float)`` of each row; a bad row
+    raises ValueError naming the file and line."""
+    records = []
+    for number, (sequence, t, w, first, second) in enumerate(read_table(path, header), start=2):
+        try:
+            records.append(record_type(sequence, int(t), int(w), float(first), float(second)))
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {number}: {exc}") from None
+    return records

@@ -17,11 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluation import RPERecord
-from .tables import read_table, write_table
+from .evaluation import RPERecord, _check_window_key, _read_window_rows
+from .tables import write_table
 from .world import Observation
 
 SCORES_HEADER = "sequence,t,w,s_texture,s_dillum"
+SCORES_ROW = "%s,%d,%d,%.17g,%.17g"
 
 @dataclass(frozen=True)
 class WindowScore:
@@ -32,6 +33,7 @@ class WindowScore:
     s_dillum: float
 
     def __post_init__(self):
+        _check_window_key(self.t, self.w)
         if not (0.0 <= self.s_texture < math.inf and 0.0 <= self.s_dillum < math.inf):  # nan fails
             raise ValueError(f"scores must be finite and >= 0: {self.s_texture}, {self.s_dillum}")
 
@@ -190,10 +192,9 @@ def format_stratified_report(report: StratifiedReport) -> str:
 
 
 def write_scores_csv(path, scores: list[WindowScore]) -> None:
-    write_table(path, SCORES_HEADER,
+    write_table(path, SCORES_HEADER, SCORES_ROW,
                 ((s.sequence, s.t, s.w, s.s_texture, s.s_dillum) for s in scores))
 
 
 def read_scores_csv(path) -> list[WindowScore]:
-    return [WindowScore(seq, int(t), int(w), float(s_texture), float(s_dillum))
-            for seq, t, w, s_texture, s_dillum in read_table(path, SCORES_HEADER)]
+    return _read_window_rows(path, SCORES_HEADER, WindowScore)

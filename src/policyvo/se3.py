@@ -55,9 +55,16 @@ def _norm(vectors: np.ndarray) -> np.ndarray:
     return np.sqrt((vectors * vectors).sum(axis=-1))
 
 
+def _gram_residual(rotation: np.ndarray) -> np.ndarray:
+    """|R'R - I| per float64 rotation, made in one temporary."""
+    residual = rotation.swapaxes(-1, -2) @ rotation
+    residual -= _EYE3
+    return np.abs(residual, out=residual)
+
+
 def orthonormality_drift(rotation: np.ndarray) -> np.ndarray:
     """Max-abs deviation of R'R from the identity, per rotation."""
-    return np.abs(rotation.swapaxes(-1, -2) @ rotation - _EYE3).max(axis=(-2, -1))
+    return _gram_residual(np.asarray(rotation, dtype=np.float64)).max(axis=(-2, -1))
 
 
 def project_rotation(matrix: np.ndarray) -> np.ndarray:
@@ -69,9 +76,10 @@ def project_rotation(matrix: np.ndarray) -> np.ndarray:
 
 def _renormalize(rotation: np.ndarray) -> np.ndarray:
     """Re-project, in place, the rotations whose drift exceeds RENORM_TRIGGER."""
+    residual = _gram_residual(rotation)
     # The stack's largest drift in one reduction; rows are picked only past it.
-    if np.abs(rotation.swapaxes(-1, -2) @ rotation - _EYE3).max(initial=0.0) > RENORM_TRIGGER:
-        drifted = orthonormality_drift(rotation) > RENORM_TRIGGER
+    if residual.max(initial=0.0) > RENORM_TRIGGER:
+        drifted = residual.max(axis=(-2, -1)) > RENORM_TRIGGER
         rotation[drifted] = project_rotation(rotation[drifted])
     return rotation
 
@@ -167,6 +175,20 @@ def _validated(rotation, translation) -> tuple[np.ndarray, np.ndarray]:
             raise ValueError("rotation is not orthonormal within 1e-9")
         if not proper.all():
             raise ValueError("rotation has negative determinant")
+        raise ValueError("translation has non-finite components")
+    rotation.setflags(write=False)
+    translation.setflags(write=False)
+    return rotation, translation
+
+
+def _frozen(rotation, translation) -> tuple[np.ndarray, np.ndarray]:
+    """Pose arrays derived from validated ones by this module's arithmetic, made
+    read-only C-contiguous float64 (copied only if they are not).  Rotations are
+    not tested again (compose_rt re-projects past RENORM_TRIGGER, far inside
+    ORTHONORMAL_TOL); translations are tested finite, as a sum can overflow."""
+    rotation = np.ascontiguousarray(rotation, dtype=np.float64)
+    translation = np.ascontiguousarray(translation, dtype=np.float64)
+    if not np.isfinite(translation).all():
         raise ValueError("translation has non-finite components")
     rotation.setflags(write=False)
     translation.setflags(write=False)

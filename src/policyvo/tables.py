@@ -1,33 +1,38 @@
 """Header-checked CSV tables, the one text format of every policyvo file.
 
 A table is a header line of comma-separated column names, then one line per
-row.  Floats are written with 17 significant digits (``.17g``), so they read
-back bit for bit; strings and integers are written as they print.
+row.  Each table declares, next to its header, a row format of one
+printf-style conversion per column: ``%d`` for integers, ``%s`` for strings
+and ``%.17g`` for floats, whose 17 significant digits read back bit for bit.
+A row is formatted with one ``%``.  Writers check only that rows fit the
+format, as their rows come from checked objects; readers pass every row
+through a checking constructor (``Trajectory.from_stacks``, ``RPERecord``,
+``WindowScore``) and name the file, and the line where one row is at fault.
 """
 
 from __future__ import annotations
 
-import numbers
 from pathlib import Path
 
 
-def _field(value) -> str:
-    if not isinstance(value, float) and isinstance(value, (str, numbers.Integral)):
-        return str(value)
-    return f"{value:.17g}"
+def write_table(path, header: str, row_format: str, rows) -> None:
+    """Write ``header`` and one ``row_format % row`` line per row of fields.
 
-
-def write_table(path, header: str, rows) -> None:
-    """Write ``header`` and one comma-joined line per row of fields.
-
-    Raises ValueError naming the file, and writes nothing, when a field holds
-    a comma or a line break (which would split it on reading) or a row has
-    the wrong number of fields.
+    Raises ValueError naming the file, and writes nothing, when a row does
+    not fit the format (a missing or extra field, a string in a number
+    column) or a field holds a comma or a line break (which would split it
+    on reading).
     """
-    lines = [header] + [",".join(map(_field, row)) for row in rows]
-    text = "\n".join(lines) + "\n"
     commas = header.count(",")
-    if len(text.splitlines()) != len(lines) or any(line.count(",") != commas for line in lines):
+    try:
+        lines = [header] + [row_format % tuple(row) for row in rows]
+    except TypeError as exc:
+        raise ValueError(f"{path}: a row does not have {commas + 1} fields "
+                         f"of the format {row_format!r} ({exc})") from None
+    text = "\n".join(lines) + "\n"
+    # Every formatted line has the format's commas, so a count above that
+    # total is a separator inside a field.
+    if len(text.splitlines()) != len(lines) or text.count(",") != commas * len(lines):
         raise ValueError(f"{path}: a field holds a comma or a line break, "
                          f"or a row does not have {commas + 1} fields")
     Path(path).write_text(text)

@@ -21,7 +21,9 @@ without a pose and is kept for coverage accounting.
 
 from __future__ import annotations
 
+import itertools
 import operator
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +33,8 @@ from .se3 import Pose
 from .tables import read_table, write_table
 
 TRAJECTORY_HEADER = "frame,tx,ty,tz,rx,ry,rz"
+TRAJECTORY_ROW = "%d" + ",%.17g" * 6
+_INTEGER_LINES = re.compile(r"(?:-?\d+\n)*")    # \d is str.isdecimal's set
 
 
 class Trajectory:
@@ -38,9 +42,11 @@ class Trajectory:
     four read-only arrays: ``frame_array`` (N,) int64 and ``valid`` (N,) bool over
     every frame, ``rotations`` (V, 3, 3) and ``translations`` (V, 3) over the V
     frames with a pose.  ``Trajectory(rows)`` takes (frame, Pose | None) rows and
-    :meth:`from_stacks` the arrays, either checking the stacks once; ``frames``,
-    ``poses``, iteration and ``pose_at`` build ``Pose`` views of them.  Equality
-    is exact; instances are immutable and unhashable."""
+    :meth:`from_stacks` the arrays, either checking them in full; anchoring,
+    alignment, VO and generated paths derive their stacks from checked ones and use
+    :meth:`_trusted` (see ``se3._frozen``).  ``frames``, ``poses``, iteration and
+    ``pose_at`` build ``Pose`` views.  Equality is exact; instances are immutable and
+    unhashable."""
 
     def __init__(self, rows=(), anchored: bool = False):
         rows = tuple(rows)
@@ -69,6 +75,16 @@ class Trajectory:
         rotations, translations = se3._validated(rotations, translations)
         if rotations.shape[:-2] != (np.count_nonzero(valid),):
             raise ValueError(f"{np.count_nonzero(valid)} valid frames, {len(rotations)} poses")
+        return cls._trusted(frames, rotations, translations, valid, anchored)
+
+    @classmethod
+    def _trusted(cls, frames, rotations, translations, valid=None,
+                 anchored: bool = False) -> "Trajectory":
+        """Strictly increasing ``frames``, a mask of their length and stacks derived
+        from checked ones; only translations and an anchored start are tested."""
+        frames = np.asarray(frames, dtype=np.int64)
+        valid = np.ones(frames.shape, bool) if valid is None else np.asarray(valid, dtype=bool)
+        rotations, translations = se3._frozen(rotations, translations)
         if anchored and len(rotations) and max(np.abs(rotations[0] - np.eye(3)).max(),
                                                np.abs(translations[0]).max()) > 1e-9:
             raise ValueError("anchored trajectory must start at identity")
@@ -176,9 +192,9 @@ def anchor(traj: Trajectory) -> Trajectory:
     if len(traj.rotations) == 0:
         raise ValueError("empty trajectory: no frame has a pose")
     first_inv = se3.inverse_rt(traj.rotations[0], traj.translations[0])
-    return Trajectory.from_stacks(traj.frame_array,
-                                  *se3.compose_rt(*first_inv, traj.rotations, traj.translations),
-                                  traj.valid, anchored=True)
+    return Trajectory._trusted(traj.frame_array,
+                               *se3.compose_rt(*first_inv, traj.rotations, traj.translations),
+                               traj.valid, anchored=True)
 
 
 def _steps(rotations: np.ndarray, translations: np.ndarray) -> np.ndarray:
@@ -208,10 +224,14 @@ def extract_actions(traj: Trajectory, t: int, k: int) -> ActionSequence:
     """
     if k < 1:
         raise ValueError("horizon k must be >= 1")
-    if any(i not in traj for i in range(t, t + k + 1)):
+    row = traj._row_of.get(t)      # frames increase: t..t+k have poses iff t+k is k rows on
+    if row is None or traj._row_of.get(t + k) != row + k:
         raise ValueError(f"window out of range: frames {t}..{t + k} not all present")
-    rows = traj.rows(range(t, t + k + 1))
-    return ActionSequence.from_array(_steps(traj.rotations[rows], traj.translations[rows]))
+    steps = _steps(traj.rotations[row:row + k + 1], traj.translations[row:row + k + 1])
+    if not np.isfinite(steps).all():
+        raise ValueError("action delta has non-finite components")
+    steps.setflags(write=False)
+    return ActionSequence(steps)
 
 
 def compose_window(start: Pose, actions: ActionSequence, w: int) -> Pose:
@@ -236,35 +256,55 @@ def write_trajectory_file(path, rows) -> None:
         raise ValueError(f"{path}: {exc}") from None
     vectors = np.full((len(traj), 6), np.nan)
     vectors[traj.valid] = se3.log_rt(traj.rotations, traj.translations)
-    write_table(path, TRAJECTORY_HEADER,
+    write_table(path, TRAJECTORY_HEADER, TRAJECTORY_ROW,
                 ((i, *vec) for i, vec in zip(traj.indices, vectors.tolist())))
+
+
+def _first_bad_row(path, rows) -> ValueError:
+    """The error of the first row with a bad frame or field; one such row must exist."""
+    previous = None
+    for number, (frame, *fields) in enumerate(rows, start=2):
+        where = f"{path}, line {number}"
+        if not frame.removeprefix("-").isdecimal():
+            return ValueError(f"{where}: frame {frame!r} is not an integer")
+        if previous is not None and int(frame) <= previous:
+            return ValueError(f"{where}: frame {frame} does not follow frame {previous}")
+        try:
+            list(map(float, fields))
+        except ValueError as exc:
+            return ValueError(f"{where}: {exc}")
+        previous = int(frame)
 
 
 def read_trajectory_file(path) -> Trajectory:
     """Read a trajectory file; frames of non-finite rows have no pose.
 
     Raises ValueError naming the file and line for a frame that is not an
-    integer or does not strictly increase, and for a non-numeric field.
+    integer or does not strictly increase, and for a non-numeric field (found by
+    a second scan, made only when the checks of all rows at once fail); and
+    naming the file for a pose that fails the full stack check.
     """
-    frames, vectors = [], []
-    for number, (frame, *fields) in enumerate(read_table(path, TRAJECTORY_HEADER), start=2):
-        where = f"{path}, line {number}"
-        if not frame.removeprefix("-").isdecimal():
-            raise ValueError(f"{where}: frame {frame!r} is not an integer")
-        if frames and int(frame) <= frames[-1]:
-            raise ValueError(f"{where}: frame {frame} does not follow frame {frames[-1]}")
-        try:
-            vectors.append([float(x) for x in fields])
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
-        frames.append(int(frame))
-    vectors = np.array(vectors).reshape(-1, 6)
+    rows = read_table(path, TRAJECTORY_HEADER)
+    frames = [row[0] for row in rows]
+    try:
+        vectors = np.array(list(map(float, itertools.chain.from_iterable(rows))))
+        indices = list(map(int, frames))
+    except ValueError:
+        raise _first_bad_row(path, rows) from None
+    if not (_INTEGER_LINES.fullmatch("\n".join(frames + [""]))
+            and all(map(operator.lt, indices, indices[1:]))):
+        raise _first_bad_row(path, rows)
+    vectors = vectors.reshape(-1, 7)[:, 1:]     # the frame column parsed as a float, too
     valid = np.isfinite(vectors).all(axis=1)
-    return Trajectory.from_stacks(frames, *se3.exp_rt(vectors[valid]), valid)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):    # a huge angle overflows
+            return Trajectory.from_stacks(indices, *se3.exp_rt(vectors[valid]), valid)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def rows_to_trajectory(rows, anchored: bool = False) -> Trajectory:
     """The frames of a Trajectory, or of (frame, Pose | None) rows, that have a pose."""
     traj = as_trajectory(rows)
-    return Trajectory.from_stacks(traj.frame_array[traj.valid], traj.rotations,
-                                  traj.translations, anchored=anchored)
+    return Trajectory._trusted(traj.frame_array[traj.valid], traj.rotations,
+                               traj.translations, anchored=anchored)

@@ -30,6 +30,7 @@ from .tables import read_table, write_table
 from .trajectory import ActionSequence, Trajectory
 
 MANIFEST_HEADER = "sequence,frame,image_path,mask_path"
+MANIFEST_ROW = "%s,%d,%s,%s"
 NEAR_MM = 1.0           # points at camera depth <= this are not in front of it
 MAX_RESAMPLES = 1000    # redraws of one trajectory step before generation gives up
 BLOB_SIGMA_PX = 1.0     # blob std; its 3-sigma reach keeps a splat within a 7 x 7 patch
@@ -363,7 +364,7 @@ def generate_trajectory(seed: int, n_frames: int, profile: MotionProfile,
             rotation = se3.project_rotation(rotation)
         rotations.append(rotation)
         positions.append(position)
-    return Trajectory.from_stacks(np.arange(n_frames), rotations, positions, anchored=True)
+    return Trajectory._trusted(np.arange(n_frames), rotations, positions, anchored=True)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +467,7 @@ def write_dataset(root, sequences: list[SequenceData]) -> None:
             mask_rel = f"{seq.name}/frame_{frame:06d}.mask.pgm"
             write_observation(root / image_rel, root / mask_rel, obs)
             manifest.append((seq.name, frame, image_rel, mask_rel))
-    write_table(root / "manifest.csv", MANIFEST_HEADER, manifest)
+    write_table(root / "manifest.csv", MANIFEST_HEADER, MANIFEST_ROW, manifest)
 
 
 def load_dataset(root) -> list[SequenceData]:

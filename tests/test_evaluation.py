@@ -8,7 +8,7 @@ from policyvo import evaluation as ev
 from policyvo import se3
 from policyvo.se3 import Pose
 from policyvo.tables import write_table
-from policyvo.trajectory import Trajectory
+from policyvo.trajectory import Trajectory, anchor, extract_actions
 from policyvo.world import (
     Camera,
     MotionProfile,
@@ -170,6 +170,24 @@ def per_pair_vo(scene, camera, gt_traj, min_albedo, noise_px, seed):
 
 
 class TestRPE:
+    def test_records_equal_checked_records(self):
+        traj = random_trajectory(3, 40)
+        records, summary = ev.rpe(ev.constant_velocity_windows(traj, "s", 8), {"s": traj}, 8)
+        checked = [ev.RPERecord(r.sequence, r.t, r.w, r.trans_err, r.rot_err) for r in records]
+        assert records == checked and len(records) == 32
+        assert ({(type(r.sequence), type(r.t), type(r.w), type(r.trans_err), type(r.rot_err))
+                 for r in records} == {(str, int, int, float, float)})
+        assert summary == ev.summarize(checked)
+
+    def test_non_finite_error_and_non_integer_length_rejected(self):
+        traj = random_trajectory(3, 12)
+        far = ev.PredictedWindows("s", 8, [0], np.eye(3)[None], [[1e308, 1e308, 0.0]])
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match=re.escape("errors must be finite and >= 0: inf, ")):
+            ev.rpe(far, {"s": traj}, 8)
+        with pytest.raises(ValueError, match=re.escape("t=0, w=8.0")):
+            ev.rpe(ev.zero_motion_windows(traj, "s", 8), {"s": traj}, 8.0)
+
     def test_perfect_prediction_zero_error(self):
         traj = random_trajectory(0, 12)
         windows = batch([ev.PredictedWindow("s", t, 8, se3.relative(traj.pose_at(t),
@@ -329,6 +347,22 @@ class TestUmeyama:
             perturbed = ev.Sim3(sim.scale * ds, dr @ sim.rotation, sim.translation + dt)
             cost = float(((perturbed.apply_points(pred) - gt) ** 2).sum())
             assert cost >= base - 1e-9 * max(base, 1.0)
+
+
+class TestDerivedStacks:
+    """Library code skips the rotation re-check on stacks it derives, not the
+    finiteness check on translations: a difference of far poses overflows."""
+
+    def test_overflowing_translations_rejected(self):
+        far = Trajectory([(0, Pose(np.eye(3), [1e308, 0, 0])),
+                          (1, Pose(np.eye(3), [-1e308, 0, 0]))])
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="translation has non-finite components"):
+                ev.windows_from_rows(far, "s", 1)
+            with pytest.raises(ValueError, match="translation has non-finite components"):
+                anchor(far)
+            with pytest.raises(ValueError, match="action delta has non-finite components"):
+                extract_actions(far, 0, 1)
 
 
 class TestCoverage:
@@ -660,6 +694,15 @@ class TestRPERecord:
     def test_zero_and_large_errors_accepted(self):
         assert ev.summarize([ev.RPERecord("s", 0, 8, 0.0, 1e300)]).rot_mean == 1e300
 
+    @pytest.mark.parametrize("t, w", [(1.5, 8), (True, 8), (1, False), (1, -3), ("1", 8),
+                                      (np.float64(2.0), 8), (0, 8.0)])
+    def test_non_integer_key_or_negative_length_rejected(self, t, w):
+        with pytest.raises(ValueError, match=re.escape(f"t={t!r}, w={w!r}")):
+            ev.RPERecord("s", t, w, 0.1, 0.2)
+
+    def test_numpy_integer_key_accepted(self):
+        assert ev.RPERecord("s", np.int64(3), np.int32(8), 0.1, 0.2).t == 3
+
 
 class TestRecordsCSV:
     def test_round_trip(self, tmp_path):
@@ -686,7 +729,7 @@ class TestRecordsCSV:
     def test_wrong_field_count_names_file(self, tmp_path):
         path = tmp_path / "records.csv"
         with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*does not have 5 fields"):
-            write_table(path, ev.RECORDS_HEADER, [("seq_000", 3, 8, 1.25)])
+            write_table(path, ev.RECORDS_HEADER, ev.RECORDS_ROW, [("seq_000", 3, 8, 1.25)])
         assert not path.exists()
 
     def test_short_row_names_file(self, tmp_path):

@@ -27,6 +27,11 @@ class TestWindowScore:
     def test_zero_and_large_scores_accepted(self):
         assert rb.WindowScore("s", 0, 8, 0.0, 1e300).s_dillum == 1e300
 
+    @pytest.mark.parametrize("t, w", [(1.5, 8), (True, 8), (1, np.bool_(True)), (1, -3)])
+    def test_non_integer_key_or_negative_length_rejected(self, t, w):
+        with pytest.raises(ValueError, match=re.escape(f"t={t!r}, w={w!r}")):
+            rb.WindowScore("s", t, w, 0.1, 0.2)
+
 
 class TestScoresCSV:
     def test_round_trip(self, tmp_path):

@@ -1,0 +1,157 @@
+"""The table writers' bytes, and the readers' errors, against reference copies of
+the per-field formatter and per-row trajectory reader they replaced."""
+
+import math
+import numbers
+import re
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from policyvo import evaluation as ev
+from policyvo import robustness as rb
+from policyvo import se3, trajectory, world
+from policyvo.se3 import Pose
+from policyvo.tables import read_table, write_table
+from policyvo.trajectory import Trajectory
+
+from test_trajectory import gapped_trajectories
+
+
+def reference_field(value) -> str:
+    """The per-field formatter the row formats replaced."""
+    if not isinstance(value, float) and isinstance(value, (str, numbers.Integral)):
+        return str(value)
+    return f"{value:.17g}"
+
+
+def reference_bytes(header, rows) -> bytes:
+    return ("\n".join([header] + [",".join(map(reference_field, row)) for row in rows])
+            + "\n").encode()
+
+
+def reference_read(path) -> Trajectory:
+    """The per-row trajectory reader the one-pass checks replaced."""
+    frames, vectors = [], []
+    for number, (frame, *fields) in enumerate(read_table(path, trajectory.TRAJECTORY_HEADER),
+                                              start=2):
+        where = f"{path}, line {number}"
+        if not frame.removeprefix("-").isdecimal():
+            raise ValueError(f"{where}: frame {frame!r} is not an integer")
+        if frames and int(frame) <= frames[-1]:
+            raise ValueError(f"{where}: frame {frame} does not follow frame {frames[-1]}")
+        try:
+            vectors.append([float(x) for x in fields])
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        frames.append(int(frame))
+    vectors = np.array(vectors).reshape(-1, 6)
+    valid = np.isfinite(vectors).all(axis=1)
+    return Trajectory.from_stacks(frames, *se3.exp_rt(vectors[valid]), valid)
+
+
+EDGE_POSES = [Pose(np.eye(3), [-0.0, 1e-300, -1e-300]),
+              Pose(se3.so3_exp(np.array([0.0, -0.0, 1e-300])), [1.0 / 3.0, -2.5e17, 0.0]),
+              se3.random_pose(3, 100.0, 3.0)]
+
+
+class TestWritersMatchTheFieldFormatter:
+    def test_trajectory(self, tmp_path):
+        rows = [(-7, EDGE_POSES[0]), (-3, None), (0, EDGE_POSES[1]), (1, None), (4, EDGE_POSES[2])]
+        path = tmp_path / "traj.csv"
+        trajectory.write_trajectory_file(path, rows)
+        vectors = [se3.log(p).tolist() if p is not None else [math.nan] * 6 for _, p in rows]
+        assert path.read_bytes() == reference_bytes(
+            trajectory.TRAJECTORY_HEADER, [(i, *vec) for (i, _), vec in zip(rows, vectors)])
+
+    def test_records(self, tmp_path):
+        records = [ev.RPERecord("seq_000", -2, 0, -0.0, 1e-300),
+                   ev.RPERecord("seq_001", np.int64(5), 8, 1.0 / 3.0, 0),
+                   ev.RPERecord("s", 7, 8, 5e-324, 1.7976931348623157e308)]
+        path = tmp_path / "records.csv"
+        ev.write_records_csv(path, records)
+        assert path.read_bytes() == reference_bytes(
+            ev.RECORDS_HEADER, [(r.sequence, r.t, r.w, r.trans_err, r.rot_err) for r in records])
+
+    def test_scores(self, tmp_path):
+        scores = [rb.WindowScore("seq_000", -1, 8, np.float32(0.1), 3),
+                  rb.WindowScore("seq_001", 0, 8, -0.0, 1e-300)]
+        path = tmp_path / "scores.csv"
+        rb.write_scores_csv(path, scores)
+        assert path.read_bytes() == reference_bytes(
+            rb.SCORES_HEADER, [(s.sequence, s.t, s.w, s.s_texture, s.s_dillum) for s in scores])
+
+    def test_manifest(self, tmp_path):
+        mask = world.circular_mask(4, 1.5)
+        obs = world.Observation(np.where(mask, 0.5, 0.0), mask)
+        traj = Trajectory([(-1, Pose.identity()), (0, Pose.identity())])
+        world.write_dataset(tmp_path, [world.SequenceData("seq_000", traj, {-1: obs, 0: obs})])
+        rows = [("seq_000", i, f"seq_000/frame_{i:06d}.pgm", f"seq_000/frame_{i:06d}.mask.pgm")
+                for i in (-1, 0)]
+        assert (tmp_path / "manifest.csv").read_bytes() == reference_bytes(
+            world.MANIFEST_HEADER, rows)
+
+    @pytest.mark.parametrize("row", [("seq_000", "x", 8, 1.0, 2.0),
+                                     ("seq_000", 3, 8, "1.0", 2.0)])
+    def test_field_of_the_wrong_type_names_file(self, tmp_path, row):
+        path = tmp_path / "records.csv"
+        with pytest.raises(ValueError, match=re.escape(f"{path}: a row does not have 5 fields")):
+            write_table(path, ev.RECORDS_HEADER, ev.RECORDS_ROW, [row])
+        assert not path.exists()
+
+
+# A trajectory file as written (None) or with one field replaced by a bad or unusual token.
+TOKENS = [None, "x", "1.5", "+1", " 1", "1_0", "nan", "-inf", "1e400", "007", "-0", "٣", "",
+          "1e300"]
+
+
+class TestTrajectoryReader:
+    @settings(max_examples=150, deadline=None)
+    @given(gapped_trajectories, st.integers(0, 100), st.integers(0, 6), st.sampled_from(TOKENS))
+    def test_matches_the_per_row_reader(self, traj, row, column, token):
+        """Same Trajectory, or the same ValueError message, as the per-row reader."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "traj.csv"
+            trajectory.write_trajectory_file(path, traj)
+            lines = path.read_text().splitlines()
+            if token is not None and len(lines) > 1:
+                fields = lines[1 + row % (len(lines) - 1)].split(",")
+                fields[column] = token
+                lines[1 + row % (len(lines) - 1)] = ",".join(fields)
+            path.write_text("\n".join(lines) + "\n")
+            try:
+                with np.errstate(all="ignore"):     # a huge angle overflows
+                    expected = reference_read(path)
+            except ValueError as exc:
+                # The per-row reader lets a pose failing the stack check go without the file.
+                message = str(exc) if str(path) in str(exc) else f"{path}: {exc}"
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    trajectory.read_trajectory_file(path)
+            else:
+                assert trajectory.read_trajectory_file(path) == expected
+
+    def test_overflowing_pose_names_file(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        path.write_text(trajectory.TRAJECTORY_HEADER + "\n0,0,0,0,1e300,0,0\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: rotation is not orthonormal")):
+            trajectory.read_trajectory_file(path)
+
+
+class TestWindowKeyedReaders:
+    @pytest.mark.parametrize("read, header, line, message", [
+        (ev.read_records_csv, ev.RECORDS_HEADER, "s,x,8,0.1,0.2", "invalid literal for int()"),
+        (ev.read_records_csv, ev.RECORDS_HEADER, "s,1,8,nan,0.2", "errors must be finite"),
+        (ev.read_records_csv, ev.RECORDS_HEADER, "s,1,-3,0.1,0.2", "w >= 0"),
+        (rb.read_scores_csv, rb.SCORES_HEADER, "s,1,8,0.1,y", "could not convert"),
+        (rb.read_scores_csv, rb.SCORES_HEADER, "s,1.5,8,0.1,0.2", "invalid literal for int()"),
+        (rb.read_scores_csv, rb.SCORES_HEADER, "s,1,8,-1,0.2", "scores must be finite"),
+    ])
+    def test_bad_row_names_file_and_line(self, tmp_path, read, header, line, message):
+        path = tmp_path / "table.csv"
+        path.write_text(f"{header}\ns,0,8,0.1,0.2\n{line}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 3: ") + ".*"
+                           + re.escape(message)):
+            read(path)

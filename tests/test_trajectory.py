@@ -103,6 +103,8 @@ class TestTrajectoryType:
             Trajectory.from_stacks([2, 5], rotations, translations, [True, True, False])
         with pytest.raises(ValueError, match="orthonormal"):
             Trajectory.from_stacks([2, 5], 2.0 * rotations, translations)
+        with pytest.raises(ValueError, match="orthonormal"):    # a view skips Pose's check
+            Trajectory([(0, se3.pose_view(2.0 * np.eye(3), np.zeros(3)))])
 
     def test_immutable_and_unhashable(self):
         traj = random_trajectory(24, 3)
