@@ -26,7 +26,7 @@ import numpy as np
 from . import se3
 from .se3 import Pose
 from .tables import read_table, write_table
-from .trajectory import Trajectory, as_trajectory
+from .trajectory import Trajectory, _is_index, as_trajectory
 from .world import Camera, Scene, _match_views, _shared_ids, landmark_projections
 
 RECORDS_HEADER = "sequence,t,w,trans_err_mm,rot_err_deg"
@@ -107,8 +107,7 @@ class RPERecord:
 
 def _check_window_key(t, w) -> None:
     """Raise ValueError unless window start t and length w are integers, not bool, and w >= 0."""
-    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-               for v in (t, w)) or w < 0:
+    if not (_is_index(t) and _is_index(w)) or w < 0:
         raise ValueError(f"t and w must be integers with w >= 0: t={t!r}, w={w!r}")
 
 
@@ -187,9 +186,13 @@ def rpe(windows: PredictedWindows, gt_trajs: dict[str, Trajectory],
         raise ValueError("empty evaluation")
     if windows.w != w:
         raise ValueError(f"windows span w={windows.w}, not w={w}")
+    if windows.sequence not in gt_trajs:
+        raise ValueError(f"no ground truth for sequence {windows.sequence!r}")
     gt = gt_trajs[windows.sequence]
     starts = windows.starts.tolist()
-    first, last = gt.rows(starts), gt.rows([t + w for t in starts])
+    missing = f"sequence {windows.sequence!r}: ground truth has no pose at window"
+    first = _gt_rows(gt, starts, f"{missing} start")
+    last = _gt_rows(gt, [t + w for t in starts], f"{missing} end")
     gt_rot, gt_trans = se3.relative_rt(gt.rotations[first], gt.translations[first],
                                        gt.rotations[last], gt.translations[last])
     trans_err = np.linalg.norm(windows.translations - gt_trans, axis=-1)
@@ -204,36 +207,56 @@ def rpe(windows: PredictedWindows, gt_trajs: dict[str, Trajectory],
     return records, _summary(trans_err, rot_err)
 
 
-def umeyama_sim3(pred_points: np.ndarray, gt_points: np.ndarray) -> Sim3:
-    """Closed-form least-squares similarity mapping pred onto gt.
+def _gt_rows(gt: Trajectory, frames: list, missing: str) -> np.ndarray:
+    """``gt.rows(frames)``; a frame without a pose raises ValueError ``missing`` + frame."""
+    try:
+        return gt.rows(frames)
+    except KeyError:
+        raise ValueError(f"{missing} frame {next(i for i in frames if i not in gt)}") from None
 
-    Cross-covariance SVD with reflection-sign correction; raises ValueError
-    on arrays that are not both (n, 3), fewer than 3 correspondences or a
-    collinear configuration.
+
+def _umeyama(preds: list, gts: list):
+    """Least-squares similarities mapping each (n >= 3, 3) point set of ``preds`` onto
+    its partner in ``gts``: scale (R,), rotation (R, 3, 3), translation (R, 3) and a
+    mask of degenerate sets (collinear, or moments that overflow).  Cross-covariance
+    SVD with reflection-sign correction: moments per set, then one batched SVD."""
+    mu_pred, mu_gt = np.empty((len(preds), 3)), np.empty((len(preds), 3))
+    cov, var_pred = np.empty((len(preds), 3, 3)), np.empty(len(preds))
+    for i, (pred, gt) in enumerate(zip(preds, gts)):
+        n = len(pred)
+        mu_pred[i], mu_gt[i] = pred.mean(axis=0), gt.mean(axis=0)
+        pred_c = pred - mu_pred[i]
+        cov[i] = (gt - mu_gt[i]).T @ pred_c / n
+        var_pred[i] = float((pred_c ** 2).sum()) / n
+    finite = np.isfinite(cov).all(axis=(1, 2))
+    cov[~finite] = 0.0          # such a set fails here, not the whole batched SVD
+    u, d, vt = np.linalg.svd(cov)
+    degenerate = ~finite | (d[:, 1] < 1e-9 * np.maximum(d[:, 0], 1e-300))
+    sign = np.where(np.linalg.det(u) * np.linalg.det(vt) < 0.0, -1.0, 1.0)
+    u[:, :, 2] *= sign[:, None]     # u @ diag(1, 1, sign), exactly
+    d[:, 2] *= sign
+    scale = np.divide(d.sum(axis=1), var_pred, out=np.zeros(len(d)), where=~degenerate)
+    rotation = u @ vt
+    translation = mu_gt - ((scale[:, None, None] * rotation) @ mu_pred[:, :, None])[:, :, 0]
+    return scale, rotation, translation, degenerate
+
+
+def umeyama_sim3(pred_points: np.ndarray, gt_points: np.ndarray) -> Sim3:
+    """Closed-form least-squares similarity mapping pred onto gt (Umeyama).
+
+    Raises ValueError on arrays that are not both (n, 3), fewer than 3
+    correspondences, or a collinear or non-finite configuration.
     """
     pred = np.asarray(pred_points, dtype=np.float64)
     gt = np.asarray(gt_points, dtype=np.float64)
     if pred.shape[1:] != (3,) or pred.shape != gt.shape:
         raise ValueError(f"point sets must be equal (n, 3) arrays, got {pred.shape} and {gt.shape}")
-    n = len(pred)
-    if n < 3:
+    if len(pred) < 3:
         raise ValueError("degenerate alignment: need at least 3 points")
-    mu_pred = pred.mean(axis=0)
-    mu_gt = gt.mean(axis=0)
-    pred_c = pred - mu_pred
-    gt_c = gt - mu_gt
-    cov = gt_c.T @ pred_c / n
-    u, d, vt = np.linalg.svd(cov)
-    if d[1] < 1e-9 * max(d[0], 1e-300):
-        raise ValueError("degenerate alignment: collinear points")
-    sign = np.eye(3)
-    if np.linalg.det(u) * np.linalg.det(vt) < 0.0:
-        sign[2, 2] = -1.0
-    rotation = u @ sign @ vt
-    var_pred = float((pred_c ** 2).sum()) / n
-    scale = float(np.trace(np.diag(d) @ sign)) / var_pred
-    translation = mu_gt - scale * rotation @ mu_pred
-    return Sim3(scale, rotation, translation)
+    scale, rotation, translation, degenerate = _umeyama([pred], [gt])
+    if degenerate[0]:
+        raise ValueError("degenerate alignment: collinear or non-finite points")
+    return Sim3(float(scale[0]), rotation[0], translation[0])
 
 
 def coverage(estimate) -> CoverageReport:
@@ -258,18 +281,20 @@ def zero_motion_windows(gt_traj: Trajectory, sequence: str, w: int) -> Predicted
 def constant_velocity_windows(gt_traj: Trajectory, sequence: str, w: int) -> PredictedWindows:
     """Repeats the last observed ground-truth per-step delta w times; a window
     whose frame t-1 has no pose (the first, and the first after each gap) has
-    no history and falls back to zero motion."""
+    no history and falls back to zero motion, as does every window at w = 0."""
     starts = np.array(gt_traj.window_starts(w), dtype=np.int64)
-    moving = np.isin(starts - 1, gt_traj.frame_array[gt_traj.valid])
-    rows = gt_traj.rows(starts[moving].tolist())
-    rot, trans = gt_traj.rotations, gt_traj.translations
-    step = se3.relative_rt(rot[rows - 1], trans[rows - 1], rot[rows], trans[rows])
-    delta = np.broadcast_to(np.eye(3), step[0].shape), np.zeros_like(step[1])
-    for _ in range(w):
-        delta = se3.compose_rt(*delta, *step)
+    posed = gt_traj.frame_array[gt_traj.valid]
+    moving = np.isin(starts - 1, posed)
     rotations = np.tile(np.eye(3), (len(starts), 1, 1))
     translations = np.zeros((len(starts), 3))
-    rotations[moving], translations[moving] = delta
+    if w > 0:
+        rows = np.searchsorted(posed, starts[moving])
+        rot, trans = gt_traj.rotations, gt_traj.translations
+        step = se3.relative_rt(rot[rows - 1], trans[rows - 1], rot[rows], trans[rows])
+        delta = step        # the identity composed with the step is the step, exactly
+        for _ in range(w - 1):
+            delta = se3.compose_rt(*delta, *step)
+        rotations[moving], translations[moving] = delta
     return PredictedWindows._trusted(sequence, w, starts, rotations, translations)
 
 
@@ -456,25 +481,32 @@ def _shared_depth_ratio(prev_ids: np.ndarray, prev_depth_b: np.ndarray,
 def align_rows_to_gt(estimate, gt_traj: Trajectory) -> Trajectory:
     """Per-segment Sim(3) alignment of an estimate (Trajectory or rows) to ground truth:
     each run of consecutive frames with a pose is aligned on its own (a chained
-    estimate restarts in a fresh frame after a failure), and runs too short or
-    too degenerate to align lose their poses."""
+    estimate restarts in a fresh frame after a failure), and runs too short (under 3
+    poses) or too degenerate to align lose their poses.  All runs share one batched
+    SVD, with the floats of a per-run :func:`umeyama_sim3`.  A posed estimate frame
+    that ground truth has no pose for raises ValueError naming it."""
     estimate = as_trajectory(estimate)
     posed = np.flatnonzero(estimate.valid)      # frame positions of the stack rows
-    rotations, translations = estimate.rotations.copy(), estimate.translations.copy()
-    aligned = np.zeros(len(posed), bool)
-    for run in np.split(np.arange(len(posed)), np.flatnonzero(np.diff(posed) > 1) + 1):
-        frames = estimate.frame_array[posed[run]].tolist()
-        try:    # raises for fewer than 3 poses, too
-            sim = umeyama_sim3(translations[run], gt_traj.translations[gt_traj.rows(frames)])
-        except ValueError:
-            continue
-        rotations[run] = sim.rotation @ rotations[run]
-        translations[run] = sim.apply_points(translations[run])
-        aligned[run] = True
+    gt_points = gt_traj.translations[_gt_rows(gt_traj, estimate.frame_array[posed].tolist(),
+                                              "ground truth has no pose at estimate")]
+    cuts = (np.flatnonzero(np.diff(posed) > 1) + 1).tolist()
+    runs = [slice(a, b) for a, b in zip([0, *cuts], [*cuts, len(posed)]) if b - a >= 3]
+    translations = estimate.translations.copy()
+    scale, rotation, translation, degenerate = _umeyama(
+        [translations[run] for run in runs], [gt_points[run] for run in runs])
+    # Sim3's own checks: a positive scale and an orthonormal rotation.
+    kept = ~degenerate & (scale > 0.0) & (se3.orthonormality_drift(rotation) <= 1e-8)
+    sim_of_row = np.full(len(posed), -1)
+    for j in np.flatnonzero(kept).tolist():
+        run = runs[j]
+        translations[run] = scale[j] * (translations[run] @ rotation[j].T) + translation[j]
+        sim_of_row[run] = j
+    aligned = sim_of_row >= 0
     valid = estimate.valid.copy()
     valid[posed[~aligned]] = False
-    return Trajectory._trusted(estimate.frame_array, rotations[aligned], translations[aligned],
-                               valid)
+    return Trajectory._trusted(estimate.frame_array,
+                               rotation[sim_of_row[aligned]] @ estimate.rotations[aligned],
+                               translations[aligned], valid)
 
 
 def windows_from_rows(estimate, sequence: str, w: int) -> PredictedWindows:

@@ -8,6 +8,13 @@ each score and translation RPE is reported per bin.
 
 Intensities live in [0, 1], so scores are unitless fractions (per pixel for
 the gradient score).
+
+On the synthetic tube world the "texture" score tracks exposure more than
+texture: under the headlight, a frame's gradient magnitude scales with its
+brightness, and on the benchmark's frames the score correlates 0.996-0.998
+with the frame's masked mean intensity.  Its bins therefore sort windows by
+headlight exposure; eight-point VO, whose features come from an albedo gate
+and not from the rendered image, does not see it.
 """
 
 from __future__ import annotations

@@ -56,8 +56,11 @@ def _norm(vectors: np.ndarray) -> np.ndarray:
 
 
 def _gram_residual(rotation: np.ndarray) -> np.ndarray:
-    """|R'R - I| per float64 rotation, made in one temporary."""
-    residual = rotation.swapaxes(-1, -2) @ rotation
+    """|R'R - I| per float64 rotation, made in one temporary.  A stack multiplies a
+    contiguous copy of R', on numpy's fast matmul path (the strided R' view takes
+    about twice as long); a single rotation is not worth the copy."""
+    transpose = rotation.swapaxes(-1, -2)
+    residual = (transpose.copy() if rotation.ndim > 2 else transpose) @ rotation
     residual -= _EYE3
     return np.abs(residual, out=residual)
 

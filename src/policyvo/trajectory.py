@@ -9,9 +9,10 @@ all have a pose.  Anchoring re-expresses every pose relative to the first so
 the sequence starts at the identity; relative transforms are unchanged.
 
 The actions of a window are the steps log(T_{i-1}^-1 T_i) between its
-consecutive frames.  ``action_windows`` computes a trajectory's steps as one
-(N-1, 6) array, checked once, and each window's ``ActionSequence`` is the
-read-only slice of it from the window's start.
+consecutive frames.  A trajectory computes the steps between all of its
+consecutive poses once, as one read-only (V-1, 6) array, on first use;
+``extract_actions`` and ``action_windows`` both hand out read-only slices of
+it, and each checks only the slices it hands out.
 
 Trajectory files are :mod:`policyvo.tables` CSV with the header
 ``frame,tx,ty,tz,rx,ry,rz`` (translation mm, rotation axis-angle rad,
@@ -21,6 +22,7 @@ without a pose and is kept for coverage accounting.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import re
@@ -142,13 +144,35 @@ class Trajectory:
         row = self.rows([frame_index])[0]
         return se3.pose_view(self.rotations[row], self.translations[row])
 
+    @functools.cached_property     # stored in __dict__, past the immutability guard
+    def _steps(self) -> np.ndarray:
+        """Read-only split 6-vectors log(T_{i-1}^-1 T_i) between consecutive rows of the
+        pose stacks, computed on first use.  Never raises: a step between far poses
+        may overflow to a non-finite value, which only the slices that hold it show."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            steps = se3.log_rt(*se3.relative_rt(self.rotations[:-1], self.translations[:-1],
+                                                self.rotations[1:], self.translations[1:]))
+        steps.setflags(write=False)
+        return steps
+
     def window_starts(self, w: int) -> list[int]:
         """Frames t, in order, for which every frame t..t+w has a pose: those whose
         posed frame w positions later is t + w, as frames strictly increase."""
-        if w < 0:
-            raise ValueError("window length must be >= 0")
+        _check_index("window length", w, least=0)
         posed = list(self._row_of)
         return [t for t, end in zip(posed, posed[w:]) if end == t + w]
+
+
+def _is_index(value) -> bool:
+    """Whether ``value`` is an integer, Python or numpy, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_index(name: str, value, least: int | None = None) -> None:
+    """Raise ValueError naming ``value`` unless it is an integer, not a bool, and >= least."""
+    if not _is_index(value) or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
 
 
 def as_trajectory(rows) -> Trajectory:
@@ -197,40 +221,27 @@ def anchor(traj: Trajectory) -> Trajectory:
                                traj.valid, anchored=True)
 
 
-def _steps(rotations: np.ndarray, translations: np.ndarray) -> np.ndarray:
-    """Split 6-vectors log(T_{i-1}^-1 T_i) between consecutive rows of a pose stack."""
-    return se3.log_rt(*se3.relative_rt(rotations[:-1], translations[:-1],
-                                       rotations[1:], translations[1:]))
-
-
 def action_windows(traj: Trajectory, k: int) -> dict[int, ActionSequence]:
-    """Actions of every full length-k window, by start frame in order.
-
-    The steps between consecutive rows are computed and checked once; each
-    window's actions are the read-only (k, 6) slice of them from its start.
-    """
-    if k < 1:
-        raise ValueError("horizon k must be >= 1")
-    steps = ActionSequence.from_array(_steps(traj.rotations, traj.translations)).vectors
-    starts = traj.window_starts(k)
-    return {t: ActionSequence(steps[row:row + k])
-            for t, row in zip(starts, traj.rows(starts).tolist())}
+    """Actions of every full length-k window, by start frame in order: the
+    :func:`extract_actions` of each start, slices of the trajectory's one step array."""
+    _check_index("horizon k", k, least=1)
+    return {t: extract_actions(traj, t, k) for t in traj.window_starts(k)}
 
 
 def extract_actions(traj: Trajectory, t: int, k: int) -> ActionSequence:
-    """Incremental actions log(T_{t+i-1}^-1 T_{t+i}) for i = 1..k.
+    """Incremental actions log(T_{t+i-1}^-1 T_{t+i}) for i = 1..k: the read-only
+    slice of the trajectory's steps from frame t, checked finite.
 
-    Requires frames t..t+k all to have a pose.
+    Requires frames t..t+k all to have a pose, and integers t and k >= 1.
     """
-    if k < 1:
-        raise ValueError("horizon k must be >= 1")
+    _check_index("window start t", t)
+    _check_index("horizon k", k, least=1)
     row = traj._row_of.get(t)      # frames increase: t..t+k have poses iff t+k is k rows on
     if row is None or traj._row_of.get(t + k) != row + k:
         raise ValueError(f"window out of range: frames {t}..{t + k} not all present")
-    steps = _steps(traj.rotations[row:row + k + 1], traj.translations[row:row + k + 1])
+    steps = traj._steps[row:row + k]
     if not np.isfinite(steps).all():
         raise ValueError("action delta has non-finite components")
-    steps.setflags(write=False)
     return ActionSequence(steps)
 
 

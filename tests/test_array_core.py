@@ -320,3 +320,119 @@ class TestTrajectoryArrays:
     def test_empty_trajectory_arrays(self):
         traj = Trajectory(())
         assert traj.rotations.shape == (0, 3, 3) and traj.translations.shape == (0, 3)
+
+
+# ---------------------------------------------------------------------------
+# Stack-wide work done once, against the per-run and per-window code it replaced.
+
+def umeyama_loop(pred, gt):
+    """One unbatched Umeyama solve with Sim3's checks: (scale, rotation, translation),
+    or None where umeyama_sim3 or Sim3 would raise."""
+    n = len(pred)
+    mu_pred, mu_gt = pred.mean(axis=0), gt.mean(axis=0)
+    pred_c, gt_c = pred - mu_pred, gt - mu_gt
+    cov = gt_c.T @ pred_c / n
+    try:
+        u, d, vt = np.linalg.svd(cov)
+    except np.linalg.LinAlgError:     # moments that overflowed
+        return None
+    if d[1] < 1e-9 * max(d[0], 1e-300):
+        return None
+    sign = np.eye(3)
+    if np.linalg.det(u) * np.linalg.det(vt) < 0.0:
+        sign[2, 2] = -1.0
+    rotation = u @ sign @ vt
+    var_pred = float((pred_c ** 2).sum()) / n
+    scale = float(np.trace(np.diag(d) @ sign)) / var_pred
+    if scale <= 0.0 or se3.orthonormality_drift(rotation) > 1e-8:
+        return None
+    return scale, rotation, mu_gt - scale * rotation @ mu_pred
+
+
+def align_loop(estimate, gt):
+    """align_rows_to_gt as one Umeyama solve per run: aligned stacks and their frames."""
+    posed = np.flatnonzero(estimate.valid)
+    rotations, translations = estimate.rotations.copy(), estimate.translations.copy()
+    aligned = np.zeros(len(posed), bool)
+    for run in np.split(np.arange(len(posed)), np.flatnonzero(np.diff(posed) > 1) + 1):
+        frames = estimate.frame_array[posed[run]].tolist()
+        if len(run) < 3 or (sim := umeyama_loop(translations[run],
+                                                 gt.translations[gt.rows(frames)])) is None:
+            continue
+        scale, rotation, translation = sim
+        rotations[run] = rotation @ rotations[run]
+        translations[run] = scale * (translations[run] @ rotation.T) + translation
+        aligned[run] = True
+    return rotations[aligned], translations[aligned], estimate.frame_array[posed[aligned]]
+
+
+def constant_velocity_compose_loop(gt, w):
+    """constant_velocity_windows composing the step onto the identity w times."""
+    starts = np.array(gt.window_starts(w), dtype=np.int64)
+    moving = np.isin(starts - 1, gt.frame_array[gt.valid])
+    rows = gt.rows(starts[moving].tolist())
+    rot, trans = gt.rotations, gt.translations
+    step = se3.relative_rt(rot[rows - 1], trans[rows - 1], rot[rows], trans[rows])
+    delta = np.broadcast_to(np.eye(3), step[0].shape), np.zeros_like(step[1])
+    for _ in range(w):
+        delta = se3.compose_rt(*delta, *step)
+    rotations = np.tile(np.eye(3), (len(starts), 1, 1))
+    translations = np.zeros((len(starts), 3))
+    rotations[moving], translations[moving] = delta
+    return starts, rotations, translations, moving
+
+
+class TestStackWideWorkOnce:
+    def test_align_equals_one_umeyama_per_run(self):
+        rng = np.random.default_rng(11)
+        gt = Trajectory.from_stacks(np.arange(80), se3.so3_exp(rng.normal(size=(80, 3))),
+                                    np.cumsum(rng.normal(size=(80, 3)) * 5.0, axis=0))
+        transform = ev.Sim3(0.7, se3.so3_exp([0.2, 0.1, -0.4]), np.array([3.0, -1.0, 2.0]))
+        translations = transform.apply_points(gt.translations + rng.normal(size=(80, 3)) * 0.1)
+        valid = np.ones(80, bool)
+        valid[[10, 12, 15, 26, 37, 48, 60]] = False     # runs of 1 (11) and 2 (13, 14) frames
+        translations[16:26] = np.outer(np.arange(10.0), [1.0, 2.0, -1.0])      # collinear
+        translations[27:37] = gt.translations[27:37] * [1.0, 1.0, -1.0]         # a mirror image
+        translations[38:48] = rng.normal(size=(10, 3)) * 1e155     # variance overflows: scale 0
+        translations[49:60] = rng.normal(size=(11, 3)) * 1e307     # mean overflows: no SVD
+        estimate = Trajectory.from_stacks(np.arange(80), gt.rotations[valid],
+                                          translations[valid], valid)
+        mirror = gt.translations[27:37] - gt.translations[27:37].mean(axis=0)
+        u, _, vt = np.linalg.svd(mirror.T @ (mirror * [1.0, 1.0, -1.0]))
+        assert np.linalg.det(u) * np.linalg.det(vt) < 0.0      # the reflected case is reached
+        with np.errstate(over="ignore", invalid="ignore"):
+            want_rot, want_trans, want_frames = align_loop(estimate, gt)
+            got = ev.align_rows_to_gt(estimate, gt)
+        assert got.frame_array[got.valid].tolist() == want_frames.tolist()
+        assert want_frames.tolist() == [*range(10), *range(27, 37), *range(61, 80)]
+        np.testing.assert_array_equal(got.rotations, want_rot)
+        np.testing.assert_array_equal(got.translations, want_trans)
+        for run in (slice(0, 10), slice(27, 37), slice(61, 80)):
+            sim = ev.umeyama_sim3(translations[run], gt.translations[run])
+            want = umeyama_loop(translations[run], gt.translations[run])
+            assert sim.scale == want[0]
+            np.testing.assert_array_equal(sim.rotation, want[1])
+            np.testing.assert_array_equal(sim.translation, want[2])
+
+    @pytest.mark.parametrize("w", [0, 1, 8])
+    def test_constant_velocity_equals_w_fold_compose(self, w):
+        gt = trj.rows_to_trajectory(gapped_estimate(13, 120))
+        got = ev.constant_velocity_windows(gt, "s", w)
+        starts, rotations, translations, moving = constant_velocity_compose_loop(gt, w)
+        assert 0 < np.count_nonzero(~moving) < len(moving)     # windows with no history, too
+        np.testing.assert_array_equal(got.starts, starts)
+        np.testing.assert_array_equal(got.rotations, rotations)
+        np.testing.assert_array_equal(got.translations, translations)
+
+    def test_drift_check_reprojects_the_same_rows(self):
+        clean = se3.so3_exp(np.random.default_rng(14).normal(size=(6, 3)))
+        drifted = clean.copy()
+        drifted[1] *= 1.0 + 0.25 * se3.RENORM_TRIGGER      # drift 0.5x the trigger
+        drifted[4] *= 1.0 + 1.0 * se3.RENORM_TRIGGER       # drift 2x the trigger
+        strided = np.abs(drifted.swapaxes(-1, -2) @ drifted - np.eye(3))
+        np.testing.assert_array_equal(se3._gram_residual(drifted), strided)
+        past = strided.max(axis=(-2, -1)) > se3.RENORM_TRIGGER
+        assert past.tolist() == [False, False, False, False, True, False]
+        want = drifted.copy()
+        want[past] = se3.project_rotation(drifted[past])
+        np.testing.assert_array_equal(se3._renormalize(drifted.copy()), want)

@@ -294,6 +294,36 @@ class TestRPE:
                (good_moved.trans_mean < bad_moved.trans_mean)
 
 
+class TestMissingGroundTruth:
+    """A frame ground truth has no pose for is a ValueError naming it, not a KeyError."""
+
+    def test_estimate_frame_without_ground_truth(self):
+        gt = random_trajectory(21, 20)
+        estimate = Trajectory(list(gt.frames) + [(100, Pose.identity())])
+        with pytest.raises(ValueError, match="ground truth has no pose at estimate frame 100"):
+            ev.align_rows_to_gt(estimate, gt)
+
+    def test_window_end_without_ground_truth(self):
+        gt = random_trajectory(22, 20)
+        windows = ev.zero_motion_windows(gt, "s", 8)
+        with pytest.raises(ValueError, match="sequence 's': ground truth has no pose at "
+                                             "window end frame 15"):
+            ev.rpe(windows, {"s": Trajectory(gt.frames[:15])}, 8)
+
+    def test_window_start_without_ground_truth(self):
+        gt = random_trajectory(23, 20)
+        windows = ev.zero_motion_windows(gt, "s", 8)
+        gapped = Trajectory((i, None if i == 3 else p) for i, p in gt.frames)
+        with pytest.raises(ValueError, match="sequence 's': ground truth has no pose at "
+                                             "window start frame 3"):
+            ev.rpe(windows, {"s": gapped}, 8)
+
+    def test_unknown_sequence(self):
+        gt = random_trajectory(24, 20)
+        with pytest.raises(ValueError, match="no ground truth for sequence 'x'"):
+            ev.rpe(ev.zero_motion_windows(gt, "x", 8), {"s": gt}, 8)
+
+
 class TestUmeyama:
     @pytest.mark.parametrize("shape_a, shape_b", [((6, 2), (6, 2)), ((6, 3), (6, 2)),
                                                   ((3,), (3,)), ((4, 3, 1), (4, 3, 1)),

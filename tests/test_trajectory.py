@@ -1,6 +1,7 @@
 import math
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +142,12 @@ class TestWindowStarts:
         with pytest.raises(ValueError, match="window length"):
             random_trajectory(17, 4).window_starts(-1)
 
+    @pytest.mark.parametrize("w", [2.5, 2.0, True, np.float64(2.0)])
+    def test_non_integer_length_rejected(self, w):
+        with pytest.raises(ValueError, match=re.escape(f"window length must be an integer >= 0, "
+                                                       f"got {w!r}")):
+            random_trajectory(17, 4).window_starts(w)
+
 
 class TestAnchor:
     def test_empty_rejected(self):
@@ -199,6 +206,50 @@ class TestExtractActions:
         actions = trajectory.extract_actions(traj, 3, 8)
         end = trajectory.compose_window(traj.pose_at(3), actions, 8)
         np.testing.assert_allclose(end.as_matrix(), traj.pose_at(11).as_matrix(), atol=1e-9)
+
+    @settings(max_examples=150, deadline=None)
+    @given(gapped_trajectories, st.integers(1, 4))
+    def test_slices_of_one_step_array_equal_per_window_steps(self, traj, k):
+        """Both window functions hand out slices of the trajectory's one step array;
+        each slice equals the steps computed from the window's own rows alone."""
+        windows = trajectory.action_windows(traj, k)
+        assert list(windows) == traj.window_starts(k)
+        for t, actions in windows.items():
+            row = traj.rows([t])[0]
+            rot, trans = traj.rotations[row:row + k + 1], traj.translations[row:row + k + 1]
+            want = se3.log_rt(*se3.relative_rt(rot[:-1], trans[:-1], rot[1:], trans[1:]))
+            np.testing.assert_array_equal(actions.as_array(), want)
+            np.testing.assert_array_equal(trajectory.extract_actions(traj, t, k).as_array(), want)
+            assert actions.as_array().base is traj._steps
+
+    def test_window_away_from_an_overflow_keeps_its_actions(self):
+        near = random_trajectory(7, 11)
+        far = [(11, Pose(np.eye(3), [1e308, 0.0, 0.0])), (12, Pose(np.eye(3), [-1e308, 0.0, 0.0]))]
+        traj = Trajectory(list(near.frames) + far)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            actions = trajectory.extract_actions(traj, 0, 8)
+            with pytest.raises(ValueError, match="action delta has non-finite components"):
+                trajectory.extract_actions(traj, 4, 8)      # its last step is 11 -> 12
+            with pytest.raises(ValueError, match="action delta has non-finite components"):
+                trajectory.action_windows(traj, 8)
+        np.testing.assert_array_equal(actions.as_array(),
+                                      trajectory.extract_actions(near, 0, 8).as_array())
+
+    @pytest.mark.parametrize("t, k, message", [
+        (True, 3, "window start t must be an integer, got True"),
+        (1.0, 3, "window start t must be an integer, got 1.0"),
+        (np.float64(2.0), 3, "window start t must be an integer, got np.float64(2.0)"),
+        (1, 2.0, "horizon k must be an integer >= 1, got 2.0"),
+        (1, 0, "horizon k must be an integer >= 1, got 0"),
+    ])
+    def test_non_integer_keys_rejected(self, t, k, message):
+        traj = random_trajectory(8, 6)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            trajectory.extract_actions(traj, t, k)
+        if message.startswith("horizon"):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                trajectory.action_windows(traj, k)
 
 
 class TestComposeWindow:
