@@ -25,7 +25,7 @@ import numpy as np
 
 from . import se3
 from .se3 import Pose
-from .tables import read_table, write_table
+from .tables import read_rows, write_table
 from .trajectory import Trajectory, _is_index, as_trajectory
 from .world import Camera, Scene, _match_views, _shared_ids, landmark_projections
 
@@ -191,8 +191,8 @@ def rpe(windows: PredictedWindows, gt_trajs: dict[str, Trajectory],
     gt = gt_trajs[windows.sequence]
     starts = windows.starts.tolist()
     missing = f"sequence {windows.sequence!r}: ground truth has no pose at window"
-    first = _gt_rows(gt, starts, f"{missing} start")
-    last = _gt_rows(gt, [t + w for t in starts], f"{missing} end")
+    first = _gt_rows(gt, windows.starts, f"{missing} start")
+    last = _gt_rows(gt, windows.starts + w, f"{missing} end")
     gt_rot, gt_trans = se3.relative_rt(gt.rotations[first], gt.translations[first],
                                        gt.rotations[last], gt.translations[last])
     trans_err = np.linalg.norm(windows.translations - gt_trans, axis=-1)
@@ -207,12 +207,12 @@ def rpe(windows: PredictedWindows, gt_trajs: dict[str, Trajectory],
     return records, _summary(trans_err, rot_err)
 
 
-def _gt_rows(gt: Trajectory, frames: list, missing: str) -> np.ndarray:
-    """``gt.rows(frames)``; a frame without a pose raises ValueError ``missing`` + frame."""
-    try:
-        return gt.rows(frames)
-    except KeyError:
-        raise ValueError(f"{missing} frame {next(i for i in frames if i not in gt)}") from None
+def _gt_rows(gt: Trajectory, frames: np.ndarray, missing: str) -> np.ndarray:
+    """Stack rows of the frames; the first without a pose raises ValueError ``missing`` + it."""
+    rows, found = gt._find(frames)
+    if not found.all():
+        raise ValueError(f"{missing} frame {frames[found.argmin()]}")
+    return rows
 
 
 def _umeyama(preds: list, gts: list):
@@ -222,12 +222,13 @@ def _umeyama(preds: list, gts: list):
     SVD with reflection-sign correction: moments per set, then one batched SVD."""
     mu_pred, mu_gt = np.empty((len(preds), 3)), np.empty((len(preds), 3))
     cov, var_pred = np.empty((len(preds), 3, 3)), np.empty(len(preds))
-    for i, (pred, gt) in enumerate(zip(preds, gts)):
-        n = len(pred)
-        mu_pred[i], mu_gt[i] = pred.mean(axis=0), gt.mean(axis=0)
-        pred_c = pred - mu_pred[i]
-        cov[i] = (gt - mu_gt[i]).T @ pred_c / n
-        var_pred[i] = float((pred_c ** 2).sum()) / n
+    with np.errstate(over="ignore", invalid="ignore"):  # huge sets overflow; dropped below
+        for i, (pred, gt) in enumerate(zip(preds, gts)):
+            n = len(pred)
+            mu_pred[i], mu_gt[i] = pred.mean(axis=0), gt.mean(axis=0)
+            pred_c = pred - mu_pred[i]
+            cov[i] = (gt - mu_gt[i]).T @ pred_c / n
+            var_pred[i] = float((pred_c ** 2).sum()) / n
     finite = np.isfinite(cov).all(axis=(1, 2))
     cov[~finite] = 0.0          # such a set fails here, not the whole batched SVD
     u, d, vt = np.linalg.svd(cov)
@@ -283,14 +284,13 @@ def constant_velocity_windows(gt_traj: Trajectory, sequence: str, w: int) -> Pre
     whose frame t-1 has no pose (the first, and the first after each gap) has
     no history and falls back to zero motion, as does every window at w = 0."""
     starts = np.array(gt_traj.window_starts(w), dtype=np.int64)
-    posed = gt_traj.frame_array[gt_traj.valid]
-    moving = np.isin(starts - 1, posed)
+    before, moving = gt_traj._find(starts - 1)
     rotations = np.tile(np.eye(3), (len(starts), 1, 1))
     translations = np.zeros((len(starts), 3))
     if w > 0:
-        rows = np.searchsorted(posed, starts[moving])
+        rows = before[moving]       # the row of t - 1; t has the next one
         rot, trans = gt_traj.rotations, gt_traj.translations
-        step = se3.relative_rt(rot[rows - 1], trans[rows - 1], rot[rows], trans[rows])
+        step = se3.relative_rt(rot[rows], trans[rows], rot[rows + 1], trans[rows + 1])
         delta = step        # the identity composed with the step is the step, exactly
         for _ in range(w - 1):
             delta = se3.compose_rt(*delta, *step)
@@ -436,7 +436,7 @@ def eight_point_vo(scene: Scene, camera: Camera, gt_traj: Trajectory,
     of :func:`~policyvo.world.correspondences` called on every pair.
     """
     rng = np.random.default_rng(seed)
-    indices = gt_traj.frame_array[gt_traj.valid].tolist()
+    indices = gt_traj._posed.tolist()
     views = (landmark_projections(scene, camera, pose, min_albedo) for pose in gt_traj.poses)
     chain = {}      # frame -> (rotation, translation) of the rows that get a pose
     prev = None     # landmark ids and frame-b depths of the last chained step
@@ -487,7 +487,7 @@ def align_rows_to_gt(estimate, gt_traj: Trajectory) -> Trajectory:
     that ground truth has no pose for raises ValueError naming it."""
     estimate = as_trajectory(estimate)
     posed = np.flatnonzero(estimate.valid)      # frame positions of the stack rows
-    gt_points = gt_traj.translations[_gt_rows(gt_traj, estimate.frame_array[posed].tolist(),
+    gt_points = gt_traj.translations[_gt_rows(gt_traj, estimate._posed,
                                               "ground truth has no pose at estimate")]
     cuts = (np.flatnonzero(np.diff(posed) > 1) + 1).tolist()
     runs = [slice(a, b) for a, b in zip([0, *cuts], [*cuts, len(posed)]) if b - a >= 3]
@@ -515,13 +515,11 @@ def windows_from_rows(estimate, sequence: str, w: int) -> PredictedWindows:
     if w < 0:
         raise ValueError("window length must be >= 0")
     estimate = as_trajectory(estimate)
-    posed = estimate.frame_array[estimate.valid]
-    first = np.flatnonzero(np.isin(posed + w, posed))
-    last = np.searchsorted(posed, posed[first] + w)
+    ends, first = estimate._find(estimate._posed + w)     # first: a mask of window starts
     rot, trans = estimate.rotations, estimate.translations
-    return PredictedWindows._trusted(sequence, w, posed[first],
+    return PredictedWindows._trusted(sequence, w, estimate._posed[first],
                                      *se3.relative_rt(rot[first], trans[first],
-                                                      rot[last], trans[last]))
+                                                      rot[ends[first]], trans[ends[first]]))
 
 
 # ---------------------------------------------------------------------------
@@ -558,10 +556,5 @@ def read_records_csv(path) -> list[RPERecord]:
 def _read_window_rows(path, header: str, record_type) -> list:
     """``record_type(sequence, int t, int w, float, float)`` of each row; a bad row
     raises ValueError naming the file and line."""
-    records = []
-    for number, (sequence, t, w, first, second) in enumerate(read_table(path, header), start=2):
-        try:
-            records.append(record_type(sequence, int(t), int(w), float(first), float(second)))
-        except ValueError as exc:
-            raise ValueError(f"{path}, line {number}: {exc}") from None
-    return records
+    return read_rows(path, header, lambda sequence, t, w, first, second: record_type(
+        sequence, int(t), int(w), float(first), float(second)))

@@ -7,7 +7,8 @@ and ``%.17g`` for floats, whose 17 significant digits read back bit for bit.
 A row is formatted with one ``%``.  Writers check only that rows fit the
 format, as their rows come from checked objects; readers pass every row
 through a checking constructor (``Trajectory.from_stacks``, ``RPERecord``,
-``WindowScore``) and name the file, and the line where one row is at fault.
+``WindowScore``, the manifest's frame ``int``) and name the file, and the line
+where one row is at fault.
 """
 
 from __future__ import annotations
@@ -57,4 +58,16 @@ def read_table(path, header: str) -> list[list[str]]:
         if "" in fields:
             raise ValueError(f"{path}, line {number}: empty field")
         rows.append(fields)
+    return rows
+
+
+def read_rows(path, header: str, make_row) -> list:
+    """``make_row(*fields)`` of each row of a table; a ValueError it raises for a
+    bad field is raised again naming the file and line."""
+    rows = []
+    for number, fields in enumerate(read_table(path, header), start=2):
+        try:
+            rows.append(make_row(*fields))
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {number}: {exc}") from None
     return rows

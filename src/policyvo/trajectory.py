@@ -3,10 +3,14 @@
 A ``Trajectory`` is the one pose container of ground truth and estimates:
 strictly increasing frames, a mask of those that carry a pose, and their
 poses as read-only rotation and translation stacks, each pose stored once
-(``Pose`` objects are only views of stack rows, built on demand).  It looks
-poses up by frame in constant time and lists the windows t..t+w whose frames
-all have a pose.  Anchoring re-expresses every pose relative to the first so
-the sequence starts at the identity; relative transforms are unchanged.
+(``Pose`` objects are only views of stack rows, built on demand).  Its posed
+frames, in order, are also one sorted array, and the stack row of a frame is
+its place there: a binary search finds where the frame would stand, and a
+second one, past any equal entry, lands further on only if the frame has a
+pose.  The windows t..t+w whose frames all have a pose are those whose posed
+frame w places later is t + w.  Anchoring re-expresses every pose relative to
+the first so the sequence starts at the identity; relative transforms are
+unchanged.
 
 The actions of a window are the steps log(T_{i-1}^-1 T_i) between its
 consecutive frames.  A trajectory computes the steps between all of its
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import numbers
 import operator
 import re
 from dataclasses import dataclass
@@ -43,12 +48,13 @@ class Trajectory:
     """Frames in strictly increasing order, each with a pose or without one, held in
     four read-only arrays: ``frame_array`` (N,) int64 and ``valid`` (N,) bool over
     every frame, ``rotations`` (V, 3, 3) and ``translations`` (V, 3) over the V
-    frames with a pose.  ``Trajectory(rows)`` takes (frame, Pose | None) rows and
-    :meth:`from_stacks` the arrays, either checking them in full; anchoring,
-    alignment, VO and generated paths derive their stacks from checked ones and use
-    :meth:`_trusted` (see ``se3._frozen``).  ``frames``, ``poses``, iteration and
-    ``pose_at`` build ``Pose`` views.  Equality is exact; instances are immutable and
-    unhashable."""
+    frames with a pose; those frames, ``frame_array[valid]``, are the read-only (V,)
+    posed-frame array ``_posed`` that every frame lookup searches.  ``Trajectory(rows)``
+    takes (frame, Pose | None) rows and :meth:`from_stacks` the arrays, either checking
+    them in full; anchoring, alignment, VO and generated paths derive their stacks from
+    checked ones and use :meth:`_trusted` (see ``se3._frozen``).  ``frames``, ``poses``,
+    iteration and ``pose_at`` build ``Pose`` views.  Equality is exact; instances are
+    immutable and unhashable."""
 
     def __init__(self, rows=(), anchored: bool = False):
         rows = tuple(rows)
@@ -90,13 +96,12 @@ class Trajectory:
         if anchored and len(rotations) and max(np.abs(rotations[0] - np.eye(3)).max(),
                                                np.abs(translations[0]).max()) > 1e-9:
             raise ValueError("anchored trajectory must start at identity")
-        frames.setflags(write=False)
-        valid.setflags(write=False)
-        posed = frames[valid].tolist()
+        posed = frames[valid]
+        for array in frames, valid, posed:
+            array.setflags(write=False)
         traj = cls.__new__(cls)
         traj.__dict__.update(frame_array=frames, valid=valid, rotations=rotations,
-                             translations=translations, anchored=bool(anchored),
-                             _row_of=dict(zip(posed, range(len(posed)))))
+                             translations=translations, anchored=bool(anchored), _posed=posed)
         return traj
 
     def __setattr__(self, name, value):
@@ -116,7 +121,7 @@ class Trajectory:
 
     def __contains__(self, frame_index) -> bool:
         """Whether the frame has a pose."""
-        return frame_index in self._row_of
+        return bool(self._find([frame_index])[1][0])
 
     @property
     def indices(self) -> list[int]:
@@ -135,10 +140,11 @@ class Trajectory:
 
     def rows(self, frame_indices) -> np.ndarray:
         """Positions of the given frames in ``rotations``/``translations``."""
-        try:
-            return np.array([self._row_of[i] for i in frame_indices], dtype=np.intp)
-        except KeyError as exc:
-            raise KeyError(f"no frame {exc.args[0]} with a pose in trajectory") from None
+        frames = list(frame_indices)
+        rows, found = self._find(frames)
+        if not found.all():
+            raise KeyError(f"no frame {frames[found.argmin()]} with a pose in trajectory")
+        return rows
 
     def pose_at(self, frame_index: int) -> Pose:
         row = self.rows([frame_index])[0]
@@ -159,8 +165,17 @@ class Trajectory:
         """Frames t, in order, for which every frame t..t+w has a pose: those whose
         posed frame w positions later is t + w, as frames strictly increase."""
         _check_index("window length", w, least=0)
-        posed = list(self._row_of)
-        return [t for t, end in zip(posed, posed[w:]) if end == t + w]
+        starts = self._posed[:max(len(self._posed) - w, 0)]
+        return starts[self._posed[w:] - starts == w].tolist()
+
+    def _find(self, frames) -> tuple[np.ndarray, np.ndarray]:
+        """Stack rows of the frames, and whether each has a pose (see the module docstring)."""
+        queries = np.asarray(frames)
+        if queries.dtype.kind not in "iuf":     # bools are 0 and 1, and non-numbers no frame
+            queries = np.array([f if isinstance(f, (numbers.Real, np.bool_)) else np.nan
+                                for f in frames], dtype=float)
+        rows = np.searchsorted(self._posed, queries)
+        return rows, np.searchsorted(self._posed, queries, side="right") > rows
 
 
 def _is_index(value) -> bool:
@@ -236,10 +251,10 @@ def extract_actions(traj: Trajectory, t: int, k: int) -> ActionSequence:
     """
     _check_index("window start t", t)
     _check_index("horizon k", k, least=1)
-    row = traj._row_of.get(t)      # frames increase: t..t+k have poses iff t+k is k rows on
-    if row is None or traj._row_of.get(t + k) != row + k:
+    (row, end), found = traj._find([t, t + k])  # t..t+k all have poses iff t and t+k
+    if not found.all() or end != row + k:       # do, k rows apart (frames increase)
         raise ValueError(f"window out of range: frames {t}..{t + k} not all present")
-    steps = traj._steps[row:row + k]
+    steps = traj._steps[row:end]
     if not np.isfinite(steps).all():
         raise ValueError("action delta has non-finite components")
     return ActionSequence(steps)
@@ -317,5 +332,4 @@ def read_trajectory_file(path) -> Trajectory:
 def rows_to_trajectory(rows, anchored: bool = False) -> Trajectory:
     """The frames of a Trajectory, or of (frame, Pose | None) rows, that have a pose."""
     traj = as_trajectory(rows)
-    return Trajectory._trusted(traj.frame_array[traj.valid], traj.rotations,
-                               traj.translations, anchored=anchored)
+    return Trajectory._trusted(traj._posed, traj.rotations, traj.translations, anchored=anchored)

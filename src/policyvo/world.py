@@ -26,7 +26,7 @@ import numpy as np
 
 from . import se3, trajectory as trj
 from .se3 import Pose
-from .tables import read_table, write_table
+from .tables import read_rows, write_table
 from .trajectory import ActionSequence, Trajectory
 
 MANIFEST_HEADER = "sequence,frame,image_path,mask_path"
@@ -454,7 +454,11 @@ class SequenceData:
 
 
 def write_dataset(root, sequences: list[SequenceData]) -> None:
-    """Write manifest, per-sequence trajectory files, and PGM frames."""
+    """Write manifest, per-sequence trajectory files, and PGM frames.  Raises
+    ValueError naming the sequence, and writes nothing, when a trajectory does not
+    start at the identity, which :func:`load_dataset` would refuse."""
+    for seq in sequences:
+        _anchored(seq.trajectory, f"sequence {seq.name!r}")
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     manifest = []
@@ -471,18 +475,31 @@ def write_dataset(root, sequences: list[SequenceData]) -> None:
 
 
 def load_dataset(root) -> list[SequenceData]:
-    """Load a dataset written by :func:`write_dataset`."""
+    """Load a dataset written by :func:`write_dataset`; a bad manifest row, or a
+    trajectory file that is bad or does not start at the identity, raises
+    ValueError naming the file."""
     root = Path(root)
     frames_by_seq: dict[str, list[tuple[int, str, str]]] = {}
-    for name, frame, image_rel, mask_rel in read_table(root / "manifest.csv", MANIFEST_HEADER):
-        frames_by_seq.setdefault(name, []).append((int(frame), image_rel, mask_rel))
+    manifest = read_rows(root / "manifest.csv", MANIFEST_HEADER,
+                         lambda name, frame, image, mask: (name, int(frame), image, mask))
+    for name, frame, image_rel, mask_rel in manifest:
+        frames_by_seq.setdefault(name, []).append((frame, image_rel, mask_rel))
     sequences = []
     for name in frames_by_seq:
-        rows = trj.read_trajectory_file(root / name / "traj.csv")
-        traj = trj.rows_to_trajectory(rows, anchored=True)
+        path = root / name / "traj.csv"
+        traj = _anchored(trj.read_trajectory_file(path), path)
         observations = {
             frame: read_observation(root / image_rel, root / mask_rel)
             for frame, image_rel, mask_rel in frames_by_seq[name]
         }
         sequences.append(SequenceData(name, traj, observations))
     return sequences
+
+
+def _anchored(rows, where) -> Trajectory:
+    """The frames of ``rows`` with a pose, anchored; ValueError names ``where`` when the
+    first pose is not the identity."""
+    try:
+        return trj.rows_to_trajectory(rows, anchored=True)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None

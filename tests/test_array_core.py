@@ -402,8 +402,11 @@ class TestStackWideWorkOnce:
         assert np.linalg.det(u) * np.linalg.det(vt) < 0.0      # the reflected case is reached
         with np.errstate(over="ignore", invalid="ignore"):
             want_rot, want_trans, want_frames = align_loop(estimate, gt)
-            got = ev.align_rows_to_gt(estimate, gt)
+        got = ev.align_rows_to_gt(estimate, gt)     # no overflow warning escapes
         assert got.frame_array[got.valid].tolist() == want_frames.tolist()
+        for huge in (slice(38, 48), slice(49, 60)):
+            with pytest.raises(ValueError, match="scale must be positive|degenerate"):
+                ev.umeyama_sim3(translations[huge], gt.translations[huge])
         assert want_frames.tolist() == [*range(10), *range(27, 37), *range(61, 80)]
         np.testing.assert_array_equal(got.rotations, want_rot)
         np.testing.assert_array_equal(got.translations, want_trans)

@@ -140,8 +140,15 @@ class TestTrajectoryReader:
             trajectory.read_trajectory_file(path)
 
 
+def load_manifest(path):
+    """``world.load_dataset`` of the directory that holds the manifest ``path``."""
+    return world.load_dataset(path.parent)
+
+
 class TestWindowKeyedReaders:
     @pytest.mark.parametrize("read, header, line, message", [
+        (load_manifest, world.MANIFEST_HEADER, "s,x,s/1.pgm,s/1.mask.pgm",
+         "invalid literal for int()"),
         (ev.read_records_csv, ev.RECORDS_HEADER, "s,x,8,0.1,0.2", "invalid literal for int()"),
         (ev.read_records_csv, ev.RECORDS_HEADER, "s,1,8,nan,0.2", "errors must be finite"),
         (ev.read_records_csv, ev.RECORDS_HEADER, "s,1,-3,0.1,0.2", "w >= 0"),
@@ -150,8 +157,9 @@ class TestWindowKeyedReaders:
         (rb.read_scores_csv, rb.SCORES_HEADER, "s,1,8,-1,0.2", "scores must be finite"),
     ])
     def test_bad_row_names_file_and_line(self, tmp_path, read, header, line, message):
-        path = tmp_path / "table.csv"
-        path.write_text(f"{header}\ns,0,8,0.1,0.2\n{line}\n")
+        path = tmp_path / "manifest.csv"
+        good = ",".join("s,0,8,0.1,0.2".split(",")[:header.count(",") + 1])  # as wide as header
+        path.write_text(f"{header}\n{good}\n{line}\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}, line 3: ") + ".*"
                            + re.escape(message)):
             read(path)

@@ -149,6 +149,77 @@ class TestWindowStarts:
             random_trajectory(17, 4).window_starts(w)
 
 
+def reference_rows(traj) -> dict:
+    """Stack row of each frame with a pose, as a dict: the reference for every frame lookup."""
+    posed = traj.frame_array[traj.valid].tolist()
+    return dict(zip(posed, range(len(posed))))
+
+
+class TestFrameIndex:
+    @settings(max_examples=150, deadline=None)
+    @given(gapped_trajectories, st.lists(st.integers(-60, 110), max_size=6), st.integers(1, 4))
+    @example(EMPTY, [0, -1], 1)
+    @example(ALL_INVALID, [0, 1, 5], 2)
+    @example(Trajectory([(-3, Pose.identity()), (-2, None), (-1, Pose.identity()),
+                         (0, Pose.identity()), (1, Pose.identity())]), [-3, -2, -1, 2], 2)
+    def test_lookups_match_a_dict(self, traj, queries, k):
+        """rows, in, pose_at, window_starts and extract_actions answer as a frame -> row dict."""
+        row_of = reference_rows(traj)
+        queries = queries + list(row_of)
+        for frame in queries:
+            assert (frame in traj) == (frame in row_of)
+            if frame in row_of:
+                row = row_of[frame]
+                assert traj.pose_at(frame) == Pose(traj.rotations[row], traj.translations[row])
+            else:
+                with pytest.raises(KeyError, match=f"no frame {frame} with a pose in trajectory"):
+                    traj.pose_at(frame)
+        missing = [frame for frame in queries if frame not in row_of]
+        if missing:
+            with pytest.raises(KeyError, match=f"no frame {missing[0]} with a pose"):
+                traj.rows(queries)
+        else:
+            rows = traj.rows(queries)
+            assert rows.dtype == np.intp and rows.tolist() == [row_of[i] for i in queries]
+        for w in range(5):
+            starts = traj.window_starts(w)
+            assert starts == [t for t in row_of if all(t + i in row_of for i in range(w + 1))]
+            assert all(type(t) is int for t in starts)
+        for t in queries:
+            if all(t + i in row_of for i in range(k + 1)):
+                row = row_of[t]
+                rot, trans = traj.rotations[row:row + k + 1], traj.translations[row:row + k + 1]
+                np.testing.assert_array_equal(
+                    trajectory.extract_actions(traj, t, k).as_array(),
+                    se3.log_rt(*se3.relative_rt(rot[:-1], trans[:-1], rot[1:], trans[1:])))
+            else:
+                with pytest.raises(ValueError, match=re.escape(
+                        f"window out of range: frames {t}..{t + k} not all present")):
+                    trajectory.extract_actions(traj, t, k)
+
+    TRAJ = Trajectory([(-2, Pose.identity()), (0, None), (1, se3.random_pose(1, 2.0, 0.3)),
+                       (5, se3.random_pose(2, 2.0, 0.3)), (6, Pose.identity())])
+
+    @pytest.mark.parametrize("query, frame", [(5.0, 5), (np.float64(5.0), 5), (True, 1),
+                                              (np.int32(-2), -2), (-2.0, -2)])
+    def test_a_number_equal_to_a_frame_finds_it(self, query, frame):
+        traj = self.TRAJ
+        assert query in traj
+        assert traj.rows([query]).tolist() == traj.rows([frame]).tolist()
+        assert traj.pose_at(query) == traj.pose_at(frame)
+
+    @pytest.mark.parametrize("query", [5.5, 1.5, -1.5, 5.999, math.nan, math.inf, "5", None,
+                                       False, 0, 0.0, 2**70])
+    def test_anything_else_finds_no_frame(self, query):
+        """A query is never truncated to an integer, and only numbers name frames."""
+        traj = self.TRAJ
+        assert query not in traj
+        with pytest.raises(KeyError, match=re.escape(f"no frame {query} with a pose")):
+            traj.pose_at(query)
+        with pytest.raises(KeyError, match=re.escape(f"no frame {query} with a pose")):
+            traj.rows([1, query, 5])
+
+
 class TestAnchor:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):

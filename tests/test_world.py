@@ -524,6 +524,25 @@ class TestDiskFormat:
             np.testing.assert_allclose(loaded[0].observations[i].image,
                                        observations[i].image, atol=0.5 / 255.0)
 
+    def test_writer_refuses_what_the_loader_refuses(self, tmp_path):
+        """A trajectory that does not start at the identity: the writer names the
+        sequence and writes nothing; such a file on disk, the loader names."""
+        obs = Observation(np.zeros((4, 4)), np.ones((4, 4), dtype=bool))
+        moved = trj.Trajectory(((0, Pose(np.eye(3), [1.0, 0.0, 0.0])), (1, Pose.identity())))
+        with pytest.raises(ValueError, match=re.escape(
+                "sequence 'b': anchored trajectory must start at identity")):
+            world.write_dataset(tmp_path / "data", [
+                world.SequenceData("a", trj.Trajectory([(0, Pose.identity())]), {0: obs}),
+                world.SequenceData("b", moved, {0: obs, 1: obs})])
+        assert not (tmp_path / "data").exists()
+        world.write_dataset(tmp_path / "data", [world.SequenceData("b", trj.Trajectory(
+            ((0, Pose.identity()), (1, Pose.identity()))), {0: obs, 1: obs})])
+        path = tmp_path / "data" / "b" / "traj.csv"
+        trj.write_trajectory_file(path, moved)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: anchored trajectory must start at identity")):
+            world.load_dataset(tmp_path / "data")
+
     def test_truncated_manifest_names_file(self, tmp_path):
         obs = Observation(np.zeros((4, 4)), np.ones((4, 4), dtype=bool))
         traj = trj.Trajectory(((0, Pose.identity()), (1, Pose.identity())), anchored=True)
