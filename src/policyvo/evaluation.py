@@ -26,7 +26,7 @@ import numpy as np
 from . import se3
 from .se3 import Pose
 from .tables import read_rows, write_table
-from .trajectory import Trajectory, _is_index, as_trajectory
+from .trajectory import Trajectory, _check_index, as_trajectory
 from .world import Camera, Scene, _match_views, _shared_ids, landmark_projections
 
 RECORDS_HEADER = "sequence,t,w,trans_err_mm,rot_err_deg"
@@ -54,7 +54,7 @@ class PredictedWindows:
     """Predicted motions from frames ``starts`` to ``starts + w`` of a sequence, one row
     per window of read-only ``starts`` (M,), ``rotations`` (M, 3, 3) and
     ``translations`` (M, 3); ``windows[j]`` is window j as a :class:`PredictedWindow`.
-    The constructor checks the stacks in full; this module's window builders derive
+    The constructor checks w and the stacks in full; this module's window builders derive
     them from checked trajectories and use :meth:`_trusted` (see ``se3._frozen``)."""
 
     sequence: str
@@ -64,6 +64,7 @@ class PredictedWindows:
     translations: np.ndarray
 
     def __post_init__(self):
+        _check_index("window length", self.w, least=0)
         starts = np.array(self.starts, dtype=np.int64)
         starts.setflags(write=False)
         rotations, translations = se3._validated(self.rotations, self.translations)
@@ -93,6 +94,10 @@ class PredictedWindows:
 
 @dataclass(frozen=True, slots=True)
 class RPERecord:
+    """Error of one window t..t+w of a sequence: translation error (mm) and rotation
+    error (degrees).  Raises ValueError for a start t or length w that is not an
+    integer (bools are not), w < 0, or an error that is negative or not finite."""
+
     sequence: str
     t: int
     w: int
@@ -100,19 +105,17 @@ class RPERecord:
     rot_err: float     # degrees
 
     def __post_init__(self):
-        _check_window_key(self.t, self.w)
+        _check_index("window start t", self.t)
+        _check_index("window length", self.w, least=0)
         if not (0.0 <= self.trans_err < math.inf and 0.0 <= self.rot_err < math.inf):  # nan fails
             raise ValueError(f"errors must be finite and >= 0: {self.trans_err}, {self.rot_err}")
 
 
-def _check_window_key(t, w) -> None:
-    """Raise ValueError unless window start t and length w are integers, not bool, and w >= 0."""
-    if not (_is_index(t) and _is_index(w)) or w < 0:
-        raise ValueError(f"t and w must be integers with w >= 0: t={t!r}, w={w!r}")
-
-
 @dataclass(frozen=True)
 class RPESummary:
+    """Mean and population standard deviation (ddof 0) of the translation errors (mm)
+    and rotation errors (degrees) of ``count`` windows."""
+
     trans_mean: float
     trans_std: float
     rot_mean: float
@@ -121,36 +124,15 @@ class RPESummary:
 
 
 @dataclass(frozen=True)
-class Sim3:
-    """Similarity transform x -> scale * rotation @ x + translation."""
-
-    scale: float
-    rotation: np.ndarray
-    translation: np.ndarray
-
-    def __post_init__(self):
-        if self.scale <= 0.0:
-            raise ValueError("scale must be positive")
-        rotation = np.asarray(self.rotation, dtype=np.float64)
-        if se3.orthonormality_drift(rotation) > 1e-8:
-            raise ValueError("rotation must be orthonormal")
-        translation = np.asarray(self.translation, dtype=np.float64).reshape(3)
-        rotation.setflags(write=False)
-        translation.setflags(write=False)
-        object.__setattr__(self, "rotation", rotation)
-        object.__setattr__(self, "translation", translation)
-
-    def apply_points(self, points: np.ndarray) -> np.ndarray:
-        return self.scale * (np.asarray(points) @ self.rotation.T) + self.translation
-
-
-@dataclass(frozen=True)
 class CoverageReport:
+    """Of ``total`` frames of an estimate, the ``valid`` ones that have a pose."""
+
     total: int
     valid: int
 
     @property
     def percent(self) -> float:
+        """Share of frames with a pose, in percent; ZeroDivisionError for no frames."""
         return 100.0 * self.valid / self.total
 
 
@@ -180,8 +162,7 @@ def _records(sequence: str, starts: list, w: int, trans_err: list, rot_err: list
 def rpe(windows: PredictedWindows, gt_trajs: dict[str, Trajectory],
         w: int) -> tuple[list[RPERecord], RPESummary]:
     """Per-window relative pose error of a batch of windows of length w against ground truth."""
-    if w < 0:
-        raise ValueError("window length must be >= 0")
+    _check_index("window length", w, least=0)
     if len(windows) == 0:
         raise ValueError("empty evaluation")
     if windows.w != w:
@@ -192,13 +173,12 @@ def rpe(windows: PredictedWindows, gt_trajs: dict[str, Trajectory],
     starts = windows.starts.tolist()
     missing = f"sequence {windows.sequence!r}: ground truth has no pose at window"
     first = _gt_rows(gt, windows.starts, f"{missing} start")
-    last = _gt_rows(gt, windows.starts + w, f"{missing} end")
+    last = _gt_rows(gt, windows.starts, f"{missing} end", w)
     gt_rot, gt_trans = se3.relative_rt(gt.rotations[first], gt.translations[first],
                                        gt.rotations[last], gt.translations[last])
     trans_err = np.linalg.norm(windows.translations - gt_trans, axis=-1)
     rot_err = np.degrees(se3.geodesic_angle(windows.rotations, gt_rot))
-    # The records' fields are checked once, as arrays (starts are int64).
-    _check_window_key(starts[0], w)
+    # The records' fields are checked once, as arrays (starts are int64, w checked above).
     ok = (trans_err >= 0.0) & (trans_err < math.inf) & (rot_err >= 0.0) & (rot_err < math.inf)
     if not ok.all():    # nan fails
         bad = ok.argmin()
@@ -207,18 +187,28 @@ def rpe(windows: PredictedWindows, gt_trajs: dict[str, Trajectory],
     return records, _summary(trans_err, rot_err)
 
 
-def _gt_rows(gt: Trajectory, frames: np.ndarray, missing: str) -> np.ndarray:
-    """Stack rows of the frames; the first without a pose raises ValueError ``missing`` + it."""
-    rows, found = gt._find(frames)
+def _gt_rows(gt: Trajectory, starts: np.ndarray, missing: str, w: int = 0) -> np.ndarray:
+    """Stack rows of frames ``starts + w``; the first without a pose raises ValueError
+    ``missing`` + it."""
+    rows, found = _find_ends(gt, starts, w)
     if not found.all():
-        raise ValueError(f"{missing} frame {frames[found.argmin()]}")
+        raise ValueError(f"{missing} frame {int(starts[found.argmin()]) + w}")
     return rows
+
+
+def _find_ends(traj: Trajectory, starts: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """``traj._find`` of the window ends ``starts + w`` (int64 starts, integer w >= 0).
+    An end past 2**63 - 1 is no frame, not one the sum wraps onto: the sums are taken
+    modulo 2**64, which is exact wherever they fit in int64, and masked where not."""
+    rows, found = traj._find((starts.astype(np.uint64) + np.uint64(w % 2 ** 64)).astype(np.int64))
+    return rows, found & (starts <= np.iinfo(np.int64).max - w)
 
 
 def _umeyama(preds: list, gts: list):
     """Least-squares similarities mapping each (n >= 3, 3) point set of ``preds`` onto
     its partner in ``gts``: scale (R,), rotation (R, 3, 3), translation (R, 3) and a
-    mask of degenerate sets (collinear, or moments that overflow).  Cross-covariance
+    mask ``ok`` of the sets that align: not degenerate (collinear, or moments that
+    overflow), with scale > 0 and a rotation orthonormal within 1e-8.  Cross-covariance
     SVD with reflection-sign correction: moments per set, then one batched SVD."""
     mu_pred, mu_gt = np.empty((len(preds), 3)), np.empty((len(preds), 3))
     cov, var_pred = np.empty((len(preds), 3, 3)), np.empty(len(preds))
@@ -239,25 +229,8 @@ def _umeyama(preds: list, gts: list):
     scale = np.divide(d.sum(axis=1), var_pred, out=np.zeros(len(d)), where=~degenerate)
     rotation = u @ vt
     translation = mu_gt - ((scale[:, None, None] * rotation) @ mu_pred[:, :, None])[:, :, 0]
-    return scale, rotation, translation, degenerate
-
-
-def umeyama_sim3(pred_points: np.ndarray, gt_points: np.ndarray) -> Sim3:
-    """Closed-form least-squares similarity mapping pred onto gt (Umeyama).
-
-    Raises ValueError on arrays that are not both (n, 3), fewer than 3
-    correspondences, or a collinear or non-finite configuration.
-    """
-    pred = np.asarray(pred_points, dtype=np.float64)
-    gt = np.asarray(gt_points, dtype=np.float64)
-    if pred.shape[1:] != (3,) or pred.shape != gt.shape:
-        raise ValueError(f"point sets must be equal (n, 3) arrays, got {pred.shape} and {gt.shape}")
-    if len(pred) < 3:
-        raise ValueError("degenerate alignment: need at least 3 points")
-    scale, rotation, translation, degenerate = _umeyama([pred], [gt])
-    if degenerate[0]:
-        raise ValueError("degenerate alignment: collinear or non-finite points")
-    return Sim3(float(scale[0]), rotation[0], translation[0])
+    ok = ~degenerate & (scale > 0.0) & (se3.orthonormality_drift(rotation) <= 1e-8)
+    return scale, rotation, translation, ok
 
 
 def coverage(estimate) -> CoverageReport:
@@ -482,9 +455,9 @@ def align_rows_to_gt(estimate, gt_traj: Trajectory) -> Trajectory:
     """Per-segment Sim(3) alignment of an estimate (Trajectory or rows) to ground truth:
     each run of consecutive frames with a pose is aligned on its own (a chained
     estimate restarts in a fresh frame after a failure), and runs too short (under 3
-    poses) or too degenerate to align lose their poses.  All runs share one batched
-    SVD, with the floats of a per-run :func:`umeyama_sim3`.  A posed estimate frame
-    that ground truth has no pose for raises ValueError naming it."""
+    poses) or that :func:`_umeyama` does not mark ``ok`` lose their poses.  All runs
+    share one batched SVD, whose floats are those of a solve per run.  A posed estimate
+    frame that ground truth has no pose for raises ValueError naming it."""
     estimate = as_trajectory(estimate)
     posed = np.flatnonzero(estimate.valid)      # frame positions of the stack rows
     gt_points = gt_traj.translations[_gt_rows(gt_traj, estimate._posed,
@@ -492,12 +465,10 @@ def align_rows_to_gt(estimate, gt_traj: Trajectory) -> Trajectory:
     cuts = (np.flatnonzero(np.diff(posed) > 1) + 1).tolist()
     runs = [slice(a, b) for a, b in zip([0, *cuts], [*cuts, len(posed)]) if b - a >= 3]
     translations = estimate.translations.copy()
-    scale, rotation, translation, degenerate = _umeyama(
+    scale, rotation, translation, ok = _umeyama(
         [translations[run] for run in runs], [gt_points[run] for run in runs])
-    # Sim3's own checks: a positive scale and an orthonormal rotation.
-    kept = ~degenerate & (scale > 0.0) & (se3.orthonormality_drift(rotation) <= 1e-8)
     sim_of_row = np.full(len(posed), -1)
-    for j in np.flatnonzero(kept).tolist():
+    for j in np.flatnonzero(ok).tolist():
         run = runs[j]
         translations[run] = scale[j] * (translations[run] @ rotation[j].T) + translation[j]
         sim_of_row[run] = j
@@ -511,45 +482,29 @@ def align_rows_to_gt(estimate, gt_traj: Trajectory) -> Trajectory:
 
 def windows_from_rows(estimate, sequence: str, w: int) -> PredictedWindows:
     """Relative-motion windows over an estimate (Trajectory or rows) whose
-    endpoints both carry a pose."""
-    if w < 0:
-        raise ValueError("window length must be >= 0")
+    endpoints both carry a pose; a length past the frame span gives no window."""
+    _check_index("window length", w, least=0)
     estimate = as_trajectory(estimate)
-    ends, first = estimate._find(estimate._posed + w)     # first: a mask of window starts
+    ends, first = _find_ends(estimate, estimate._posed, w)    # first: a mask of window starts
     rot, trans = estimate.rotations, estimate.translations
     return PredictedWindows._trusted(sequence, w, estimate._posed[first],
                                      *se3.relative_rt(rot[first], trans[first],
                                                       rot[ends[first]], trans[ends[first]]))
 
 
-# ---------------------------------------------------------------------------
-# Report formatting
-
-@dataclass(frozen=True)
-class MethodResult:
-    name: str
-    summary: RPESummary
-    coverage_percent: float
-
-
-def format_results_table(results: list[MethodResult], w: int) -> str:
-    """Plain-text summary table: one row per method."""
-    lines = [f"Windowed RPE at w={w}",
-             f"{'method':<22} {'trans mm (mean±std)':>22} {'rot deg (mean±std)':>22} {'coverage %':>11}"]
-    for r in results:
-        lines.append(f"{r.name:<22} "
-                     f"{r.summary.trans_mean:>11.4f} ± {r.summary.trans_std:<8.4f} "
-                     f"{r.summary.rot_mean:>11.4f} ± {r.summary.rot_std:<8.4f} "
-                     f"{r.coverage_percent:>10.1f}")
-    return "\n".join(lines) + "\n"
-
-
 def write_records_csv(path, records: list[RPERecord]) -> None:
+    """Write records as a CSV table with header ``RECORDS_HEADER``; floats keep 17
+    digits.  Raises ValueError naming the file, and writes nothing, for a sequence
+    name that holds a comma or a line break."""
     write_table(path, RECORDS_HEADER, RECORDS_ROW,
                 ((r.sequence, r.t, r.w, r.trans_err, r.rot_err) for r in records))
 
 
 def read_records_csv(path) -> list[RPERecord]:
+    """Records of a CSV file written by :func:`write_records_csv`, bit for bit.  Raises
+    ValueError naming the file for a bad header, and the file and line for a row with
+    a missing, extra or empty field, a field that does not parse, or values that fail
+    the ``RPERecord`` checks."""
     return _read_window_rows(path, RECORDS_HEADER, RPERecord)
 
 

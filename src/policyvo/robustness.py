@@ -24,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluation import RPERecord, _check_window_key, _read_window_rows
+from .evaluation import RPERecord, _read_window_rows
 from .tables import write_table
+from .trajectory import _check_index
 from .world import Observation
 
 SCORES_HEADER = "sequence,t,w,s_texture,s_dillum"
@@ -33,6 +34,11 @@ SCORES_ROW = "%s,%d,%d,%.17g,%.17g"
 
 @dataclass(frozen=True)
 class WindowScore:
+    """Difficulty scores of window t..t+w of a sequence: ``s_texture``, the texture
+    score of frame t, and ``s_dillum``, the illumination change to frame t+w (both
+    unitless).  Raises ValueError for a start t or length w that is not an integer
+    (bools are not), w < 0, or a score that is negative or not finite."""
+
     sequence: str
     t: int
     w: int
@@ -40,17 +46,22 @@ class WindowScore:
     s_dillum: float
 
     def __post_init__(self):
-        _check_window_key(self.t, self.w)
+        _check_index("window start t", self.t)
+        _check_index("window length", self.w, least=0)
         if not (0.0 <= self.s_texture < math.inf and 0.0 <= self.s_dillum < math.inf):  # nan fails
             raise ValueError(f"scores must be finite and >= 0: {self.s_texture}, {self.s_dillum}")
 
     @property
     def key(self) -> tuple[str, int, int]:
+        """(sequence, t, w), the key an ``RPERecord`` of the same window matches."""
         return (self.sequence, self.t, self.w)
 
 
 @dataclass(frozen=True)
 class BinStats:
+    """Mean and population standard deviation (ddof 0) of the translation errors (mm)
+    of the ``count`` windows in one score bin."""
+
     mean: float
     std: float
     count: int
@@ -66,14 +77,6 @@ class StratifiedReport:
     dillum_high: BinStats
     degenerate_texture: bool
     degenerate_dillum: bool
-
-    @property
-    def texture_gap(self) -> float:
-        return abs(self.texture_high.mean - self.texture_low.mean)
-
-    @property
-    def dillum_gap(self) -> float:
-        return abs(self.dillum_high.mean - self.dillum_low.mean)
 
 
 def texture_score(obs: Observation) -> float:
@@ -131,6 +134,8 @@ def illum_change_score(obs_t: Observation, obs_tk: Observation) -> float:
 
 def score_window(sequence: str, t: int, w: int, obs_t: Observation,
                  obs_tw: Observation) -> WindowScore:
+    """Both scores of window t..t+w from its two end frames; raises ValueError for an
+    empty mask, a frame too small for the Sobel stencil, or masks that differ."""
     return WindowScore(sequence, t, w,
                        texture_score(obs_t),
                        illum_change_score(obs_t, obs_tw))
@@ -181,27 +186,17 @@ def stratify(window_scores: list[WindowScore],
                             degenerate["s_texture"], degenerate["s_dillum"])
 
 
-def format_stratified_report(report: StratifiedReport) -> str:
-    """Plain-text table: Low / High / |gap| per artifact."""
-    def row(name, low, high, gap, degenerate):
-        flag = "  [degenerate: all scores equal]" if degenerate else ""
-        return (f"{name:<12} {low.mean:>8.4f} ± {low.std:<8.4f} (n={low.count:>4}) "
-                f"{high.mean:>8.4f} ± {high.std:<8.4f} (n={high.count:>4}) "
-                f"{gap:>8.4f}{flag}")
-
-    lines = ["Stratified translation RPE (mm): low vs high difficulty quartiles",
-             f"{'artifact':<12} {'low bin':>21}          {'high bin':>21}          {'|gap|':>8}",
-             row("texture", report.texture_low, report.texture_high,
-                 report.texture_gap, report.degenerate_texture),
-             row("d_illum", report.dillum_low, report.dillum_high,
-                 report.dillum_gap, report.degenerate_dillum)]
-    return "\n".join(lines) + "\n"
-
-
 def write_scores_csv(path, scores: list[WindowScore]) -> None:
+    """Write scores as a CSV table with header ``SCORES_HEADER``; floats keep 17
+    digits.  Raises ValueError naming the file, and writes nothing, for a sequence
+    name that holds a comma or a line break."""
     write_table(path, SCORES_HEADER, SCORES_ROW,
                 ((s.sequence, s.t, s.w, s.s_texture, s.s_dillum) for s in scores))
 
 
 def read_scores_csv(path) -> list[WindowScore]:
+    """Scores of a CSV file written by :func:`write_scores_csv`, bit for bit.  Raises
+    ValueError naming the file for a bad header, and the file and line for a row with
+    a missing, extra or empty field, a field that does not parse, or values that fail
+    the ``WindowScore`` checks."""
     return _read_window_rows(path, SCORES_HEADER, WindowScore)

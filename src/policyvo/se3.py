@@ -218,9 +218,11 @@ class Pose:
 
     @staticmethod
     def identity() -> "Pose":
+        """The identity transform: rotation I, translation 0 mm."""
         return Pose(np.eye(3), np.zeros(3))
 
     def as_matrix(self) -> np.ndarray:
+        """The 4x4 homogeneous matrix [[R, t], [0, 1]], a new array (t in mm)."""
         m = np.eye(4)
         m[:3, :3] = self.rotation
         m[:3, 3] = self.translation

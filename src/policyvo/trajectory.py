@@ -125,10 +125,12 @@ class Trajectory:
 
     @property
     def indices(self) -> list[int]:
+        """Every frame, with a pose or not, in order, as Python ints."""
         return self.frame_array.tolist()
 
     @property
     def poses(self) -> list[Pose]:
+        """Read-only ``Pose`` views of the V stack rows, in frame order."""
         return list(map(se3.pose_view, self.rotations, self.translations))
 
     @property
@@ -147,6 +149,7 @@ class Trajectory:
         return rows
 
     def pose_at(self, frame_index: int) -> Pose:
+        """Read-only ``Pose`` view of one frame; KeyError if the frame has no pose."""
         row = self.rows([frame_index])[0]
         return se3.pose_view(self.rotations[row], self.translations[row])
 
@@ -210,6 +213,7 @@ class ActionSequence:
         return len(self.vectors)
 
     def as_array(self) -> np.ndarray:
+        """The read-only (k, 6) action array itself, not a copy."""
         return self.vectors
 
     @staticmethod
@@ -262,8 +266,7 @@ def extract_actions(traj: Trajectory, t: int, k: int) -> ActionSequence:
 
 def compose_window(start: Pose, actions: ActionSequence, w: int) -> Pose:
     """start ∘ exp(d1) ∘ ... ∘ exp(dw), first action applied first."""
-    if w < 0:
-        raise ValueError("window length must be >= 0")
+    _check_index("window length", w, least=0)
     if w > len(actions):
         raise ValueError(f"w={w} exceeds action sequence length {len(actions)}")
     pose = start.rotation, start.translation

@@ -52,9 +52,13 @@ class TubeGeometry:
 
     @property
     def keep_in_radius(self) -> float:
+        """Largest distance (mm) of the camera from the tube axis: ``KEEP_IN_MARGIN_MM``
+        inside the landmark surface."""
         return self.radius - KEEP_IN_MARGIN_MM
 
     def contains_camera(self, position: np.ndarray) -> bool:
+        """Whether a camera position (mm) lies within the keep-in radius of the axis and
+        at least 8 mm inside both ends of the tube."""
         lateral = math.hypot(position[0], position[1])
         return (lateral <= self.keep_in_radius
                 and self.z_min + 8.0 <= position[2] <= self.z_max - 8.0)
@@ -129,6 +133,9 @@ class Camera:
 
     @staticmethod
     def default(size: int = 160) -> "Camera":
+        """Camera of ``size`` x ``size`` pixels: focal length size / 2 pixels (a field of
+        view of about 90 degrees), principal point at the image center, mask radius
+        0.48 size pixels."""
         center = (size - 1) / 2.0
         return Camera(focal=size * 0.5, cx=center, cy=center,
                       size=size, mask_radius=0.48 * size)
@@ -435,11 +442,15 @@ def read_pgm(path) -> np.ndarray:
 
 
 def write_observation(image_path, mask_path, obs: Observation) -> None:
+    """Write an observation as two 8-bit PGM files: the image, and the mask as 0 or 1."""
     write_pgm(image_path, obs.image)
     write_pgm(mask_path, obs.mask.astype(np.float64))
 
 
 def read_observation(image_path, mask_path) -> Observation:
+    """Read an observation back from its two PGM files; mask pixels above 0.5 are
+    inside.  Raises ValueError for an unsupported or truncated file, and for an
+    image and mask of different shapes."""
     image = read_pgm(image_path)
     mask = read_pgm(mask_path) > 0.5
     image = image * mask  # defensive: enforce the outside-mask-zero invariant
@@ -448,6 +459,9 @@ def read_observation(image_path, mask_path) -> Observation:
 
 @dataclass
 class SequenceData:
+    """One sequence of a dataset: its name (a directory name), its anchored trajectory
+    and its observation of each frame, by frame."""
+
     name: str
     trajectory: Trajectory
     observations: dict[int, Observation]

@@ -1,8 +1,13 @@
-"""Rotation matrices about the coordinate axes, for building test poses."""
+"""Rotation matrices about the coordinate axes, and a hypothesis strategy of unit
+rotation axes, for building test poses."""
 
 import math
 
 import numpy as np
+from hypothesis import strategies as st
+
+unit_axes = st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(np.array).filter(
+    lambda v: np.linalg.norm(v) > 1e-3).map(lambda v: v / np.linalg.norm(v))
 
 
 def rot_x(angle: float) -> np.ndarray:

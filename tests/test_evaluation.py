@@ -3,12 +3,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from policyvo import evaluation as ev
 from policyvo import se3
 from policyvo.se3 import Pose
 from policyvo.tables import write_table
-from policyvo.trajectory import Trajectory, anchor, extract_actions
+from policyvo.trajectory import Trajectory, anchor, compose_window, extract_actions
 from policyvo.world import (
     Camera,
     MotionProfile,
@@ -19,7 +21,7 @@ from policyvo.world import (
     make_tube_scene,
 )
 
-from rotations import rot_x, rot_y, rot_z
+from rotations import rot_x, rot_y, rot_z, unit_axes
 
 
 def random_trajectory(seed, n, trans=0.8, rot=0.05):
@@ -185,7 +187,7 @@ class TestRPE:
         with np.errstate(over="ignore"), pytest.raises(
                 ValueError, match=re.escape("errors must be finite and >= 0: inf, ")):
             ev.rpe(far, {"s": traj}, 8)
-        with pytest.raises(ValueError, match=re.escape("t=0, w=8.0")):
+        with pytest.raises(ValueError, match="window length must be an integer >= 0, got 8.0"):
             ev.rpe(ev.zero_motion_windows(traj, "s", 8), {"s": traj}, 8.0)
 
     def test_perfect_prediction_zero_error(self):
@@ -226,12 +228,13 @@ class TestRPE:
     def test_negative_window_length_rejected(self):
         traj = random_trajectory(4, 12)
         rows = list(traj.frames)
-        with pytest.raises(ValueError, match=re.escape("window length must be >= 0")):
+        negative = "window length must be an integer >= 0, got -1"
+        with pytest.raises(ValueError, match=negative):
             ev.windows_from_rows(rows, "s", -1)
-        backward = batch([ev.PredictedWindow("s", 5, -1,
-                                             se3.relative(traj.pose_at(5), traj.pose_at(4)))])
-        with pytest.raises(ValueError, match=re.escape("window length must be >= 0")):
-            ev.rpe(backward, {"s": traj}, -1)
+        with pytest.raises(ValueError, match=negative):
+            batch([ev.PredictedWindow("s", 5, -1, se3.relative(traj.pose_at(5), traj.pose_at(4)))])
+        with pytest.raises(ValueError, match=negative):
+            ev.rpe(ev.zero_motion_windows(traj, "s", 1), {"s": traj}, -1)
 
     def test_empty_evaluation_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -294,6 +297,60 @@ class TestRPE:
                (good_moved.trans_mean < bad_moved.trans_mean)
 
 
+class TestWindowLength:
+    """One rule for a window length w at every entry point: an integer, not a bool, and
+    >= 0.  A length past the frames gives no window, and an end frame never wraps."""
+
+    @pytest.mark.parametrize("w, valid", [(2.5, False), (True, False), (3.0, False),
+                                          (-1, False), (2 ** 70, True), (2 ** 63 - 1, True)])
+    @pytest.mark.parametrize("entry", ["windows_from_rows", "rpe", "compose_window",
+                                       "PredictedWindows"])
+    def test_every_entry_point(self, entry, w, valid):
+        traj = random_trajectory(25, 12)
+        one = np.eye(3)[None], np.zeros((1, 3))
+        call = {
+            "windows_from_rows": lambda: ev.windows_from_rows(traj, "s", w),
+            # Carries w unchecked, so that rpe's own check is the one tested.
+            "rpe": lambda: ev.rpe(ev.PredictedWindows._trusted("s", w, [0], *one), {"s": traj}, w),
+            "compose_window": lambda: compose_window(traj.pose_at(0),
+                                                     extract_actions(traj, 0, 8), w),
+            "PredictedWindows": lambda: ev.PredictedWindows("s", w, [0], *one),
+        }[entry]
+        if not valid:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"window length must be an integer >= 0, got {w!r}")):
+                call()
+        elif entry == "windows_from_rows":
+            assert len(call()) == 0
+        elif entry == "rpe":
+            with pytest.raises(ValueError, match=f"no pose at window end frame {w}$"):
+                call()
+        elif entry == "compose_window":
+            with pytest.raises(ValueError, match=f"w={w} exceeds action sequence length 8"):
+                call()
+        else:
+            assert call().w == w
+
+    def test_an_end_past_int64_does_not_wrap_onto_a_frame(self):
+        # 5 + (2**63 - 1) wraps to -2**63 + 4 in int64, the first frame here.
+        w = 2 ** 63 - 1
+        traj = Trajectory([(-2 ** 63 + 4, Pose.identity()), (5, Pose.identity())])
+        assert len(ev.windows_from_rows(traj, "s", w)) == 0
+        wrapped = ev.PredictedWindows("s", w, [5], np.eye(3)[None], np.zeros((1, 3)))
+        with pytest.raises(ValueError, match=f"no pose at window end frame {5 + w}$"):
+            ev.rpe(wrapped, {"s": traj}, w)
+
+    @pytest.mark.parametrize("first, w", [(-2 ** 63, 2 ** 63 - 1), (-2 ** 63, 2 ** 64 - 1),
+                                          (-2 ** 63 + 2, 2 ** 63 + 7)])
+    def test_an_end_within_int64_is_found_for_any_length(self, first, w):
+        traj = Trajectory([(first, Pose.identity()), (first + w, Pose(rot_z(0.5), [1.0, 0, 0]))])
+        windows = ev.windows_from_rows(traj, "s", w)
+        assert windows.starts.tolist() == [first]
+        records, _ = ev.rpe(windows, {"s": traj}, w)
+        assert (records[0].t, records[0].w, records[0].trans_err, records[0].rot_err) == \
+            (first, w, 0.0, 0.0)
+
+
 class TestMissingGroundTruth:
     """A frame ground truth has no pose for is a ValueError naming it, not a KeyError."""
 
@@ -324,59 +381,111 @@ class TestMissingGroundTruth:
             ev.rpe(ev.zero_motion_windows(gt, "x", 8), {"s": gt}, 8)
 
 
-class TestUmeyama:
-    @pytest.mark.parametrize("shape_a, shape_b", [((6, 2), (6, 2)), ((6, 3), (6, 2)),
-                                                  ((3,), (3,)), ((4, 3, 1), (4, 3, 1)),
-                                                  ((6, 3), (5, 3))])
-    def test_arrays_not_equal_n_by_3_rejected(self, shape_a, shape_b):
-        # Two (6, 2) arrays were once read as 4 invented 3-D points and fitted.
-        rng = np.random.default_rng(9)
-        with pytest.raises(ValueError, match=re.escape("point sets must be equal (n, 3) arrays")):
-            ev.umeyama_sim3(rng.normal(size=shape_a), rng.normal(size=shape_b))
+def umeyama_one(pred, gt):
+    """``_umeyama`` of one point set: (scale, rotation, translation, ok)."""
+    scale, rotation, translation, ok = ev._umeyama([pred], [gt])
+    return float(scale[0]), rotation[0], translation[0], bool(ok[0])
 
+
+def similarity(scale, rotation, translation, points):
+    """The points mapped by x -> scale * rotation @ x + translation."""
+    return scale * points @ rotation.T + translation
+
+
+def from_points(points):
+    """A trajectory of identity rotations at the given positions, frames 0, 1, ..."""
+    return Trajectory.from_stacks(np.arange(len(points)),
+                                  np.broadcast_to(np.eye(3), (len(points), 3, 3)), points)
+
+
+class TestUmeyama:
     def test_identity_for_equal_sets(self):
         rng = np.random.default_rng(7)
         pts = rng.normal(size=(20, 3)) * 10.0
-        sim = ev.umeyama_sim3(pts, pts)
-        assert sim.scale == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(sim.rotation, np.eye(3), atol=1e-12)
-        np.testing.assert_allclose(sim.translation, 0.0, atol=1e-10)
+        scale, rotation, translation, ok = umeyama_one(pts, pts)
+        assert ok
+        assert scale == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(rotation, np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(translation, 0.0, atol=1e-10)
 
     def test_construct_and_recover(self):
         rng = np.random.default_rng(8)
         pred = rng.normal(size=(30, 3)) * 8.0
         rotation = se3.random_pose(rng, 0.0, 1.0).rotation
         translation = rng.normal(size=3) * 5.0
-        gt = 2.0 * pred @ rotation.T + translation
-        sim = ev.umeyama_sim3(pred, gt)
-        assert sim.scale == pytest.approx(2.0, abs=1e-9)
-        np.testing.assert_allclose(sim.rotation, rotation, atol=1e-9)
-        np.testing.assert_allclose(sim.translation, translation, atol=1e-9)
-        np.testing.assert_allclose(sim.apply_points(pred), gt, atol=1e-9)
+        gt = similarity(2.0, rotation, translation, pred)
+        got_scale, got_rotation, got_translation, ok = umeyama_one(pred, gt)
+        assert ok
+        assert got_scale == pytest.approx(2.0, abs=1e-9)
+        np.testing.assert_allclose(got_rotation, rotation, atol=1e-9)
+        np.testing.assert_allclose(got_translation, translation, atol=1e-9)
+        np.testing.assert_allclose(similarity(got_scale, got_rotation, got_translation, pred),
+                                   gt, atol=1e-9)
 
-    def test_collinear_rejected(self):
-        pts = np.stack([np.arange(5.0), np.zeros(5), np.zeros(5)], axis=1)
-        with pytest.raises(ValueError, match="degenerate alignment"):
-            ev.umeyama_sim3(pts, pts * 2.0)
+    @given(scale=st.floats(0.1, 10.0), axis=unit_axes, angle=st.floats(0.0, math.pi),
+           translation=st.tuples(*[st.floats(-100.0, 100.0)] * 3).map(np.array),
+           n=st.integers(3, 40), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_alignment_recovers_a_random_similarity(self, scale, axis, angle, translation,
+                                                    n, seed):
+        points = np.random.default_rng(seed).normal(size=(n, 3)) * 10.0
+        rotation = se3.so3_exp(angle * axis)
+        gt = from_points(similarity(scale, rotation, translation, points))
+        aligned = ev.align_rows_to_gt(from_points(points), gt)
+        assert aligned.valid.all()
+        np.testing.assert_allclose(aligned.translations, gt.translations, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(aligned.rotations, np.broadcast_to(rotation, (n, 3, 3)),
+                                   rtol=0, atol=1e-9)
 
-    def test_too_few_points_rejected(self):
-        with pytest.raises(ValueError, match="degenerate alignment"):
-            ev.umeyama_sim3(np.zeros((2, 3)), np.zeros((2, 3)))
+    def test_collinear_and_short_runs_lose_their_poses(self):
+        rng = np.random.default_rng(12)
+        gt = from_points(rng.normal(size=(30, 3)) * 10.0)
+        points = similarity(0.5, rot_z(0.3), np.array([1.0, 2.0, 3.0]), gt.translations)
+        points[14:21] = np.outer(np.arange(7.0), [1.0, -2.0, 0.5])       # collinear
+        valid = np.ones(30, bool)
+        valid[[10, 13, 21]] = False      # runs 0-9, 11-12 (too short), 14-20, 22-29
+        estimate = Trajectory.from_stacks(np.arange(30), gt.rotations[valid], points[valid],
+                                          valid)
+        aligned = ev.align_rows_to_gt(estimate, gt)
+        assert aligned.frame_array[aligned.valid].tolist() == [*range(10), *range(22, 30)]
+        np.testing.assert_allclose(aligned.translations,
+                                   gt.translations[aligned.frame_array[aligned.valid]], atol=1e-9)
+        assert not umeyama_one(points[14:21], gt.translations[14:21])[3]
+        assert not umeyama_one(points[11:13], gt.translations[11:13])[3]
 
     def test_local_optimality_probe(self):
         rng = np.random.default_rng(9)
         pred = rng.normal(size=(40, 3)) * 6.0
-        gt = 1.5 * pred @ rot_z(0.4).T + np.array([1.0, -2.0, 3.0])
+        gt = similarity(1.5, rot_z(0.4), np.array([1.0, -2.0, 3.0]), pred)
         gt = gt + rng.normal(size=gt.shape) * 0.2   # make the fit non-trivial
-        sim = ev.umeyama_sim3(pred, gt)
-        base = float(((sim.apply_points(pred) - gt) ** 2).sum())
+        scale, rotation, translation, ok = umeyama_one(pred, gt)
+        assert ok
+        base = float(((similarity(scale, rotation, translation, pred) - gt) ** 2).sum())
         for _ in range(100):
             ds = 1.0 + rng.normal(0.0, 1e-3)
             dr = se3.so3_exp(rng.normal(size=3) * 1e-3)
             dt = rng.normal(size=3) * 1e-3
-            perturbed = ev.Sim3(sim.scale * ds, dr @ sim.rotation, sim.translation + dt)
-            cost = float(((perturbed.apply_points(pred) - gt) ** 2).sum())
+            perturbed = similarity(scale * ds, dr @ rotation, translation + dt, pred)
+            cost = float(((perturbed - gt) ** 2).sum())
             assert cost >= base - 1e-9 * max(base, 1.0)
+
+    def test_reflection_gives_the_best_proper_rotation(self):
+        # A mirror image has no proper fit: the rotation keeps det +1, and the
+        # sign correction negates the smallest singular value in the scale.
+        rng = np.random.default_rng(10)
+        pred = rng.normal(size=(25, 3)) * np.array([9.0, 5.0, 2.0])
+        gt = pred * np.array([1.0, 1.0, -1.0])
+        scale, rotation, translation, ok = umeyama_one(pred, gt)
+        assert ok
+        assert np.linalg.det(rotation) == pytest.approx(1.0, abs=1e-12)
+        pred_c, gt_c = pred - pred.mean(axis=0), gt - gt.mean(axis=0)
+        d = np.linalg.svd(gt_c.T @ pred_c / len(pred), compute_uv=False)
+        assert scale == pytest.approx((d[0] + d[1] - d[2]) / float((pred_c ** 2).mean(axis=0).sum()),
+                                      rel=1e-12)
+        base = float(((similarity(scale, rotation, translation, pred) - gt) ** 2).sum())
+        for angle in (1e-3, -1e-3):
+            nudged = similarity(scale, rot_x(angle) @ rotation, translation, pred)
+            assert float(((nudged - gt) ** 2).sum()) >= base
 
 
 class TestDerivedStacks:
@@ -724,10 +833,16 @@ class TestRPERecord:
     def test_zero_and_large_errors_accepted(self):
         assert ev.summarize([ev.RPERecord("s", 0, 8, 0.0, 1e300)]).rot_mean == 1e300
 
-    @pytest.mark.parametrize("t, w", [(1.5, 8), (True, 8), (1, False), (1, -3), ("1", 8),
-                                      (np.float64(2.0), 8), (0, 8.0)])
-    def test_non_integer_key_or_negative_length_rejected(self, t, w):
-        with pytest.raises(ValueError, match=re.escape(f"t={t!r}, w={w!r}")):
+    @pytest.mark.parametrize("t, w, message", [
+        (1.5, 8, "window start t must be an integer, got 1.5"),
+        (True, 8, "window start t must be an integer, got True"),
+        (1, False, "window length must be an integer >= 0, got False"),
+        (1, -3, "window length must be an integer >= 0, got -3"),
+        ("1", 8, "window start t must be an integer, got '1'"),
+        (np.float64(2.0), 8, "window start t must be an integer, got np.float64(2.0)"),
+        (0, 8.0, "window length must be an integer >= 0, got 8.0")])
+    def test_non_integer_key_or_negative_length_rejected(self, t, w, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             ev.RPERecord("s", t, w, 0.1, 0.2)
 
     def test_numpy_integer_key_accepted(self):
@@ -767,13 +882,3 @@ class TestRecordsCSV:
         path.write_text(ev.RECORDS_HEADER + "\nseq_000,3,8,1.25\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}, line 2")):
             ev.read_records_csv(path)
-
-
-class TestResultsTable:
-    def test_format_contains_methods_and_units(self):
-        summary = ev.RPESummary(1.5, 0.3, 2.0, 0.4, 10)
-        table = ev.format_results_table(
-            [ev.MethodResult("policy", summary, 100.0),
-             ev.MethodResult("eight_point", summary, 62.0)], w=8)
-        assert "policy" in table and "eight_point" in table
-        assert "trans mm" in table and "coverage" in table

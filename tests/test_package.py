@@ -1,15 +1,46 @@
+import inspect
 import shutil
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 import policyvo
+from policyvo import evaluation, robustness, se3, tables, trajectory, world
 
 
 def test_every_exported_name_resolves():
     missing = [name for name in policyvo.__all__ if not hasattr(policyvo, name)]
     assert missing == []
+
+
+def undocumented(module) -> list[str]:
+    """Public functions, classes, methods and properties defined in ``module`` with no
+    docstring of their own; a dataclass's generated ``Name(field: ...)`` text is none."""
+    missing = []
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj) and not obj.__doc__:
+            missing.append(name)
+        if not inspect.isclass(obj):
+            continue
+        if not obj.__doc__ or obj.__doc__.startswith(f"{name}("):
+            missing.append(name)
+        for attr, member in vars(obj).items():
+            func = member.fget if isinstance(member, property) else getattr(member, "__func__",
+                                                                             member)
+            if not attr.startswith("_") and inspect.isfunction(func) and not func.__doc__:
+                missing.append(f"{name}.{attr}")
+    return missing
+
+
+@pytest.mark.parametrize("module", [se3, trajectory, world, evaluation, robustness, tables],
+                         ids=lambda module: module.__name__)
+def test_every_public_name_has_a_docstring(module):
+    assert undocumented(module) == []
 
 
 def test_failing_property_prints_its_falsifying_example(tmp_path):

@@ -27,9 +27,13 @@ class TestWindowScore:
     def test_zero_and_large_scores_accepted(self):
         assert rb.WindowScore("s", 0, 8, 0.0, 1e300).s_dillum == 1e300
 
-    @pytest.mark.parametrize("t, w", [(1.5, 8), (True, 8), (1, np.bool_(True)), (1, -3)])
-    def test_non_integer_key_or_negative_length_rejected(self, t, w):
-        with pytest.raises(ValueError, match=re.escape(f"t={t!r}, w={w!r}")):
+    @pytest.mark.parametrize("t, w, message", [
+        (1.5, 8, "window start t must be an integer, got 1.5"),
+        (True, 8, "window start t must be an integer, got True"),
+        (1, np.bool_(True), "window length must be an integer >= 0, got np.True_"),
+        (1, -3, "window length must be an integer >= 0, got -3")])
+    def test_non_integer_key_or_negative_length_rejected(self, t, w, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             rb.WindowScore("s", t, w, 0.1, 0.2)
 
 
@@ -173,7 +177,6 @@ class TestStratify:
         assert report.texture_low == rb.BinStats(25.0, float(np.std([10, 20, 30, 40])), 4)
         assert report.texture_high == rb.BinStats(75.0, 5.0, 2)
         assert not report.degenerate_texture
-        assert report.texture_gap == pytest.approx(50.0)
 
     def test_equal_scores_are_degenerate(self):
         errors = [1.0, 2.0, 3.0, 4.0, 5.0]
@@ -181,7 +184,6 @@ class TestStratify:
         report = rb.stratify(scores, records)
         assert report.degenerate_texture and not report.degenerate_dillum
         assert report.texture_low == report.texture_high == rb.BinStats(3.0, float(np.std(errors)), 5)
-        assert report.texture_gap == 0.0
         assert report.dillum_low == rb.BinStats(1.5, 0.5, 2)
         assert report.dillum_high == rb.BinStats(4.5, 0.5, 2)
 
@@ -200,15 +202,3 @@ class TestStratify:
         scores, records = records_and_scores([1, 2, 3, 4], [1, 2, 3, 4], [1.0] * 4)
         with pytest.raises(ValueError, match=re.escape("duplicate scores for window (s,2,8)")):
             rb.stratify(scores + [rb.WindowScore("s", 2, 8, 9.0, 9.0)], records)
-
-    def test_format_stratified_report(self):
-        report = rb.StratifiedReport(rb.BinStats(1.0, 0.5, 3), rb.BinStats(3.25, 0.125, 4),
-                                     rb.BinStats(2.0, 0.0, 10), rb.BinStats(2.0, 0.0, 10),
-                                     degenerate_texture=False, degenerate_dillum=True)
-        assert rb.format_stratified_report(report).splitlines() == [
-            "Stratified translation RPE (mm): low vs high difficulty quartiles",
-            "artifact                   low bin                       high bin             |gap|",
-            "texture        1.0000 ± 0.5000   (n=   3)   3.2500 ± 0.1250   (n=   4)   2.2500",
-            "d_illum        2.0000 ± 0.0000   (n=  10)   2.0000 ± 0.0000   (n=  10)   0.0000"
-            "  [degenerate: all scores equal]",
-        ]

@@ -151,7 +151,8 @@ class TestWindowKeyedReaders:
          "invalid literal for int()"),
         (ev.read_records_csv, ev.RECORDS_HEADER, "s,x,8,0.1,0.2", "invalid literal for int()"),
         (ev.read_records_csv, ev.RECORDS_HEADER, "s,1,8,nan,0.2", "errors must be finite"),
-        (ev.read_records_csv, ev.RECORDS_HEADER, "s,1,-3,0.1,0.2", "w >= 0"),
+        (ev.read_records_csv, ev.RECORDS_HEADER, "s,1,-3,0.1,0.2",
+         "window length must be an integer >= 0, got -3"),
         (rb.read_scores_csv, rb.SCORES_HEADER, "s,1,8,0.1,y", "could not convert"),
         (rb.read_scores_csv, rb.SCORES_HEADER, "s,1.5,8,0.1,0.2", "invalid literal for int()"),
         (rb.read_scores_csv, rb.SCORES_HEADER, "s,1,8,-1,0.2", "scores must be finite"),

@@ -345,7 +345,7 @@ class TestComposeWindow:
     def test_negative_w_rejected(self):
         # w = -1 would otherwise compose all but the last of three unit-x steps.
         actions = ActionSequence.from_array(np.tile([1.0, 0, 0, 0, 0, 0], (3, 1)))
-        with pytest.raises(ValueError, match="window length must be >= 0"):
+        with pytest.raises(ValueError, match="window length must be an integer >= 0, got -1"):
             trajectory.compose_window(Pose.identity(), actions, -1)
 
     def test_thousand_random_windows_round_trip(self):
