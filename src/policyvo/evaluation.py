@@ -190,18 +190,10 @@ def rpe(windows: PredictedWindows, gt_trajs: dict[str, Trajectory],
 def _gt_rows(gt: Trajectory, starts: np.ndarray, missing: str, w: int = 0) -> np.ndarray:
     """Stack rows of frames ``starts + w``; the first without a pose raises ValueError
     ``missing`` + it."""
-    rows, found = _find_ends(gt, starts, w)
+    rows, found = gt._find(starts, w)
     if not found.all():
         raise ValueError(f"{missing} frame {int(starts[found.argmin()]) + w}")
     return rows
-
-
-def _find_ends(traj: Trajectory, starts: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """``traj._find`` of the window ends ``starts + w`` (int64 starts, integer w >= 0).
-    An end past 2**63 - 1 is no frame, not one the sum wraps onto: the sums are taken
-    modulo 2**64, which is exact wherever they fit in int64, and masked where not."""
-    rows, found = traj._find((starts.astype(np.uint64) + np.uint64(w % 2 ** 64)).astype(np.int64))
-    return rows, found & (starts <= np.iinfo(np.int64).max - w)
 
 
 def _umeyama(preds: list, gts: list):
@@ -257,7 +249,7 @@ def constant_velocity_windows(gt_traj: Trajectory, sequence: str, w: int) -> Pre
     whose frame t-1 has no pose (the first, and the first after each gap) has
     no history and falls back to zero motion, as does every window at w = 0."""
     starts = np.array(gt_traj.window_starts(w), dtype=np.int64)
-    before, moving = gt_traj._find(starts - 1)
+    before, moving = gt_traj._find(starts, -1)
     rotations = np.tile(np.eye(3), (len(starts), 1, 1))
     translations = np.zeros((len(starts), 3))
     if w > 0:
@@ -485,7 +477,7 @@ def windows_from_rows(estimate, sequence: str, w: int) -> PredictedWindows:
     endpoints both carry a pose; a length past the frame span gives no window."""
     _check_index("window length", w, least=0)
     estimate = as_trajectory(estimate)
-    ends, first = _find_ends(estimate, estimate._posed, w)    # first: a mask of window starts
+    ends, first = estimate._find(estimate._posed, w)    # first: a mask of window starts
     rot, trans = estimate.rotations, estimate.translations
     return PredictedWindows._trusted(sequence, w, estimate._posed[first],
                                      *se3.relative_rt(rot[first], trans[first],

@@ -3,14 +3,16 @@
 A ``Trajectory`` is the one pose container of ground truth and estimates:
 strictly increasing frames, a mask of those that carry a pose, and their
 poses as read-only rotation and translation stacks, each pose stored once
-(``Pose`` objects are only views of stack rows, built on demand).  Its posed
-frames, in order, are also one sorted array, and the stack row of a frame is
-its place there: a binary search finds where the frame would stand, and a
-second one, past any equal entry, lands further on only if the frame has a
-pose.  The windows t..t+w whose frames all have a pose are those whose posed
-frame w places later is t + w.  Anchoring re-expresses every pose relative to
-the first so the sequence starts at the identity; relative transforms are
-unchanged.
+(``Pose`` objects are only views of stack rows, built on demand).  A frame is
+a Python or numpy integer within int64, not a bool: one rule admits frames and
+finds every lookup's frame plus its offset, and no other value (nor a sum past
+int64) finds one.  The posed frames, in order, are one sorted array, and the
+stack row of a frame is its place there: a binary search finds where the frame
+would stand, and a second one, past any equal entry, lands further on only if
+the frame has a pose.  The windows t..t+w whose frames all have a pose are
+those whose posed frame w places later is t + w.  Anchoring re-expresses every
+pose relative to the first so the sequence starts at the identity (which is
+what ``anchored`` reads); relative transforms are unchanged.
 
 The actions of a window are the steps log(T_{i-1}^-1 T_i) between its
 consecutive frames.  A trajectory computes the steps between all of its
@@ -28,8 +30,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import numbers
-import operator
 import re
 from dataclasses import dataclass
 
@@ -53,28 +53,26 @@ class Trajectory:
     takes (frame, Pose | None) rows and :meth:`from_stacks` the arrays, either checking
     them in full; anchoring, alignment, VO and generated paths derive their stacks from
     checked ones and use :meth:`_trusted` (see ``se3._frozen``).  ``frames``, ``poses``,
-    iteration and ``pose_at`` build ``Pose`` views.  Equality is exact; instances are
-    immutable and unhashable."""
+    iteration and ``pose_at`` build ``Pose`` views.  Equality is exact (``anchored`` is
+    derived from the arrays); instances are immutable and unhashable."""
 
     def __init__(self, rows=(), anchored: bool = False):
         rows = tuple(rows)
         self.__dict__.update(vars(Trajectory.from_stacks(
             [i for i, _ in rows], *se3.stack([p for _, p in rows if p is not None]),
-            [p is not None for _, p in rows], anchored)))
+            [p is not None for _, p in rows])))
+        if anchored and not self.anchored:
+            raise ValueError("anchored trajectory must start at identity")
 
     @classmethod
-    def from_stacks(cls, indices, rotations, translations, valid=None,
-                    anchored: bool = False) -> "Trajectory":
+    def from_stacks(cls, indices, rotations, translations, valid=None) -> "Trajectory":
         """Frames ``indices``; those ``valid`` marks (default all) have the stacks' poses."""
-        frames = np.asarray(indices)
-        if frames.dtype.kind not in "iu":
-            try:
-                frames = np.array([operator.index(i) for i in indices], dtype=np.int64)
-            except TypeError:
-                bad = next(i for i in indices if not hasattr(type(i), "__index__"))
-                raise ValueError(f"frame indices must be integers; frame index {bad!r} "
-                                 "is not an integer") from None
-        frames = frames.astype(np.int64)
+        frames, ok = _frames(indices)
+        if not np.all(ok):
+            bad = indices[np.argmin(ok)]
+            raise ValueError(f"frame index {bad} is outside int64" if _is_index(bad) else
+                             f"frame indices must be integers; frame index {bad!r} "
+                             "is not an integer")
         valid = np.ones(frames.shape, bool) if valid is None else np.array(valid, dtype=bool)
         if frames.ndim != 1 or valid.shape != frames.shape:
             raise ValueError("frames and valid mask must be 1-D arrays of one length")
@@ -83,35 +81,37 @@ class Trajectory:
         rotations, translations = se3._validated(rotations, translations)
         if rotations.shape[:-2] != (np.count_nonzero(valid),):
             raise ValueError(f"{np.count_nonzero(valid)} valid frames, {len(rotations)} poses")
-        return cls._trusted(frames, rotations, translations, valid, anchored)
+        return cls._trusted(frames, rotations, translations, valid)
 
     @classmethod
-    def _trusted(cls, frames, rotations, translations, valid=None,
-                 anchored: bool = False) -> "Trajectory":
-        """Strictly increasing ``frames``, a mask of their length and stacks derived
-        from checked ones; only translations and an anchored start are tested."""
+    def _trusted(cls, frames, rotations, translations, valid=None) -> "Trajectory":
+        """Strictly increasing int64 ``frames``, a mask of their length and stacks derived
+        from checked ones; only translations are tested."""
         frames = np.asarray(frames, dtype=np.int64)
         valid = np.ones(frames.shape, bool) if valid is None else np.asarray(valid, dtype=bool)
         rotations, translations = se3._frozen(rotations, translations)
-        if anchored and len(rotations) and max(np.abs(rotations[0] - np.eye(3)).max(),
-                                               np.abs(translations[0]).max()) > 1e-9:
-            raise ValueError("anchored trajectory must start at identity")
         posed = frames[valid]
         for array in frames, valid, posed:
             array.setflags(write=False)
         traj = cls.__new__(cls)
         traj.__dict__.update(frame_array=frames, valid=valid, rotations=rotations,
-                             translations=translations, anchored=bool(anchored), _posed=posed)
+                             translations=translations, _posed=posed)
         return traj
+
+    @property
+    def anchored(self) -> bool:
+        """Whether the first pose is within 1e-9 of the identity, or no frame has a pose."""
+        return bool(max(np.abs(self.rotations[:1] - np.eye(3)).max(initial=0.0),
+                        np.abs(self.translations[:1]).max(initial=0.0)) <= 1e-9)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Trajectory is immutable; cannot set {name!r}")
 
     def __eq__(self, other) -> bool:
-        """Exact equality of the four arrays and the anchoring flag, with no tolerance."""
-        return (isinstance(other, Trajectory) and self.anchored == other.anchored
-                and all(np.array_equal(getattr(self, name), getattr(other, name))
-                        for name in ("frame_array", "valid", "rotations", "translations")))
+        """Exact equality of the four arrays, with no tolerance."""
+        return isinstance(other, Trajectory) and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("frame_array", "valid", "rotations", "translations"))
 
     def __len__(self) -> int:
         return len(self.frame_array)
@@ -144,7 +144,7 @@ class Trajectory:
         """Positions of the given frames in ``rotations``/``translations``."""
         frames = list(frame_indices)
         rows, found = self._find(frames)
-        if not found.all():
+        if np.count_nonzero(found) < len(found):
             raise KeyError(f"no frame {frames[found.argmin()]} with a pose in trajectory")
         return rows
 
@@ -171,14 +171,33 @@ class Trajectory:
         starts = self._posed[:max(len(self._posed) - w, 0)]
         return starts[self._posed[w:] - starts == w].tolist()
 
-    def _find(self, frames) -> tuple[np.ndarray, np.ndarray]:
-        """Stack rows of the frames, and whether each has a pose (see the module docstring)."""
-        queries = np.asarray(frames)
-        if queries.dtype.kind not in "iuf":     # bools are 0 and 1, and non-numbers no frame
-            queries = np.array([f if isinstance(f, (numbers.Real, np.bool_)) else np.nan
-                                for f in frames], dtype=float)
+    def _find(self, frames, offset: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """Stack rows of the frames ``frames`` + ``offset``, and whether each has a pose
+        (see the module docstring); what :func:`_frames` does not count finds nothing."""
+        queries, ok = _frames(frames, offset)
         rows = np.searchsorted(self._posed, queries)
-        return rows, np.searchsorted(self._posed, queries, side="right") > rows
+        found = np.searchsorted(self._posed, queries, side="right") > rows
+        return rows, found if ok is True else found & ok
+
+
+def _frames(values, offset: int = 0) -> tuple[np.ndarray, np.ndarray | bool]:
+    """``values`` + ``offset`` as int64, and a mask of the values that count: Python or
+    numpy integers, not bools, whose sum lies within int64 (the others' sums are
+    arbitrary).  When every value counts without an elementwise test, the mask is True."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        if values.dtype == np.int64 and not offset:
+            return values, True
+        ok = (values >= -2 ** 63 - offset) & (values <= 2 ** 63 - 1 - offset)
+        return (values.astype(np.uint64) + np.uint64(offset % 2 ** 64)).astype(np.int64), ok
+    values = values.tolist() if isinstance(values, np.ndarray) else values
+    kinds = set(map(type, values))
+    if kinds == {int} or all(issubclass(kind, np.integer) for kind in kinds - {int}):
+        try:
+            return np.array([int(v) + offset for v in values] if offset else values, np.int64), True
+        except OverflowError:   # a value past int64, masked below
+            pass
+    ok = np.array([_is_index(v) and -2 ** 63 <= int(v) + offset < 2 ** 63 for v in values], bool)
+    return np.array([int(v) + offset if good else 0 for v, good in zip(values, ok)], np.int64), ok
 
 
 def _is_index(value) -> bool:
@@ -237,7 +256,7 @@ def anchor(traj: Trajectory) -> Trajectory:
     first_inv = se3.inverse_rt(traj.rotations[0], traj.translations[0])
     return Trajectory._trusted(traj.frame_array,
                                *se3.compose_rt(*first_inv, traj.rotations, traj.translations),
-                               traj.valid, anchored=True)
+                               traj.valid)
 
 
 def action_windows(traj: Trajectory, k: int) -> dict[int, ActionSequence]:
@@ -255,10 +274,11 @@ def extract_actions(traj: Trajectory, t: int, k: int) -> ActionSequence:
     """
     _check_index("window start t", t)
     _check_index("horizon k", k, least=1)
-    (row, end), found = traj._find([t, t + k])  # t..t+k all have poses iff t and t+k
-    if not found.all() or end != row + k:       # do, k rows apart (frames increase)
-        raise ValueError(f"window out of range: frames {t}..{t + k} not all present")
-    steps = traj._steps[row:end]
+    rows, found = traj._find([t], k)    # t..t+k all have poses iff t + k has one
+    end = rows[0]                       # and t has the one k rows before it
+    if not found[0] or end < k or traj._posed[end - k] != t:
+        raise ValueError(f"window out of range: frames {t}..{int(t) + k} not all present")
+    steps = traj._steps[end - k:end]
     if not np.isfinite(steps).all():
         raise ValueError("action delta has non-finite components")
     return ActionSequence(steps)
@@ -278,7 +298,7 @@ def compose_window(start: Pose, actions: ActionSequence, w: int) -> Pose:
 def write_trajectory_file(path, rows) -> None:
     """Write a Trajectory, or (frame, Pose | None) rows, as CSV; a frame without
     a pose is a nan row.  Raises ValueError naming the file, and writes nothing,
-    when the frames are not integers or do not strictly increase."""
+    when the frames are not integers within int64 or do not strictly increase."""
     try:
         traj = as_trajectory(rows)
     except ValueError as exc:
@@ -289,13 +309,15 @@ def write_trajectory_file(path, rows) -> None:
                 ((i, *vec) for i, vec in zip(traj.indices, vectors.tolist())))
 
 
-def _first_bad_row(path, rows) -> ValueError:
-    """The error of the first row with a bad frame or field; one such row must exist."""
+def _first_bad_row(path, rows) -> ValueError | None:
+    """The error of the first row with a bad frame or field, or None if no row has one."""
     previous = None
     for number, (frame, *fields) in enumerate(rows, start=2):
         where = f"{path}, line {number}"
         if not frame.removeprefix("-").isdecimal():
             return ValueError(f"{where}: frame {frame!r} is not an integer")
+        if not -2 ** 63 <= int(frame) < 2 ** 63:
+            return ValueError(f"{where}: frame {frame} is outside int64")
         if previous is not None and int(frame) <= previous:
             return ValueError(f"{where}: frame {frame} does not follow frame {previous}")
         try:
@@ -309,9 +331,10 @@ def read_trajectory_file(path) -> Trajectory:
     """Read a trajectory file; frames of non-finite rows have no pose.
 
     Raises ValueError naming the file and line for a frame that is not an
-    integer or does not strictly increase, and for a non-numeric field (found by
-    a second scan, made only when the checks of all rows at once fail); and
-    naming the file for a pose that fails the full stack check.
+    integer, lies outside int64 or does not strictly increase, and for a
+    non-numeric field (found by a second scan, made only when the checks of all
+    rows at once fail); and naming the file for a pose that fails the full stack
+    check.
     """
     rows = read_table(path, TRAJECTORY_HEADER)
     frames = [row[0] for row in rows]
@@ -320,19 +343,18 @@ def read_trajectory_file(path) -> Trajectory:
         indices = list(map(int, frames))
     except ValueError:
         raise _first_bad_row(path, rows) from None
-    if not (_INTEGER_LINES.fullmatch("\n".join(frames + [""]))
-            and all(map(operator.lt, indices, indices[1:]))):
+    if not _INTEGER_LINES.fullmatch("\n".join(frames + [""])):
         raise _first_bad_row(path, rows)
     vectors = vectors.reshape(-1, 7)[:, 1:]     # the frame column parsed as a float, too
     valid = np.isfinite(vectors).all(axis=1)
     try:
         with np.errstate(over="ignore", invalid="ignore"):    # a huge angle overflows
             return Trajectory.from_stacks(indices, *se3.exp_rt(vectors[valid]), valid)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    except ValueError as exc:   # a bad frame has a line; a bad pose, only the file
+        raise _first_bad_row(path, rows) or ValueError(f"{path}: {exc}") from None
 
 
-def rows_to_trajectory(rows, anchored: bool = False) -> Trajectory:
+def rows_to_trajectory(rows) -> Trajectory:
     """The frames of a Trajectory, or of (frame, Pose | None) rows, that have a pose."""
     traj = as_trajectory(rows)
-    return Trajectory._trusted(traj._posed, traj.rotations, traj.translations, anchored=anchored)
+    return Trajectory._trusted(traj._posed, traj.rotations, traj.translations)

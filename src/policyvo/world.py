@@ -371,7 +371,7 @@ def generate_trajectory(seed: int, n_frames: int, profile: MotionProfile,
             rotation = se3.project_rotation(rotation)
         rotations.append(rotation)
         positions.append(position)
-    return Trajectory._trusted(np.arange(n_frames), rotations, positions, anchored=True)
+    return Trajectory._trusted(np.arange(n_frames), rotations, positions)
 
 
 # ---------------------------------------------------------------------------
@@ -511,9 +511,9 @@ def load_dataset(root) -> list[SequenceData]:
 
 
 def _anchored(rows, where) -> Trajectory:
-    """The frames of ``rows`` with a pose, anchored; ValueError names ``where`` when the
-    first pose is not the identity."""
-    try:
-        return trj.rows_to_trajectory(rows, anchored=True)
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
+    """The frames of ``rows`` with a pose; ValueError names ``where`` when the first
+    pose is not the identity."""
+    traj = trj.rows_to_trajectory(rows)
+    if not traj.anchored:
+        raise ValueError(f"{where}: anchored trajectory must start at identity")
+    return traj

@@ -8,6 +8,8 @@ only in bench/tests.  Sizes are the harness's smoke-test ones: 2 sequences of
 24 frames at 48 px with 500 landmarks, and a 160-frame estimate.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,27 @@ def test_full_pipeline_unit(sequences):
         scores = [rb.score_window(name, t, W, observations[t], observations[t + W])
                   for t in gt.indices if t + W in observations]
         assert rb.stratify(scores, records).texture_low.count > 0
+
+
+def test_record_call_shapes(sequences):
+    """The three shapes in which the harness hands records on: ``stratify`` gets
+    ``rpe``'s own return (the probe) and one list flattened across sequences (a pass),
+    and ``summarize`` a plain list with one record replaced (its checks' tests)."""
+    camera = world.Camera.default(48)
+    all_scores, flat = [], []
+    for name, scene, gt in sequences:
+        observations = {i: world.render(scene, camera, pose) for i, pose in gt.frames}
+        scores = [rb.score_window(name, t, W, observations[t], observations[t + W])
+                  for t in gt.indices if t + W in observations]
+        records, _ = ev.rpe(ev.zero_motion_windows(gt, name, W), {name: gt}, W)
+        assert rb.stratify(scores, records).texture_low.count > 0
+        all_scores += scores
+        flat += records
+    assert rb.stratify(all_scores, flat).texture_low.count > 0
+    perturbed = list(flat)
+    perturbed[0] = dataclasses.replace(perturbed[0], trans_err=perturbed[0].trans_err + 1e-3)
+    summary = ev.summarize(perturbed)
+    assert summary.count == len(flat) and summary.trans_mean > ev.summarize(flat).trans_mean
 
 
 def test_long_eval_unit(tmp_path):

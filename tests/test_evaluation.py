@@ -351,6 +351,41 @@ class TestWindowLength:
             (first, w, 0.0, 0.0)
 
 
+class TestInt64Edges:
+    """Windows, their scores and the constant-velocity history at both ends of int64:
+    a frame plus or minus a step past int64 is no frame, and never wraps onto one."""
+
+    @pytest.mark.parametrize("first", [-2 ** 63, 2 ** 63 - 4])
+    def test_windows_and_rpe_at_an_edge(self, first):
+        poses = [se3.random_pose(i, 1.0, 0.1) for i in range(4)]
+        gt = Trajectory([(first + i, pose) for i, pose in enumerate(poses)])
+        windows = ev.windows_from_rows(gt, "s", 2)
+        assert windows.starts.tolist() == [first, first + 1]
+        records, _ = ev.rpe(windows, {"s": gt}, 2)
+        assert [(r.t, r.trans_err, r.rot_err) for r in records] == [(first, 0.0, 0.0),
+                                                                  (first + 1, 0.0, 0.0)]
+        const = ev.constant_velocity_windows(gt, "s", 2)
+        assert const.starts.tolist() == [first, first + 1]
+        np.testing.assert_array_equal(const.rotations[0], np.eye(3))   # no history
+        step = se3.relative(poses[0], poses[1])
+        np.testing.assert_allclose(const.translations[1],
+                                   se3.compose(step, step).translation, atol=1e-12)
+        assert len(ev.rpe(const, {"s": gt}, 2)[0]) == 2
+        late = ev.PredictedWindows("s", 2, [first + 2], np.eye(3)[None], np.zeros((1, 3)))
+        with pytest.raises(ValueError, match=f"no pose at window end frame {first + 4}$"):
+            ev.rpe(late, {"s": gt}, 2)
+
+    def test_constant_velocity_history_does_not_wrap(self):
+        # -2**63 - 1 wraps to 2**63 - 1 in int64, the last frame here, which has no next row.
+        moved = Pose(rot_z(0.1), [1.0, 0.0, 0.0])
+        gt = Trajectory([(-2 ** 63, Pose.identity()), (-2 ** 63 + 1, moved),
+                         (2 ** 63 - 1, Pose.identity())])
+        windows = ev.constant_velocity_windows(gt, "s", 1)
+        assert windows.starts.tolist() == [-2 ** 63]
+        np.testing.assert_array_equal(windows.rotations, np.eye(3)[None])
+        np.testing.assert_array_equal(windows.translations, np.zeros((1, 3)))
+
+
 class TestMissingGroundTruth:
     """A frame ground truth has no pose for is a ValueError naming it, not a KeyError."""
 

@@ -1,3 +1,4 @@
+import importlib
 import inspect
 import shutil
 import subprocess
@@ -14,6 +15,15 @@ from policyvo import evaluation, robustness, se3, tables, trajectory, world
 def test_every_exported_name_resolves():
     missing = [name for name in policyvo.__all__ if not hasattr(policyvo, name)]
     assert missing == []
+
+
+def test_every_declared_script_resolves():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"].get("scripts", {})
+    for name, target in scripts.items():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr)), name
 
 
 def undocumented(module) -> list[str]:

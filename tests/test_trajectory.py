@@ -64,14 +64,14 @@ class TestTrajectoryType:
         with pytest.raises(ValueError):
             Trajectory(((0, Pose(np.eye(3), [1.0, 0, 0])),), anchored=True)
 
-    def test_equality_compares_frames_and_anchoring(self):
+    def test_equality_compares_the_four_arrays(self):
         traj = random_trajectory(21, 3)
         copy = Trajectory(tuple((i, Pose(p.rotation.copy(), p.translation.copy()))
                                 for i, p in traj.frames))
         assert traj == copy
         assert traj != random_trajectory(21, 3, start_index=1)
         assert traj != random_trajectory(22, 3)
-        assert Trajectory([(0, Pose.identity())]) != Trajectory([(0, Pose.identity())],
+        assert Trajectory([(0, Pose.identity())]) == Trajectory([(0, Pose.identity())],
                                                                 anchored=True)
 
     def test_lookup_by_frame_index(self):
@@ -122,7 +122,8 @@ class TestTrajectoryType:
         assert Trajectory(traj.frames) == traj
         if len(traj.rotations):
             anchored = trajectory.anchor(traj)
-            assert Trajectory(anchored.frames, anchored=True) == anchored != traj
+            assert Trajectory(anchored.frames, anchored=True) == anchored
+            assert anchored.anchored
 
 
 class TestWindowStarts:
@@ -200,8 +201,7 @@ class TestFrameIndex:
     TRAJ = Trajectory([(-2, Pose.identity()), (0, None), (1, se3.random_pose(1, 2.0, 0.3)),
                        (5, se3.random_pose(2, 2.0, 0.3)), (6, Pose.identity())])
 
-    @pytest.mark.parametrize("query, frame", [(5.0, 5), (np.float64(5.0), 5), (True, 1),
-                                              (np.int32(-2), -2), (-2.0, -2)])
+    @pytest.mark.parametrize("query, frame", [(np.int32(-2), -2)])
     def test_a_number_equal_to_a_frame_finds_it(self, query, frame):
         traj = self.TRAJ
         assert query in traj
@@ -209,15 +209,133 @@ class TestFrameIndex:
         assert traj.pose_at(query) == traj.pose_at(frame)
 
     @pytest.mark.parametrize("query", [5.5, 1.5, -1.5, 5.999, math.nan, math.inf, "5", None,
-                                       False, 0, 0.0, 2**70])
+                                       False, 0, 0.0, 2**70, 5.0, np.float64(5.0), True, -2.0])
     def test_anything_else_finds_no_frame(self, query):
-        """A query is never truncated to an integer, and only numbers name frames."""
+        """A query is never truncated to an integer, and only integers name frames."""
         traj = self.TRAJ
         assert query not in traj
         with pytest.raises(KeyError, match=re.escape(f"no frame {query} with a pose")):
             traj.pose_at(query)
         with pytest.raises(KeyError, match=re.escape(f"no frame {query} with a pose")):
             traj.rows([1, query, 5])
+
+
+TOP = 2 ** 63     # the first integer past int64
+
+
+def near(frame):
+    """Integers within 8 of ``frame``; past int64 at its edges."""
+    return st.integers(frame - 8, frame + 8)
+
+
+def identity_stacks(n):
+    """n identity rotations, and translations [3i, 3i + 1, 3i + 2] for row i."""
+    return np.broadcast_to(np.eye(3), (n, 3, 3)), np.arange(3.0 * n).reshape(n, 3)
+
+
+@st.composite
+def edge_trajectories(draw):
+    """Sorted unique frames near -2**63, 0 and 2**63 - 1, with a random mask."""
+    frames = sorted(draw(st.sets(st.one_of(near(-TOP), near(0), near(TOP - 1)).filter(
+        lambda f: -TOP <= f < TOP), max_size=12)))
+    valid = draw(st.lists(st.booleans(), min_size=len(frames), max_size=len(frames)))
+    return Trajectory.from_stacks(frames, *identity_stacks(sum(valid)), valid)
+
+
+# Lookups: lists of frames, numbers near them (past int64 too), numpy integers, floats,
+# bools and strings; and uint64 and int64 arrays.
+query_items = st.one_of(near(-TOP), near(0), near(TOP - 1), st.integers(),
+                        near(0).map(np.int32), near(TOP - 1).filter(lambda f: f < TOP).map(np.int64),
+                        st.floats(), st.booleans(), st.text("05-", max_size=2))
+queries = st.one_of(st.lists(query_items, max_size=6),
+                    st.lists(st.one_of(near(0), near(TOP)).filter(lambda f: f >= 0),
+                             max_size=4).map(lambda v: np.array(v, np.uint64)),
+                    st.lists(near(TOP - 9), max_size=4).map(lambda v: np.array(v, np.int64)))
+
+
+class TestInt64Frames:
+    """One rule for frames: a Python or numpy integer within int64, not a bool, is a
+    frame; every other value, and a lookup plus an offset past int64, finds none."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_trajectories(), queries, st.sampled_from([-1, 0, 1, 8, 2 ** 62]))
+    def test_lookups_match_a_dict(self, traj, query, offset):
+        row_of = reference_rows(traj)
+        values = query.tolist() if isinstance(query, np.ndarray) else query
+
+        def expected(q, offset):
+            """The row of frame q + offset, or None; only a non-bool integer is a frame."""
+            is_int = isinstance(q, (int, np.integer)) and not isinstance(q, bool)
+            return row_of.get(int(q) + offset) if is_int else None
+
+        want = [expected(q, offset) for q in values]
+        rows, found = traj._find(query, offset)
+        assert found.tolist() == [row is not None for row in want]
+        assert rows[found].tolist() == [row for row in want if row is not None]
+        want = [expected(q, 0) for q in values]
+        for q, row in zip(values, want):
+            assert (q in traj) == (row is not None)
+            if row is None:
+                with pytest.raises(KeyError, match="no frame"):
+                    traj.pose_at(q)
+            else:
+                assert traj.pose_at(q).translation.tolist() == [3.0 * row, 3.0 * row + 1,
+                                                                3.0 * row + 2]
+        if None in want:
+            with pytest.raises(KeyError, match="no frame"):
+                traj.rows(query)
+        else:
+            assert traj.rows(query).tolist() == want
+
+    def test_frames_at_the_top_of_int64_are_found_exactly(self):
+        traj = Trajectory.from_stacks([TOP - 10 + i for i in range(10)], *identity_stacks(10))
+        assert TOP + 5 not in traj
+        with pytest.raises(KeyError, match=f"no frame {TOP + 5} with a pose"):
+            traj.pose_at(TOP + 5)
+        assert traj.rows([TOP - 7]).tolist() == [3]
+        with pytest.raises(KeyError, match=f"no frame {TOP} with a pose"):
+            traj.rows([TOP - 7, TOP])
+        assert traj.rows(np.array([TOP - 1], np.uint64)).tolist() == [9]
+        assert traj.pose_at(np.uint64(TOP - 1)).translation.tolist() == [27.0, 28.0, 29.0]
+
+    def test_a_float_never_finds_a_frame_it_rounds_onto(self):
+        traj = Trajectory([(2 ** 60 + 1, Pose.identity())])
+        assert float(2 ** 60 + 1) == float(2 ** 60)
+        with pytest.raises(KeyError, match="no frame 1.152921504606847e"):
+            traj.pose_at(float(2 ** 60))
+
+    @pytest.mark.parametrize("frames", [
+        np.array([-TOP, TOP - 1]), [-TOP, TOP - 1], np.array([0, TOP - 1], np.uint64),
+        [np.int64(-TOP), np.uint64(TOP - 1)], np.array([-5, 7], np.int32)])
+    def test_the_int64_edges_are_frames(self, frames):
+        want = [int(f) for f in frames]
+        assert Trajectory.from_stacks(frames, *identity_stacks(2)).indices == want
+        assert Trajectory([(f, Pose.identity()) for f in frames]).indices == want
+
+    @pytest.mark.parametrize("frames, bad", [
+        (np.array([TOP], np.uint64), TOP), ([TOP], TOP), ([-TOP - 1], -TOP - 1),
+        ([0, np.uint64(TOP)], TOP), (np.array([0, 2 ** 64 - 1], np.uint64), 2 ** 64 - 1)])
+    def test_a_frame_past_int64_is_refused(self, frames, bad):
+        message = re.escape(f"frame index {bad} is outside int64")
+        with pytest.raises(ValueError, match=message):
+            Trajectory.from_stacks(frames, *identity_stacks(len(frames)))
+        with pytest.raises(ValueError, match=message):
+            Trajectory([(f, Pose.identity()) for f in frames])
+
+    @pytest.mark.parametrize("bad", [True, np.True_, False])
+    def test_a_bool_is_not_a_frame(self, bad):
+        with pytest.raises(ValueError, match=re.escape(f"frame index {bad!r} is not an integer")):
+            Trajectory([(bad, Pose.identity())])
+        with pytest.raises(ValueError, match=re.escape(f"frame index {bad!r} is not an integer")):
+            Trajectory.from_stacks([bad], *identity_stacks(1))
+
+    def test_anchored_is_read_from_the_first_pose(self):
+        still = Trajectory([(i, Pose.identity()) for i in range(4)])
+        moved = Trajectory([(0, None), (1, Pose(np.eye(3), [1e-8, 0.0, 0.0]))])
+        assert still.anchored and not moved.anchored and EMPTY.anchored and ALL_INVALID.anchored
+        assert Trajectory([(0, Pose(np.eye(3), [1e-9, 0.0, 0.0]))], anchored=True).anchored
+        assert trajectory.rows_to_trajectory(trajectory.anchor(moved)).anchored
+        assert trajectory.anchor(random_trajectory(3, 4)).anchored
 
 
 class TestAnchor:
@@ -443,6 +561,8 @@ class TestTrajectoryFile:
         ("0,1,3,2,4", 5, "frame 2 does not follow frame 3"),
         ("0,1.5,2", 3, "frame '1.5' is not an integer"),
         ("0,x,2", 3, "frame 'x' is not an integer"),
+        (f"0,{2 ** 63}", 3, f"frame {2 ** 63} is outside int64"),
+        (f"{-2 ** 63 - 1},0", 2, f"frame {-2 ** 63 - 1} is outside int64"),
     ])
     def test_bad_frame_names_file_and_line(self, tmp_path, frames, line, message):
         path = tmp_path / "traj.csv"
@@ -450,6 +570,12 @@ class TestTrajectoryFile:
                         + "".join(f"{i},0,0,0,0,0,0\n" for i in frames.split(",")))
         with pytest.raises(ValueError, match=re.escape(f"{path}, line {line}: {message}")):
             trajectory.read_trajectory_file(path)
+
+    def test_the_int64_edges_round_trip(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        traj = Trajectory([(-2 ** 63, Pose.identity()), (2 ** 63 - 1, Pose(np.eye(3), [1.0, 2, 3]))])
+        trajectory.write_trajectory_file(path, traj)
+        assert trajectory.read_trajectory_file(path) == traj
 
     def test_non_numeric_field_names_file_and_line(self, tmp_path):
         path = tmp_path / "traj.csv"
@@ -462,6 +588,7 @@ class TestTrajectoryFile:
         ([0, 2, 2], "frame 2 does not follow frame 2"),
         ([1.5], "frame indices must be integers"),
         ([0, 1.0], "frame indices must be integers"),
+        ([0, 2 ** 63], f"frame index {2 ** 63} is outside int64"),
     ])
     def test_writer_rejects_bad_frames_and_writes_nothing(self, tmp_path, frames, message):
         path = tmp_path / "traj.csv"

@@ -463,6 +463,28 @@ class TestBuildDataset:
         samples = world.window_samples("s", traj, observations, 2)
         assert [s.t for s in samples] == [0, 4, 5, 6]
 
+    OBS = Observation(np.zeros((4, 4)), np.ones((4, 4), dtype=bool))
+
+    def test_window_samples_refuse_a_start_away_from_identity(self):
+        traj = trj.Trajectory([(0, Pose(np.eye(3), [1e-6, 0.0, 0.0]))]
+                              + [(i, Pose.identity()) for i in range(1, 4)])
+        with pytest.raises(ValueError, match="trajectory must be anchored"):
+            world.window_samples("s", traj, dict.fromkeys(range(4), self.OBS), 2)
+
+    def test_window_samples_take_an_identity_start_built_without_the_flag(self):
+        traj = trj.Trajectory([(i, Pose.identity()) for i in range(4)])
+        samples = world.window_samples("s", traj, dict.fromkeys(range(4), self.OBS), 2)
+        assert [s.t for s in samples] == [0, 1]
+
+    def test_anchoring_survives_a_dataset_round_trip(self, tmp_path):
+        traj = trj.Trajectory([(i, Pose(rot_x(0.1 * i), [float(i), 0.0, 0.0]))
+                               for i in range(4)])
+        world.write_dataset(tmp_path, [world.SequenceData("s", traj, dict.fromkeys(range(4),
+                                                                                   self.OBS))])
+        loaded = world.load_dataset(tmp_path)[0].trajectory
+        assert traj.anchored and loaded.anchored and loaded.indices == traj.indices
+        assert len(world.window_samples("s", loaded, dict.fromkeys(range(4), self.OBS), 2)) == 2
+
 
 class TestDiskFormat:
     def test_pgm_round_trip(self, tmp_path):
