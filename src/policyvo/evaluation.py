@@ -291,28 +291,22 @@ def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x[:, 0] * y[:, 0] + x[:, 1] * y[:, 1] + x[:, 2] * y[:, 2]
 
 
-def _triangulate_depths(rotations, t_ba: np.ndarray, rays_a: np.ndarray, rays_b: np.ndarray):
+def _triangulate_depths(rotation_ba, t_ba: np.ndarray, rays_a: np.ndarray, rays_b: np.ndarray):
     """Two-view linear depths: minimize ||u*da - v*db + t|| per match (u = R_ba a, v = b).
 
-    Yields per rotation R_ba the (2, n) depths (depth_a, depth_b) for t_ba, then
-    for -t_ba, whose u.t and v.t, hence depths, are exactly negated.  Rays have
-    z = 1, so these are z-depths in each camera; zero parallax gives -1 for both.
+    Returns the (2, n) depths (depth_a, depth_b) for t_ba, and the zero-parallax
+    mask, where both are -1; the other depths for -t_ba are exactly negated (so
+    are u.t and v.t).  Rays have z = 1, so these are z-depths in each camera.
     """
-    vv = _row_dots(rays_b, rays_b)
-    vt = rays_b @ t_ba
-    for rotation_ba in rotations:
-        u = rays_a @ rotation_ba.T
-        uu = _row_dots(u, u)
-        uv = _row_dots(u, rays_b)
-        ut = u @ t_ba
-        det = uu * vv - uv * uv
-        flat = ~(det > 1e-12 * uu * vv)     # zero parallax
-        det[flat] = 1.0
-        depths = np.stack([-ut * vv + uv * vt, uv * -ut + uu * vt]) / det
-        depths[:, flat] = -1.0
-        negated = -depths
-        negated[:, flat] = -1.0
-        yield depths, negated
+    u = rays_a @ rotation_ba.T
+    uu, vv, uv = _row_dots(u, u), _row_dots(rays_b, rays_b), _row_dots(u, rays_b)
+    ut, vt = u @ t_ba, rays_b @ t_ba
+    det = uu * vv - uv * uv
+    flat = ~(det > 1e-12 * uu * vv)     # zero parallax
+    det[flat] = 1.0
+    depths = np.stack([-ut * vv + uv * vt, uv * -ut + uu * vt]) / det
+    depths[:, flat] = -1.0
+    return depths, flat
 
 
 def _eight_point(pts_a, pts_b, camera: Camera):
@@ -350,19 +344,21 @@ def _eight_point(pts_a, pts_b, camera: Camera):
         vt_e = -vt_e
     w_mat = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     # Candidates (R1, +t), (R1, -t), (R2, +t), (R2, -t); the first maximum wins.
-    rotations = (u @ w_mat @ vt_e, u @ w_mat.T @ vt_e)
-    candidates = []
-    both = _triangulate_depths(rotations, u[:, 2], rays_a, rays_b)
-    for rotation_ba, both_signs in zip(rotations, both):
-        for t_ba, (depth_a, depth_b) in zip((u[:, 2], -u[:, 2]), both_signs):
-            front = np.count_nonzero((depth_a > 0.0) & (depth_b > 0.0))
-            candidates.append((front, rotation_ba, t_ba, depth_a, depth_b))
-    front, rotation_ba, t_ba, depth_a, depth_b = max(candidates, key=lambda c: c[0])
+    best = (-1,)
+    for rotation_ba in (u @ w_mat @ vt_e, u @ w_mat.T @ vt_e):
+        depths, flat = _triangulate_depths(rotation_ba, u[:, 2], rays_a, rays_b)
+        ahead = (depths > 0.0).all(0), (depths < 0.0).all(0) & ~flat
+        for sign, front in zip((1.0, -1.0), map(np.count_nonzero, ahead)):
+            if front > best[0]:
+                best = front, sign, rotation_ba, depths, flat
+    front, sign, rotation_ba, depths, flat = best
     if front < MIN_CHEIRALITY * n:
         raise BaselineFailure(f"cheirality ambiguity ({front}/{n} points in front)")
+    if sign < 0.0:      # -t flips every depth but the flat matches' -1
+        depths = np.where(flat, -1.0, -depths)
     # (R_ba, t_ba) maps frame-a coords to frame-b; the relative pose of
     # camera b in camera a's frame is the inverse.
-    return rotation_ba.T, -(rotation_ba.T @ t_ba), depth_a, depth_b
+    return rotation_ba.T, -(rotation_ba.T @ (sign * u[:, 2])), depths[0], depths[1]
 
 
 def eight_point_relative_pose(pts_a: np.ndarray, pts_b: np.ndarray,
@@ -394,11 +390,12 @@ def eight_point_vo(scene: Scene, camera: Camera, gt_traj: Trajectory,
     relative to the previous step by the depth ratios of shared landmarks,
     so each contiguous segment is consistent up to one global scale.
 
-    A failed step leaves the next frame without a pose; estimation restarts
-    from the following pair in a fresh segment.  Returns the estimate over
-    the ground truth's posed frames; frames in no successful step have no pose.
-    Each frame is projected once, for both its pairs; the rows equal those
-    of :func:`~policyvo.world.correspondences` called on every pair.
+    A step fails on a BaselineFailure of its solve or of its scale link (one
+    ``except`` for both), which leaves the next frame without a pose and
+    restarts the chain in a fresh segment at the following pair.  Returns the
+    estimate over the ground truth's posed frames; frames in no successful
+    step have no pose.  Each frame is projected once, for both its pairs; the
+    rows equal those of :func:`~policyvo.world.correspondences` on every pair.
     """
     rng = np.random.default_rng(seed)
     indices = gt_traj._posed.tolist()
@@ -409,17 +406,13 @@ def eight_point_vo(scene: Scene, camera: Camera, gt_traj: Trajectory,
         ids, pts_a, pts_b = _match_views(*view_a, *view_b, noise_px, rng)
         try:
             rotation, translation, depth_a, depth_b = _eight_point(pts_a, pts_b, camera)
+            if prev is None:    # new segment anchored at frame a
+                chain[a], scale = (np.eye(3), np.zeros(3)), 1.0
+            else:
+                scale = scale * _shared_depth_ratio(*prev, ids, depth_a)
         except BaselineFailure:
             prev = None
             continue
-        if prev is None:    # new segment anchored at frame a
-            chain[a], scale = (np.eye(3), np.zeros(3)), 1.0
-        else:
-            ratio = _shared_depth_ratio(*prev, ids, depth_a)
-            if ratio is None:
-                prev = None
-                continue
-            scale = scale * ratio
         chain[b] = se3.compose_rt(*chain[a], rotation, scale * translation)
         prev = ids, depth_b
     # Frames enter the chain in increasing order, so its values are in frame order.
@@ -429,18 +422,22 @@ def eight_point_vo(scene: Scene, camera: Camera, gt_traj: Trajectory,
 
 
 def _shared_depth_ratio(prev_ids: np.ndarray, prev_depth_b: np.ndarray,
-                        ids: np.ndarray, depth_a: np.ndarray) -> float | None:
-    """Baseline-scale ratio from landmarks triangulated by two consecutive steps."""
+                        ids: np.ndarray, depth_a: np.ndarray) -> float:
+    """Baseline-scale ratio: the median of the last step's frame-b depths over this
+    step's frame-a depths of the landmarks both steps triangulated in front.  Raises
+    BaselineFailure for fewer than MIN_SHARED shared landmarks, or shared ones with a
+    positive depth in both steps, and for a ratio that is not > 0."""
     common, ip, ic = _shared_ids(prev_ids, ids)
     if len(common) < MIN_SHARED:
-        return None
-    prev_depth = prev_depth_b[ip]   # in the shared middle frame
-    cur_depth = depth_a[ic]
+        raise BaselineFailure(f"fewer than {MIN_SHARED} shared landmarks ({len(common)})")
+    prev_depth, cur_depth = prev_depth_b[ip], depth_a[ic]     # in the shared middle frame
     ok = (prev_depth > 0.0) & (cur_depth > 0.0)
     if np.count_nonzero(ok) < MIN_SHARED:
-        return None
+        raise BaselineFailure(f"fewer than {MIN_SHARED} positive shared depths ({ok.sum()})")
     ratio = float(np.median(prev_depth[ok] / cur_depth[ok]))
-    return ratio if ratio > 0.0 else None
+    if not ratio > 0.0:
+        raise BaselineFailure(f"scale ratio {ratio} is not > 0")
+    return ratio
 
 
 def align_rows_to_gt(estimate, gt_traj: Trajectory) -> Trajectory:

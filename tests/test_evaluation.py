@@ -155,17 +155,13 @@ def per_pair_vo(scene, camera, gt_traj, min_albedo, noise_px, seed):
             min_albedo=min_albedo, noise_px=noise_px, rng=rng if noise_px > 0.0 else None)
         try:
             delta, depth_a, depth_b = ev.eight_point_relative_pose(pts_a, pts_b, camera)
+            if prev is None:
+                chain[a], scale = (np.eye(3), np.zeros(3)), 1.0
+            else:
+                scale = scale * ev._shared_depth_ratio(*prev, ids, depth_a)
         except ev.BaselineFailure:
             prev = None
             continue
-        if prev is None:
-            chain[a], scale = (np.eye(3), np.zeros(3)), 1.0
-        else:
-            ratio = ev._shared_depth_ratio(*prev, ids, depth_a)
-            if ratio is None:
-                prev = None
-                continue
-            scale = scale * ratio
         chain[b] = se3.compose_rt(*chain[a], delta.rotation, scale * delta.translation)
         prev = ids, depth_b
     return [(i, chain.get(i)) for i in indices]
@@ -742,16 +738,18 @@ class TestEightPoint:
         rays_b = np.column_stack([rng.normal(0.0, 0.4, (200, 2)), np.ones(200)])
         rays_b[:5] = rays_a[:5]     # zero parallax under the identity rotation
         t_ba = rng.normal(size=3)
-        rotations = (np.eye(3), rot_y(0.1) @ rot_z(-0.2))
-        both = ev._triangulate_depths(rotations, t_ba, rays_a, rays_b)
-        for rotation_ba, (plus, minus) in zip(rotations, both, strict=True):
-            for got, want in zip((*plus, *minus), (
+        for rotation_ba in (np.eye(3), rot_y(0.1) @ rot_z(-0.2)):
+            depths, flat = ev._triangulate_depths(rotation_ba, t_ba, rays_a, rays_b)
+            # _eight_point's -t depths: every depth but the flat matches' -1 negated.
+            negated = np.where(flat, -1.0, -depths)
+            for got, want in zip((*depths, *negated), (
                     one_sign_triangulate_depths(rotation_ba, t_ba, rays_a, rays_b)
                     + one_sign_triangulate_depths(rotation_ba, -t_ba, rays_a, rays_b)),
                     strict=True):
                 np.testing.assert_array_equal(got, want)
-        plus, minus = next(ev._triangulate_depths((np.eye(3),), t_ba, rays_a, rays_b))
-        assert np.all(np.stack((*plus, *minus))[:, :5] == -1.0)
+        depths, flat = ev._triangulate_depths(np.eye(3), t_ba, rays_a, rays_b)
+        assert flat[:5].all() and not flat[5:].any()
+        assert np.all(np.stack((*depths, *np.where(flat, -1.0, -depths)))[:, :5] == -1.0)
 
     @pytest.mark.parametrize("shape", [(12, 3), (24,), (12, 2, 1), (12, 1)])
     def test_pixel_arrays_not_n_by_2_rejected(self, shape):
@@ -766,6 +764,25 @@ class TestEightPoint:
         pts = np.random.default_rng(0).uniform(10, 150, (7, 2))
         with pytest.raises(ev.BaselineFailure, match="fewer than 8"):
             ev.eight_point_relative_pose(pts, pts, self.camera)
+
+
+class TestSharedDepthRatio:
+    ids = np.arange(6)
+
+    def test_ratio_is_median_of_positive_shared_depths(self):
+        prev_depth_b = np.array([2.0, 4.0, -1.0, 6.0, 8.0, 10.0])
+        assert ev._shared_depth_ratio(self.ids, prev_depth_b, np.arange(2, 9),
+                                      np.full(7, 2.0)) == 4.0
+
+    @pytest.mark.parametrize("prev_depth_b, ids, depth_a, message", [
+        (np.ones(6), np.array([4, 5, 9]), np.ones(3), "fewer than 3 shared landmarks (2)"),
+        (np.array([1.0, 1.0, -1.0, 0.0, -1.0, 1.0]), np.arange(6),
+         np.array([1.0, 1.0, 1.0, 1.0, 1.0, -1.0]), "fewer than 3 positive shared depths (2)"),
+        (np.full(6, 1e-300), np.arange(6), np.full(6, 1e300), "scale ratio 0.0 is not > 0"),
+    ])
+    def test_each_refusal_raises_baseline_failure(self, prev_depth_b, ids, depth_a, message):
+        with pytest.raises(ev.BaselineFailure, match=re.escape(message)):
+            ev._shared_depth_ratio(self.ids, prev_depth_b, ids, depth_a)
 
 
 class TestEightPointVO:
