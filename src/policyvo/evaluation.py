@@ -25,7 +25,7 @@ import numpy as np
 
 from . import se3
 from .se3 import Pose
-from .tables import read_rows, write_table
+from .tables import parse_int, read_rows, write_table
 from .trajectory import Trajectory, _check_index, as_trajectory
 from .world import Camera, Scene, _match_views, _shared_ids, landmark_projections
 
@@ -501,4 +501,4 @@ def _read_window_rows(path, header: str, record_type) -> list:
     """``record_type(sequence, int t, int w, float, float)`` of each row; a bad row
     raises ValueError naming the file and line."""
     return read_rows(path, header, lambda sequence, t, w, first, second: record_type(
-        sequence, int(t), int(w), float(first), float(second)))
+        sequence, parse_int("t", t), parse_int("w", w), float(first), float(second)))

@@ -7,13 +7,17 @@ and ``%.17g`` for floats, whose 17 significant digits read back bit for bit.
 A row is formatted with one ``%``.  Writers check only that rows fit the
 format, as their rows come from checked objects; readers pass every row
 through a checking constructor (``Trajectory.from_stacks``, ``RPERecord``,
-``WindowScore``, the manifest's frame ``int``) and name the file, and the line
-where one row is at fault.
+``WindowScore``, the manifest's row check) and name the file, and the line
+where one row is at fault.  Every ``%d`` field is read by :func:`parse_int`,
+one rule for all tables: an optional ``-``, then decimal digits, within int64.
 """
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
+
+_INTEGER = re.compile(r"-?\d+")     # \d is str.isdecimal's set
 
 
 def write_table(path, header: str, row_format: str, rows) -> None:
@@ -71,3 +75,15 @@ def read_rows(path, header: str, make_row) -> list:
         except ValueError as exc:
             raise ValueError(f"{path}, line {number}: {exc}") from None
     return rows
+
+
+def parse_int(column: str, field: str) -> int:
+    """The integer of a ``%d`` field: an optional ``-``, then decimal digits, within
+    int64.  Any other field (a sign ``+``, a space, a ``_``, a point) raises ValueError
+    naming the column, as in ``frame 'x' is not an integer``."""
+    if not _INTEGER.fullmatch(field):
+        raise ValueError(f"{column} {field!r} is not an integer")
+    value = int(field)
+    if not -2 ** 63 <= value < 2 ** 63:
+        raise ValueError(f"{column} {field} is outside int64")
+    return value

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import se3
 from .se3 import Pose
-from .tables import read_table, write_table
+from .tables import parse_int, read_table, write_table
 
 TRAJECTORY_HEADER = "frame,tx,ty,tz,rx,ry,rz"
 TRAJECTORY_ROW = "%d" + ",%.17g" * 6
@@ -314,17 +314,17 @@ def _first_bad_row(path, rows) -> ValueError | None:
     previous = None
     for number, (frame, *fields) in enumerate(rows, start=2):
         where = f"{path}, line {number}"
-        if not frame.removeprefix("-").isdecimal():
-            return ValueError(f"{where}: frame {frame!r} is not an integer")
-        if not -2 ** 63 <= int(frame) < 2 ** 63:
-            return ValueError(f"{where}: frame {frame} is outside int64")
-        if previous is not None and int(frame) <= previous:
+        try:
+            value = parse_int("frame", frame)
+        except ValueError as exc:
+            return ValueError(f"{where}: {exc}")
+        if previous is not None and value <= previous:
             return ValueError(f"{where}: frame {frame} does not follow frame {previous}")
         try:
             list(map(float, fields))
         except ValueError as exc:
             return ValueError(f"{where}: {exc}")
-        previous = int(frame)
+        previous = value
 
 
 def read_trajectory_file(path) -> Trajectory:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import se3, trajectory as trj
 from .se3 import Pose
-from .tables import read_rows, write_table
+from .tables import parse_int, read_rows, write_table
 from .trajectory import ActionSequence, Trajectory
 
 MANIFEST_HEADER = "sequence,frame,image_path,mask_path"
@@ -94,10 +94,10 @@ def make_tube_scene(seed: int, n_landmarks: int = 2500) -> Scene:
 
     Texture alternates along z between speckled zones (albedo uniform in
     [0.3, 1.0], strong gradients) and smooth zones (albedo a gentle function
-    of position in [0.12, 0.2], nearly featureless).
+    of position in [0.12, 0.2], nearly featureless).  ValueError unless
+    n_landmarks is an integer >= 500.
     """
-    if n_landmarks < 500:
-        raise ValueError("generated scenes need at least 500 landmarks")
+    trj._check_index("n_landmarks", n_landmarks, least=500)
     rng = np.random.default_rng(seed)
     tube = DEFAULT_TUBE
     phi = rng.uniform(0.0, 2.0 * math.pi, n_landmarks)
@@ -115,7 +115,9 @@ def make_tube_scene(seed: int, n_landmarks: int = 2500) -> Scene:
 
 @dataclass(frozen=True)
 class Camera:
-    """Ideal pinhole with a circular field-of-view mask."""
+    """Ideal pinhole with a circular field-of-view mask; ValueError for a size that
+    is not an integer >= 1, and for a focal length, principal point or mask radius
+    out of range."""
 
     focal: float                # pixels
     cx: float
@@ -124,6 +126,7 @@ class Camera:
     mask_radius: float          # pixels
 
     def __post_init__(self):
+        trj._check_index("size", self.size, least=1)
         if not 0.0 < self.focal < math.inf:     # false for nan
             raise ValueError(f"focal length must be positive and finite, got {self.focal}")
         if not (math.isfinite(self.cx) and math.isfinite(self.cy)):
@@ -317,10 +320,10 @@ def generate_trajectory(seed: int, n_frames: int, profile: MotionProfile,
     """Seeded random camera path starting at the identity pose.
 
     Steps that would leave the tube's keep-in region are resampled (up to
-    MAX_RESAMPLES times, then RuntimeError is raised).
+    MAX_RESAMPLES times, then RuntimeError is raised).  ValueError unless
+    n_frames is an integer >= 2.
     """
-    if n_frames < 2:
-        raise ValueError("n_frames must be >= 2")
+    trj._check_index("n_frames", n_frames, least=2)
     rng = np.random.default_rng(seed)
     position = np.zeros(3)
     rotation = np.eye(3)
@@ -416,9 +419,11 @@ def window_samples(sequence: str, traj: Trajectory,
 # Disk format: 8-bit PGM images + masks, CSV manifest, trajectory CSV
 
 def write_pgm(path, image01: np.ndarray) -> None:
-    """8-bit binary portable graymap of an image with values in [0, 1]; for any
-    other value, raises ValueError naming the file and writes nothing."""
+    """8-bit binary portable graymap of a 2-D image with values in [0, 1]; for any
+    other shape or value, raises ValueError naming the file and writes nothing."""
     image01 = np.asarray(image01)
+    if image01.ndim != 2:
+        raise ValueError(f"{path}: a PGM image must be 2-D, got shape {image01.shape}")
     if not ((image01 >= 0.0) & (image01 <= 1.0)).all():    # false for nan
         raise ValueError(f"{path}: PGM values must be finite and lie in [0, 1]")
     data = np.round(image01 * 255.0).astype(np.uint8)
@@ -468,10 +473,14 @@ class SequenceData:
 
 
 def write_dataset(root, sequences: list[SequenceData]) -> None:
-    """Write manifest, per-sequence trajectory files, and PGM frames.  Raises
-    ValueError naming the sequence, and writes nothing, when a trajectory does not
-    start at the identity, which :func:`load_dataset` would refuse."""
+    """Write manifest, per-sequence trajectory files, and PGM frames: under ``root``,
+    a directory per sequence with its ``traj.csv`` and the frames' images and masks.
+    Raises ValueError naming the sequence, and writes nothing, for a name that is not
+    one plain path component (empty, ``.`` or ``..``, with surrounding whitespace, or
+    holding a path separator, a comma, a line break or a NUL) and for a trajectory
+    that does not start at the identity; :func:`load_dataset` would refuse either."""
     for seq in sequences:
+        _check_name(seq.name)
         _anchored(seq.trajectory, f"sequence {seq.name!r}")
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
@@ -481,33 +490,52 @@ def write_dataset(root, sequences: list[SequenceData]) -> None:
         seq_dir.mkdir(exist_ok=True)
         trj.write_trajectory_file(seq_dir / "traj.csv", seq.trajectory)
         for frame, obs in sorted(seq.observations.items()):
-            image_rel = f"{seq.name}/frame_{frame:06d}.pgm"
-            mask_rel = f"{seq.name}/frame_{frame:06d}.mask.pgm"
+            image_rel, mask_rel = _frame_files(seq.name, frame)
             write_observation(root / image_rel, root / mask_rel, obs)
             manifest.append((seq.name, frame, image_rel, mask_rel))
     write_table(root / "manifest.csv", MANIFEST_HEADER, MANIFEST_ROW, manifest)
 
 
 def load_dataset(root) -> list[SequenceData]:
-    """Load a dataset written by :func:`write_dataset`; a bad manifest row, or a
-    trajectory file that is bad or does not start at the identity, raises
-    ValueError naming the file."""
+    """Load a dataset written by :func:`write_dataset`.  A manifest row whose name
+    :func:`write_dataset` would refuse, whose frame is not an integer, or whose image
+    and mask paths are not the ones it writes, raises ValueError naming the file and
+    line; so does a trajectory file that is bad or does not start at the identity."""
     root = Path(root)
-    frames_by_seq: dict[str, list[tuple[int, str, str]]] = {}
-    manifest = read_rows(root / "manifest.csv", MANIFEST_HEADER,
-                         lambda name, frame, image, mask: (name, int(frame), image, mask))
-    for name, frame, image_rel, mask_rel in manifest:
-        frames_by_seq.setdefault(name, []).append((frame, image_rel, mask_rel))
+    frames_by_seq: dict[str, list[int]] = {}
+    for name, frame in read_rows(root / "manifest.csv", MANIFEST_HEADER, _manifest_row):
+        frames_by_seq.setdefault(name, []).append(frame)
     sequences = []
-    for name in frames_by_seq:
+    for name, frames in frames_by_seq.items():
         path = root / name / "traj.csv"
         traj = _anchored(trj.read_trajectory_file(path), path)
-        observations = {
-            frame: read_observation(root / image_rel, root / mask_rel)
-            for frame, image_rel, mask_rel in frames_by_seq[name]
-        }
+        observations = {frame: read_observation(*(root / f for f in _frame_files(name, frame)))
+                        for frame in frames}
         sequences.append(SequenceData(name, traj, observations))
     return sequences
+
+
+def _check_name(name) -> None:
+    """ValueError naming a sequence name that is not one plain path component."""
+    if (not isinstance(name, str) or name in (".", "..") or name.strip() != name
+            or name.splitlines() != [name] or any(c in name for c in "/\\,\0")):
+        raise ValueError(f"sequence {name!r}: a name must be one plain path component")
+
+
+def _frame_files(name: str, frame: int) -> tuple[str, str]:
+    """Image and mask paths of a frame of a sequence, relative to the dataset root."""
+    stem = f"{name}/frame_{frame:06d}"
+    return f"{stem}.pgm", f"{stem}.mask.pgm"
+
+
+def _manifest_row(name: str, frame: str, image_rel: str, mask_rel: str) -> tuple[str, int]:
+    """(name, frame) of a manifest row; ValueError unless write_dataset writes the row."""
+    _check_name(name)
+    frame = parse_int("frame", frame)
+    files = _frame_files(name, frame)
+    if (image_rel, mask_rel) != files:
+        raise ValueError(f"paths {image_rel!r}, {mask_rel!r} are not {files[0]!r}, {files[1]!r}")
+    return name, frame
 
 
 def _anchored(rows, where) -> Trajectory:

@@ -5,10 +5,15 @@ comparable across changes of the library; a refactor must keep every call it
 makes working.  These tests make the same calls, with the same argument
 shapes, without importing bench/, so a break shows in this fast tier and not
 only in bench/tests.  Sizes are the harness's smoke-test ones: 2 sequences of
-24 frames at 48 px with 500 landmarks, and a 160-frame estimate.
+24 frames at 48 px with 500 landmarks, and a 160-frame estimate.  One more test
+parses bench/ (without importing it) and resolves every name it reads off a
+policyvo module, so that deleting a name the harness uses fails here.
 """
 
+import ast
 import dataclasses
+import importlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,3 +152,39 @@ def test_dataset_round_trip_feeds_vo(sequences, tmp_path):
     aligned = ev.align_rows_to_gt(rows, seq.trajectory)
     assert len(aligned) == len(gt)
     check_windows(name, ev.windows_from_rows(aligned, name, W), seq.trajectory)
+
+
+def bench_module_reads() -> set[tuple[str, tuple[str, ...]]]:
+    """(policyvo module, attribute chain) of every read in bench/*.py and
+    bench/tests/*.py off a name bound by ``from policyvo import <module> [as <alias>]``;
+    a chain such as ``world.Camera.default`` gives its prefixes too."""
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    reads = set()
+    for path in sorted([*bench.glob("*.py"), *bench.glob("tests/*.py")]):
+        tree = ast.parse(path.read_text(), str(path))
+        modules = {alias.asname or alias.name: alias.name
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module == "policyvo"
+                   and node.level == 0 for alias in node.names}
+        for node in ast.walk(tree):
+            chain = []
+            while isinstance(node, ast.Attribute):
+                chain.insert(0, node.attr)
+                node = node.value
+            if chain and isinstance(node, ast.Name) and node.id in modules:
+                reads.add((modules[node.id], tuple(chain)))
+    return reads
+
+
+def test_every_name_bench_reads_resolves():
+    reads = bench_module_reads()
+    assert {("world", ("Camera", "default")), ("evaluation", ("eight_point_vo",))} <= reads
+    missing = []
+    for module, chain in sorted(reads):
+        value = importlib.import_module(f"policyvo.{module}")
+        for name in chain:
+            if not hasattr(value, name):
+                missing.append(f"{module}.{'.'.join(chain)}")
+                break
+            value = getattr(value, name)
+    assert missing == []

@@ -732,6 +732,41 @@ class TestEightPoint:
             solved += 1
         assert solved > 0
 
+    def test_flat_matches_stay_minus_one_whichever_sign_wins(self, monkeypatch):
+        # The last two landmarks lie on the baseline beyond camera b, so they project
+        # to both epipoles: zero parallax.  Their depths are -1 under +t and -t alike,
+        # and every output equals the four-triangulation reference.
+        triangulate, t_args = ev._triangulate_depths, []
+
+        def recording(rotation_ba, t_ba, rays_a, rays_b):
+            t_args.append(t_ba)
+            return triangulate(rotation_ba, t_ba, rays_a, rays_b)
+
+        monkeypatch.setattr(ev, "_triangulate_depths", recording)
+        minus_t_won = []
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            centre_b = np.array([*rng.uniform(-0.3, 0.3, 2), 1.0])
+            points = np.vstack([np.column_stack([rng.uniform(-20.0, 20.0, (60, 2)),
+                                                 rng.uniform(20.0, 60.0, 60)]),
+                                30.0 * centre_b, 45.0 * centre_b])
+            pose_b = Pose(rot_y(rng.uniform(-0.05, 0.05)) @ rot_x(rng.uniform(-0.05, 0.05)),
+                          centre_b)
+            ids, pts_a, pts_b = correspondences(Scene(points, np.full(62, 0.5)), self.camera,
+                                                Pose.identity(), pose_b)
+            assert ids[-2:].tolist() == [60, 61]
+            t_args.clear()
+            delta, depth_a, depth_b = ev.eight_point_relative_pose(pts_a, pts_b, self.camera)
+            want = four_call_relative_pose(pts_a, pts_b, self.camera)
+            for got, expected in zip((delta.rotation, delta.translation, depth_a, depth_b),
+                                     (want[0].rotation, want[0].translation, *want[1:])):
+                np.testing.assert_array_equal(got, expected)
+            assert (depth_a[-2:] == -1.0).all() and (depth_b[-2:] == -1.0).all()
+            assert (depth_a[:-2] > 0.0).all() and (depth_b[:-2] > 0.0).all()
+            minus_t_won.append(np.array_equal(delta.translation,
+                                              delta.rotation @ t_args[0]))
+        assert set(minus_t_won) == {True, False}
+
     def test_negated_translation_depths_are_exact(self):
         rng = np.random.default_rng(31)
         rays_a = np.column_stack([rng.normal(0.0, 0.4, (200, 2)), np.ones(200)])

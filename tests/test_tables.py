@@ -15,7 +15,7 @@ from policyvo import evaluation as ev
 from policyvo import robustness as rb
 from policyvo import se3, trajectory, world
 from policyvo.se3 import Pose
-from policyvo.tables import read_table, write_table
+from policyvo.tables import parse_int, read_table, write_table
 from policyvo.trajectory import Trajectory
 
 from test_trajectory import gapped_trajectories
@@ -148,19 +148,59 @@ def load_manifest(path):
 class TestWindowKeyedReaders:
     @pytest.mark.parametrize("read, header, line, message", [
         (load_manifest, world.MANIFEST_HEADER, "s,x,s/1.pgm,s/1.mask.pgm",
-         "invalid literal for int()"),
-        (ev.read_records_csv, ev.RECORDS_HEADER, "s,x,8,0.1,0.2", "invalid literal for int()"),
+         "frame 'x' is not an integer"),
+        (ev.read_records_csv, ev.RECORDS_HEADER, "s,x,8,0.1,0.2", "t 'x' is not an integer"),
         (ev.read_records_csv, ev.RECORDS_HEADER, "s,1,8,nan,0.2", "errors must be finite"),
         (ev.read_records_csv, ev.RECORDS_HEADER, "s,1,-3,0.1,0.2",
          "window length must be an integer >= 0, got -3"),
         (rb.read_scores_csv, rb.SCORES_HEADER, "s,1,8,0.1,y", "could not convert"),
-        (rb.read_scores_csv, rb.SCORES_HEADER, "s,1.5,8,0.1,0.2", "invalid literal for int()"),
+        (rb.read_scores_csv, rb.SCORES_HEADER, "s,1.5,8,0.1,0.2", "t '1.5' is not an integer"),
         (rb.read_scores_csv, rb.SCORES_HEADER, "s,1,8,-1,0.2", "scores must be finite"),
     ])
     def test_bad_row_names_file_and_line(self, tmp_path, read, header, line, message):
         path = tmp_path / "manifest.csv"
-        good = ",".join("s,0,8,0.1,0.2".split(",")[:header.count(",") + 1])  # as wide as header
+        good = ("s,0,s/frame_000000.pgm,s/frame_000000.mask.pgm"
+                if header == world.MANIFEST_HEADER else "s,0,8,0.1,0.2")     # a row that reads
         path.write_text(f"{header}\n{good}\n{line}\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}, line 3: ") + ".*"
                            + re.escape(message)):
+            read(path)
+
+
+class TestOneIntegerRule:
+    @pytest.mark.parametrize("field, value", [
+        ("0", 0), ("-0", 0), ("007", 7), ("-12", -12), (str(2 ** 63 - 1), 2 ** 63 - 1),
+        (str(-2 ** 63), -2 ** 63), ("\u0663", 3)])   # an Arabic-Indic three is a decimal digit
+    def test_decimal_digits_within_int64_parse(self, field, value):
+        assert parse_int("t", field) == value
+
+    @pytest.mark.parametrize("field", ["+5", " 6", "6 ", "1_0", "1.0", "1e3", "", "-", "--1",
+                                       "0x1", "\u00b2"])    # a superscript two is no decimal
+    def test_anything_else_is_not_an_integer(self, field):
+        with pytest.raises(ValueError, match=re.escape(f"t {field!r} is not an integer")):
+            parse_int("t", field)
+
+    @pytest.mark.parametrize("field", [str(2 ** 63), str(-2 ** 63 - 1)])
+    def test_past_int64_is_named(self, field):
+        with pytest.raises(ValueError, match=re.escape(f"frame {field} is outside int64")):
+            parse_int("frame", field)
+
+    @pytest.mark.parametrize("field, message", [
+        ("+5", "'+5' is not an integer"), ("6 ", "'6 ' is not an integer"),
+        ("1_0", "'1_0' is not an integer"), (str(2 ** 63), f"{2 ** 63} is outside int64")])
+    @pytest.mark.parametrize("read, column, row", [
+        (load_manifest, "frame", "s,{},s/frame_000001.pgm,s/frame_000001.mask.pgm"),
+        (ev.read_records_csv, "t", "s,{},8,0.1,0.2"),
+        (ev.read_records_csv, "w", "s,1,{},0.1,0.2"),
+        (rb.read_scores_csv, "t", "s,{},8,0.1,0.2"),
+        (trajectory.read_trajectory_file, "frame", "{},0,0,0,0,0,0"),
+    ])
+    def test_every_table_reads_integers_by_it(self, tmp_path, read, column, row, field,
+                                              message):
+        header = {load_manifest: world.MANIFEST_HEADER, ev.read_records_csv: ev.RECORDS_HEADER,
+                  rb.read_scores_csv: rb.SCORES_HEADER,
+                  trajectory.read_trajectory_file: trajectory.TRAJECTORY_HEADER}[read]
+        path = tmp_path / "manifest.csv"
+        path.write_text(f"{header}\n{row.format(field)}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 2: {column} {message}")):
             read(path)

@@ -68,6 +68,12 @@ class TestSceneGeneration:
         with pytest.raises(ValueError):
             make_tube_scene(0, n_landmarks=100)
 
+    @pytest.mark.parametrize("count", [2500.0, True, "2500"])
+    def test_non_integer_landmark_count_rejected(self, count):
+        with pytest.raises(ValueError, match=re.escape(
+                f"n_landmarks must be an integer >= 500, got {count!r}")):
+            make_tube_scene(0, count)
+
     def test_landmarks_on_tube_surface(self):
         scene = make_tube_scene(1, n_landmarks=800)
         lateral = np.hypot(scene.points[:, 0], scene.points[:, 1])
@@ -104,6 +110,12 @@ class TestSceneType:
 
 
 class TestGenerateTrajectory:
+    @pytest.mark.parametrize("frames", [2.5, 1, True, np.float64(3.0)])
+    def test_frame_count_must_be_an_integer_of_at_least_two(self, frames):
+        with pytest.raises(ValueError, match=re.escape(
+                f"n_frames must be an integer >= 2, got {frames!r}")):
+            generate_trajectory(0, frames, MotionProfile())
+
     def test_zero_stds_give_identical_poses(self):
         profile = MotionProfile("smooth-advance", trans_std=0.0, rot_std=0.0)
         traj = generate_trajectory(0, 2, profile)
@@ -310,6 +322,13 @@ class TestCameraType:
 
     def test_mask_radius_of_half_size_accepted(self):
         assert Camera(10.0, 4, 4, 8, 4.0).mask_radius == 4.0
+        assert Camera(10.0, 4, 4, np.int64(8), 4.0).size == 8
+
+    @pytest.mark.parametrize("size", [8.5, 8.0, 0, True])
+    def test_size_must_be_a_positive_integer(self, size):
+        with pytest.raises(ValueError, match=re.escape(
+                f"size must be an integer >= 1, got {size!r}")):
+            Camera(10.0, 4, 4, size, 3.0)
 
     @pytest.mark.parametrize("focal", [math.nan, math.inf, 0.0, -1.0])
     def test_bad_focal_rejected(self, focal):
@@ -513,6 +532,14 @@ class TestDiskFormat:
             world.write_pgm(path, np.array([[0.5, bad], [0.0, 1.0]]))
         assert not path.exists()
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 2), ()])
+    def test_write_pgm_rejects_an_image_that_is_not_2d(self, tmp_path, shape):
+        path = tmp_path / "img.pgm"
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: a PGM image must be 2-D, got shape {shape}")):
+            world.write_pgm(path, np.zeros(shape))
+        assert not path.exists()
+
     def test_truncated_pgm_names_file(self, tmp_path):
         path = tmp_path / "img.pgm"
         world.write_pgm(path, np.full((8, 8), 0.5))
@@ -573,4 +600,47 @@ class TestDiskFormat:
         text = path.read_text()
         path.write_text(text[:text.rstrip().rfind(",")])
         with pytest.raises(ValueError, match=re.escape(f"{path}, line 3")):
+            world.load_dataset(tmp_path)
+
+
+def two_frame_sequence(name):
+    """A sequence of two identity frames with blank 4 x 4 observations."""
+    obs = Observation(np.zeros((4, 4)), np.ones((4, 4), dtype=bool))
+    traj = trj.Trajectory(((0, Pose.identity()), (1, Pose.identity())))
+    return world.SequenceData(name, traj, {0: obs, 1: obs})
+
+
+class TestDatasetStaysInsideItsRoot:
+    @pytest.mark.parametrize("name", ["../escaped", "", ".", "..", "a/b", "a\\b", "a,b",
+                                      "a\nb", "a\rb", "a\u2028b", " a", "a ", "a\0b"])
+    def test_writer_refuses_a_name_that_is_not_one_path_component(self, tmp_path, name):
+        with pytest.raises(ValueError, match=re.escape(
+                f"sequence {name!r}: a name must be one plain path component")):
+            world.write_dataset(tmp_path / "data", [two_frame_sequence("ok"),
+                                                    two_frame_sequence(name)])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_names_with_dots_dashes_and_spaces_inside_round_trip(self, tmp_path):
+        names = ["seq.v2", "-a_b", "a b", "...", "é"]
+        world.write_dataset(tmp_path, [two_frame_sequence(name) for name in names])
+        assert [seq.name for seq in world.load_dataset(tmp_path)] == names
+
+    @pytest.mark.parametrize("row, message", [
+        ("s,1,/etc/frame_000001.pgm,s/frame_000001.mask.pgm",
+         "paths '/etc/frame_000001.pgm', 's/frame_000001.mask.pgm' are not "
+         "'s/frame_000001.pgm', 's/frame_000001.mask.pgm'"),
+        ("s,1,s/frame_000000.pgm,s/frame_000000.mask.pgm", "paths 's/frame_000000.pgm'"),
+        ("s,1,s/frame_000001.mask.pgm,s/frame_000001.pgm", "paths 's/frame_000001.mask.pgm'"),
+        ("..,1,../frame_000001.pgm,../frame_000001.mask.pgm",
+         "sequence '..': a name must be one plain path component"),
+        ("s,1_0,s/frame_000001.pgm,s/frame_000001.mask.pgm", "frame '1_0' is not an integer"),
+        ("s,+1,s/frame_000001.pgm,s/frame_000001.mask.pgm", "frame '+1' is not an integer"),
+    ])
+    def test_loader_refuses_a_row_the_writer_would_not_write(self, tmp_path, row, message):
+        world.write_dataset(tmp_path, [two_frame_sequence("s")])
+        path = tmp_path / "manifest.csv"
+        lines = path.read_text().splitlines()
+        assert lines[2] == "s,1,s/frame_000001.pgm,s/frame_000001.mask.pgm"
+        path.write_text("\n".join([*lines[:2], row]) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 3: {message}")):
             world.load_dataset(tmp_path)
