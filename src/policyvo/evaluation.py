@@ -26,7 +26,7 @@ import numpy as np
 from . import se3
 from .se3 import Pose
 from .tables import parse_int, read_rows, write_table
-from .trajectory import Trajectory, _check_index, as_trajectory
+from .trajectory import Trajectory, _check_index, _frame_keys, as_trajectory
 from .world import Camera, Scene, _match_views, _shared_ids, landmark_projections
 
 RECORDS_HEADER = "sequence,t,w,trans_err_mm,rot_err_deg"
@@ -54,8 +54,10 @@ class PredictedWindows:
     """Predicted motions from frames ``starts`` to ``starts + w`` of a sequence, one row
     per window of read-only ``starts`` (M,), ``rotations`` (M, 3, 3) and
     ``translations`` (M, 3); ``windows[j]`` is window j as a :class:`PredictedWindow`.
-    The constructor checks w and the stacks in full; this module's window builders derive
-    them from checked trajectories and use :meth:`_trusted` (see ``se3._frozen``)."""
+    The constructor checks w, copies the starts by the frame rule of
+    :class:`~policyvo.trajectory.Trajectory` (integers within int64, not bools) and checks
+    the stacks in full; this module's window builders derive them from checked
+    trajectories and use :meth:`_trusted` (see ``se3._frozen``)."""
 
     sequence: str
     w: int
@@ -65,8 +67,7 @@ class PredictedWindows:
 
     def __post_init__(self):
         _check_index("window length", self.w, least=0)
-        starts = np.array(self.starts, dtype=np.int64)
-        starts.setflags(write=False)
+        starts = _frame_keys(self.starts)
         rotations, translations = se3._validated(self.rotations, self.translations)
         if rotations.shape[:-2] != starts.shape:
             raise ValueError(f"window starts {starts.shape} but pose stacks {rotations.shape}")
@@ -96,7 +97,8 @@ class PredictedWindows:
 class RPERecord:
     """Error of one window t..t+w of a sequence: translation error (mm) and rotation
     error (degrees).  Raises ValueError for a start t or length w that is not an
-    integer (bools are not), w < 0, or an error that is negative or not finite."""
+    integer (bools are not) or lies outside int64, w < 0, or an error that is negative
+    or not finite."""
 
     sequence: str
     t: int
@@ -105,10 +107,19 @@ class RPERecord:
     rot_err: float     # degrees
 
     def __post_init__(self):
-        _check_index("window start t", self.t)
-        _check_index("window length", self.w, least=0)
+        _check_window(self.t, self.w)
         if not (0.0 <= self.trans_err < math.inf and 0.0 <= self.rot_err < math.inf):  # nan fails
             raise ValueError(f"errors must be finite and >= 0: {self.trans_err}, {self.rot_err}")
+
+
+def _check_window(t, w) -> None:
+    """ValueError naming a window start t or length w that a records or scores file
+    cannot hold: not an integer (bools are not), w < 0, or either outside int64."""
+    _check_index("window start t", t)
+    _check_index("window length", w, least=0)
+    for name, value in ("t", t), ("w", w):
+        if not -2 ** 63 <= value < 2 ** 63:
+            raise ValueError(f"{name} {value} is outside int64")
 
 
 @dataclass(frozen=True)

@@ -24,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluation import RPERecord, _read_window_rows
+from .evaluation import RPERecord, _check_window, _read_window_rows
 from .tables import write_table
-from .trajectory import _check_index
 from .world import Observation
 
 SCORES_HEADER = "sequence,t,w,s_texture,s_dillum"
@@ -37,7 +36,8 @@ class WindowScore:
     """Difficulty scores of window t..t+w of a sequence: ``s_texture``, the texture
     score of frame t, and ``s_dillum``, the illumination change to frame t+w (both
     unitless).  Raises ValueError for a start t or length w that is not an integer
-    (bools are not), w < 0, or a score that is negative or not finite."""
+    (bools are not) or lies outside int64, w < 0, or a score that is negative or not
+    finite."""
 
     sequence: str
     t: int
@@ -46,8 +46,7 @@ class WindowScore:
     s_dillum: float
 
     def __post_init__(self):
-        _check_index("window start t", self.t)
-        _check_index("window length", self.w, least=0)
+        _check_window(self.t, self.w)
         if not (0.0 <= self.s_texture < math.inf and 0.0 <= self.s_dillum < math.inf):  # nan fails
             raise ValueError(f"scores must be finite and >= 0: {self.s_texture}, {self.s_dillum}")
 

@@ -67,12 +67,7 @@ class Trajectory:
     @classmethod
     def from_stacks(cls, indices, rotations, translations, valid=None) -> "Trajectory":
         """Frames ``indices``; those ``valid`` marks (default all) have the stacks' poses."""
-        frames, ok = _frames(indices)
-        if not np.all(ok):
-            bad = indices[np.argmin(ok)]
-            raise ValueError(f"frame index {bad} is outside int64" if _is_index(bad) else
-                             f"frame indices must be integers; frame index {bad!r} "
-                             "is not an integer")
+        frames = _frame_keys(indices)
         valid = np.ones(frames.shape, bool) if valid is None else np.array(valid, dtype=bool)
         if frames.ndim != 1 or valid.shape != frames.shape:
             raise ValueError("frames and valid mask must be 1-D arrays of one length")
@@ -198,6 +193,20 @@ def _frames(values, offset: int = 0) -> tuple[np.ndarray, np.ndarray | bool]:
             pass
     ok = np.array([_is_index(v) and -2 ** 63 <= int(v) + offset < 2 ** 63 for v in values], bool)
     return np.array([int(v) + offset if good else 0 for v, good in zip(values, ok)], np.int64), ok
+
+
+def _frame_keys(values) -> np.ndarray:
+    """A read-only int64 copy of the frames ``values``; ValueError naming the first value
+    that :func:`_frames` does not count."""
+    frames, ok = _frames(values)
+    if not np.all(ok):
+        bad = values[np.argmin(ok)]
+        raise ValueError(f"frame index {bad} is outside int64" if _is_index(bad) else
+                         f"frame indices must be integers; frame index {bad!r} "
+                         "is not an integer")
+    frames = frames.copy()
+    frames.setflags(write=False)
+    return frames
 
 
 def _is_index(value) -> bool:

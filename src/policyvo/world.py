@@ -9,9 +9,9 @@ changes overall image brightness.  The world model is fixed: its settings are
 the module constants below.
 
 Cameras start at the world origin looking down +z, so generated trajectories
-are born anchored (first pose = identity).  Rendering projects landmarks
-through an ideal pinhole and splats each visible one as a Gaussian blob of
-BLOB_SIGMA_PX; a circular field-of-view mask is applied last.
+are born anchored (first pose = identity).  A camera sees the landmarks in front
+of it whose ideal pinhole projection lies within the mask radius of the image centre,
+in its rendered frame (each a BLOB_SIGMA_PX Gaussian blob) and its detections alike.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ BLOB_SIGMA_PX = 1.0     # blob std; its 3-sigma reach keeps a splat within a 7 x
 ZONE_PERIOD_MM = 60.0   # a 30 mm zone spans the brightly lit part of a view: low-texture windows
 LIGHT_GAIN = 400.0      # mm^2; albedo 1 saturates nearer than 20 mm, so advancing brightens a view
 KEEP_IN_MARGIN_MM = 5.0  # the camera stays this far inside the wall, well beyond NEAR_MM
+END_MARGIN_MM = 8.0     # and this far inside both ends of the tube
 SMOOTHING = 0.8         # smooth-advance's velocity AR(1) coefficient: successive steps correlate
 # "P5", width, height and maxval, each after whitespace or comment lines, then one whitespace.
 _PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")
@@ -44,11 +45,26 @@ _PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")
 
 @dataclass(frozen=True)
 class TubeGeometry:
-    """Cylinder around +z that landmarks sit on and the camera stays inside."""
+    """Cylinder around +z that landmarks sit on and the camera stays inside.  ValueError
+    naming the field for one that is not finite, a radius of at most KEEP_IN_MARGIN_MM
+    (no keep-in room) and an end less than END_MARGIN_MM beyond the camera's start at
+    the origin: a tube must contain that start."""
 
     radius: float = 18.0       # mm, landmark surface
     z_min: float = -30.0       # mm
     z_max: float = 200.0       # mm
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"tube {name} must be finite, got {value}")
+        if not self.keep_in_radius > 0.0:
+            raise ValueError(f"tube radius must exceed {KEEP_IN_MARGIN_MM} mm, got {self.radius}")
+        for name, room in (("z_min", self.z_min + END_MARGIN_MM <= 0.0),
+                           ("z_max", 0.0 <= self.z_max - END_MARGIN_MM)):
+            if not room:     # as contains_camera tests the origin
+                raise ValueError(f"tube {name} must lie {END_MARGIN_MM} mm or more beyond "
+                                 f"the start at z = 0, got {getattr(self, name)}")
 
     @property
     def keep_in_radius(self) -> float:
@@ -58,10 +74,10 @@ class TubeGeometry:
 
     def contains_camera(self, position: np.ndarray) -> bool:
         """Whether a camera position (mm) lies within the keep-in radius of the axis and
-        at least 8 mm inside both ends of the tube."""
+        at least END_MARGIN_MM inside both ends of the tube."""
         lateral = math.hypot(position[0], position[1])
         return (lateral <= self.keep_in_radius
-                and self.z_min + 8.0 <= position[2] <= self.z_max - 8.0)
+                and self.z_min + END_MARGIN_MM <= position[2] <= self.z_max - END_MARGIN_MM)
 
 
 DEFAULT_TUBE = TubeGeometry()
@@ -115,9 +131,9 @@ def make_tube_scene(seed: int, n_landmarks: int = 2500) -> Scene:
 
 @dataclass(frozen=True)
 class Camera:
-    """Ideal pinhole with a circular field-of-view mask; ValueError for a size that
-    is not an integer >= 1, and for a focal length, principal point or mask radius
-    out of range."""
+    """Ideal pinhole; its field of view is the circle of ``mask_radius`` about the image
+    centre, wherever (cx, cy) lies.  ValueError for a size that is not an integer >= 1,
+    and for a focal length, principal point or mask radius out of range."""
 
     focal: float                # pixels
     cx: float
@@ -148,14 +164,17 @@ class Camera:
 class Observation:
     """Masked grayscale frame; pixels outside the mask are exactly zero."""
 
-    image: np.ndarray   # (S, S) float64 in [0, 1]
-    mask: np.ndarray    # (S, S) bool
+    image: np.ndarray   # (H, W) float64 in [0, 1]
+    mask: np.ndarray    # (H, W) bool
 
     def __post_init__(self):
         image = np.asarray(self.image, dtype=np.float64)
         mask = np.asarray(self.mask, dtype=bool)
         if image.shape != mask.shape or image.ndim != 2:
-            raise ValueError("image and mask must be equal square 2D arrays")
+            raise ValueError(f"image and mask must be 2-D arrays of one shape, "
+                             f"got {image.shape} and {mask.shape}")
+        if image.size == 0:
+            raise ValueError(f"image must not be empty, got shape {image.shape}")
         if image.min() < 0.0 or image.max() > 1.0:
             raise ValueError("image values must lie in [0, 1]")
         if np.any(image[~mask] != 0.0):
@@ -166,12 +185,17 @@ class Observation:
         object.__setattr__(self, "mask", mask)
 
 
+def _in_view(size: int, radius: float, x, y) -> np.ndarray:
+    """The field of view: whether pixels (x, y) lie within ``radius`` of the image centre."""
+    center = (size - 1) / 2.0
+    return (x - center) ** 2 + (y - center) ** 2 <= radius ** 2
+
+
 @functools.lru_cache
 def circular_mask(size: int, radius: float) -> np.ndarray:
     """Pixels within ``radius`` of the image centre; cached per (size, radius), read-only."""
-    center = (size - 1) / 2.0
     yy, xx = np.mgrid[0:size, 0:size]
-    mask = (xx - center) ** 2 + (yy - center) ** 2 <= radius ** 2
+    mask = _in_view(size, radius, xx, yy)
     mask.setflags(write=False)
     return mask
 
@@ -192,45 +216,41 @@ def project(camera: Camera, pose: Pose,
     return np.stack([u, v], axis=1), z, in_front
 
 
-def _inside_mask(camera: Camera, uv: np.ndarray) -> np.ndarray:
-    return ((uv[:, 0] - camera.cx) ** 2 + (uv[:, 1] - camera.cy) ** 2
-            <= camera.mask_radius ** 2)
+def _visible(scene: Scene, camera: Camera, pose: Pose) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of the landmarks in front and in the field of view, and every landmark's uv."""
+    uv, _, in_front = project(camera, pose, scene.points)
+    return in_front & _in_view(camera.size, camera.mask_radius, uv[:, 0], uv[:, 1]), uv
 
 
 def render(scene: Scene, camera: Camera, pose: Pose) -> Observation:
     """Splat visible landmarks as BLOB_SIGMA_PX Gaussian blobs lit by the headlight.
 
-    A landmark at distance d adds albedo * LIGHT_GAIN / d^2 at its blob centre.
-    One ``np.bincount`` scatter sums every (pixel offset, landmark) term,
-    offsets outermost and landmarks in order, into a padded canvas; the terms,
-    built in place from 1-D x and y offsets, are bit-identical to a 2-D grid's.
+    A visible landmark at distance d adds albedo * LIGHT_GAIN / d^2 at its blob centre.
+    One ``np.bincount`` scatter sums every (pixel offset, landmark) term, offsets
+    outermost and landmarks in order, into a padded canvas; the terms, built in place
+    from 1-D x and y offsets, are bit-identical to a 2-D grid's.
     """
-    uv, z, in_front = project(camera, pose, scene.points)
-    distance2 = np.sum((scene.points - pose.translation) ** 2, axis=1)
-    visible = in_front & _inside_mask(camera, uv)
-
-    image = np.zeros((camera.size, camera.size))
-    if np.any(visible):
-        centers = uv[visible]
-        amps = scene.albedo[visible] * LIGHT_GAIN / distance2[visible]
-        base = np.round(centers).astype(np.int64)
-        frac = centers - base
-        reach = int(math.ceil(3.0 * BLOB_SIGMA_PX))
-        inv_two_sigma2 = 1.0 / (2.0 * BLOB_SIGMA_PX * BLOB_SIGMA_PX)
-        off = np.arange(-reach, reach + 1)[:, None]
-        terms = ((off - frac[:, 0]) ** 2)[None, :, :] + ((off - frac[:, 1]) ** 2)[:, None, :]
-        terms *= -inv_two_sigma2     # (-x) * c and x * (-c) round alike
-        np.exp(terms, out=terms)
-        terms *= amps
-        # Blobs centred over reach pixels off the image miss it and stay off it
-        # when clipped, so every index lies in a canvas padded by 2 * reach + 1.
-        pad = 2 * reach + 1
-        width = camera.size + 2 * pad
-        cell = np.clip(base, -reach - 1, camera.size + reach) + pad
-        index = ((cell[:, 1] + off) * width)[:, None, :] + (cell[:, 0] + off)[None, :, :]
-        canvas = np.bincount(index.ravel(), terms.ravel(), width * width)
-        image = np.clip(canvas.reshape(width, width)[pad:-pad, pad:-pad], 0.0, 1.0)
-
+    visible, uv = _visible(scene, camera, pose)
+    centers = uv[visible]
+    distance2 = np.sum((scene.points[visible] - pose.translation) ** 2, axis=1)
+    amps = scene.albedo[visible] * LIGHT_GAIN / distance2
+    base = np.round(centers).astype(np.int64)
+    frac = centers - base
+    reach = int(math.ceil(3.0 * BLOB_SIGMA_PX))
+    inv_two_sigma2 = 1.0 / (2.0 * BLOB_SIGMA_PX * BLOB_SIGMA_PX)
+    off = np.arange(-reach, reach + 1)[:, None]
+    terms = ((off - frac[:, 0]) ** 2)[None, :, :] + ((off - frac[:, 1]) ** 2)[:, None, :]
+    terms *= -inv_two_sigma2     # (-x) * c and x * (-c) round alike
+    np.exp(terms, out=terms)
+    terms *= amps
+    # A visible centre lies within mask_radius <= size / 2 of the image centre, so in
+    # [-0.5, size - 0.5] up to rounding, and rounds into [-1, size]: pad by reach + 1.
+    pad = reach + 1
+    width = camera.size + 2 * pad
+    cell = base + pad
+    index = ((cell[:, 1] + off) * width)[:, None, :] + (cell[:, 0] + off)[None, :, :]
+    canvas = np.bincount(index.ravel(), terms.ravel(), width * width)
+    image = np.clip(canvas.reshape(width, width)[pad:-pad, pad:-pad], 0.0, 1.0)
     mask = circular_mask(camera.size, camera.mask_radius)
     image[~mask] = 0.0
     return Observation(image, mask)
@@ -240,12 +260,11 @@ def landmark_projections(scene: Scene, camera: Camera, pose: Pose,
                          min_albedo: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Indices and pixel positions of detectable landmarks in this view.
 
-    A landmark is detectable when it is in front of the camera, inside the
-    circular field of view, and has albedo >= min_albedo (dim points do not
-    count as trackable features).
+    A landmark is detectable when :func:`render` shows it (see the module docstring)
+    and has albedo >= min_albedo (dim points do not count as trackable features).
     """
-    uv, _, in_front = project(camera, pose, scene.points)
-    ok = in_front & _inside_mask(camera, uv) & (scene.albedo >= min_albedo)
+    visible, uv = _visible(scene, camera, pose)
+    ok = visible & (scene.albedo >= min_albedo)
     return np.flatnonzero(ok), uv.compress(ok, axis=0)     # faster than uv[ok]
 
 
@@ -366,12 +385,10 @@ def generate_trajectory(seed: int, n_frames: int, profile: MotionProfile,
                     f"{MAX_RESAMPLES} resamples")
         # Only the accepted candidate's rotation is needed: no step's
         # position depends on its own turn.
-        position, rotation = cand_position, rotation @ se3.so3_exp(turn)
+        position, rotation = cand_position, se3._renormalize(rotation @ se3.so3_exp(turn))
         velocity, omega = cand_velocity, cand_omega
         if profile.kind == "orbit":
             orbit_angle = cand_angle
-        if se3.orthonormality_drift(rotation) > se3.RENORM_TRIGGER:
-            rotation = se3.project_rotation(rotation)
         rotations.append(rotation)
         positions.append(position)
     return Trajectory._trusted(np.arange(n_frames), rotations, positions)
@@ -477,11 +494,21 @@ def write_dataset(root, sequences: list[SequenceData]) -> None:
     a directory per sequence with its ``traj.csv`` and the frames' images and masks.
     Raises ValueError naming the sequence, and writes nothing, for a name that is not
     one plain path component (empty, ``.`` or ``..``, with surrounding whitespace, or
-    holding a path separator, a comma, a line break or a NUL) and for a trajectory
-    that does not start at the identity; :func:`load_dataset` would refuse either."""
+    holding a path separator, a comma, a line break or a NUL) or that two sequences
+    share, for a trajectory that does not start at the identity, and, naming the frame
+    too, for an observation of a frame without a pose; :func:`load_dataset` would not
+    give any of them back as written."""
+    names = [seq.name for seq in sequences]
     for seq in sequences:
+        where = f"sequence {seq.name!r}"
         _check_name(seq.name)
-        _anchored(seq.trajectory, f"sequence {seq.name!r}")
+        if names.count(seq.name) > 1:
+            raise ValueError(f"{where}: {names.count(seq.name)} sequences have this name")
+        frames = list(seq.observations)
+        posed = _anchored(seq.trajectory, where)._find(frames)[1]
+        if not posed.all():
+            raise ValueError(f"{where}: frame {frames[posed.argmin()]!r} has an observation "
+                             "but no pose")
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     manifest = []

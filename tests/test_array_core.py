@@ -442,3 +442,5 @@ class TestStackWideWorkOnce:
         want = drifted.copy()
         want[past] = se3.project_rotation(drifted[past])
         np.testing.assert_array_equal(se3._renormalize(drifted.copy()), want)
+        for rotation, fixed in zip(drifted, want):    # one rotation, as a generator step
+            np.testing.assert_array_equal(se3._renormalize(rotation.copy()), fixed)

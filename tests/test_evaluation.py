@@ -252,6 +252,20 @@ class TestRPE:
         with pytest.raises(ValueError, match="orthonormal"):
             ev.PredictedWindows("s", 8, [0], 2.0 * windows.rotations[:1], windows.translations[:1])
 
+    @pytest.mark.parametrize("starts, message", [
+        ([1.5], "frame index 1.5 is not an integer"), ([True], "frame index True is not an integer"),
+        (["3"], "frame index '3' is not an integer"),
+        ([2 ** 63], f"frame index {2 ** 63} is outside int64")])
+    def test_window_starts_enter_by_the_frame_rule(self, starts, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ev.PredictedWindows("s", 8, starts, np.eye(3)[None], np.zeros((1, 3)))
+
+    def test_window_starts_are_copied(self):
+        starts = np.array([0, 1], np.int64)
+        windows = ev.PredictedWindows("s", 8, starts, np.stack([np.eye(3)] * 2), np.zeros((2, 3)))
+        starts[0] = 5
+        assert windows.starts.tolist() == [0, 1] and not windows.starts.flags.writeable
+
     def test_anchoring_invariance(self):
         from policyvo.trajectory import anchor
         # Start the trajectory away from identity, then compare errors
@@ -927,13 +941,17 @@ class TestRPERecord:
         (1, -3, "window length must be an integer >= 0, got -3"),
         ("1", 8, "window start t must be an integer, got '1'"),
         (np.float64(2.0), 8, "window start t must be an integer, got np.float64(2.0)"),
-        (0, 8.0, "window length must be an integer >= 0, got 8.0")])
+        (0, 8.0, "window length must be an integer >= 0, got 8.0"),
+        (2 ** 70, 8, f"t {2 ** 70} is outside int64"),
+        (-2 ** 63 - 1, 8, f"t {-2 ** 63 - 1} is outside int64"),
+        (0, 2 ** 63, f"w {2 ** 63} is outside int64")])
     def test_non_integer_key_or_negative_length_rejected(self, t, w, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             ev.RPERecord("s", t, w, 0.1, 0.2)
 
     def test_numpy_integer_key_accepted(self):
         assert ev.RPERecord("s", np.int64(3), np.int32(8), 0.1, 0.2).t == 3
+        assert ev.RPERecord("s", -2 ** 63, 2 ** 63 - 1, 0.1, 0.2).w == 2 ** 63 - 1
 
 
 class TestRecordsCSV:

@@ -107,6 +107,13 @@ class TestTrajectoryType:
         with pytest.raises(ValueError, match="orthonormal"):    # a view skips Pose's check
             Trajectory([(0, se3.pose_view(2.0 * np.eye(3), np.zeros(3)))])
 
+    def test_from_stacks_copies_an_int64_frame_array(self):
+        base = np.arange(5, dtype=np.int64)
+        traj = Trajectory.from_stacks(base[:3], *identity_stacks(3))
+        base[1] = 100
+        assert traj.indices == [0, 1, 2] and traj._posed.tolist() == [0, 1, 2]
+        assert base.flags.writeable and not traj.frame_array.flags.writeable
+
     def test_immutable_and_unhashable(self):
         traj = random_trajectory(24, 3)
         with pytest.raises(AttributeError, match="immutable"):

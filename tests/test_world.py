@@ -33,15 +33,24 @@ def blob_centroid(image):
     return np.array([(image * xx).sum() / total, (image * yy).sum() / total])
 
 
+def off_centre_camera(size):
+    """A size-px camera whose principal point lies far off the image centre (at 48 px,
+    (8, 23.5) with focal 24 and mask radius 23)."""
+    return Camera(focal=size / 2.0, cx=size / 6.0, cy=(size - 1) / 2.0, size=size,
+                  mask_radius=23.0 * size / 48.0)
+
+
 def single_landmark_scene(point, albedo=1.0):
     return Scene(np.array([point]), np.array([albedo]))
 
 
 def add_at_render(scene, camera, pose, blob_sigma):
-    """Reference renderer: one np.add.at scatter per pixel offset of a ``blob_sigma`` blob."""
+    """Reference renderer: one np.add.at scatter per pixel offset of a ``blob_sigma`` blob
+    of each landmark in front whose projection lies in the image mask's circle."""
     uv, _, in_front = world.project(camera, pose, scene.points)
     distance2 = np.sum((scene.points - pose.translation) ** 2, axis=1)
-    visible = in_front & ((uv[:, 0] - camera.cx) ** 2 + (uv[:, 1] - camera.cy) ** 2
+    center = (camera.size - 1) / 2.0
+    visible = in_front & ((uv[:, 0] - center) ** 2 + (uv[:, 1] - center) ** 2
                           <= camera.mask_radius ** 2)
     centers = uv[visible]
     amps = scene.albedo[visible] * world.LIGHT_GAIN / distance2[visible]
@@ -57,7 +66,6 @@ def add_at_render(scene, camera, pose, blob_sigma):
             w = np.exp(-((dx - frac[:, 0]) ** 2 + (dy - frac[:, 1]) ** 2) * inv_two_sigma2)
             np.add.at(image, (py[ok], px[ok]), amps[ok] * w[ok])
     np.clip(image, 0.0, 1.0, out=image)
-    center = (camera.size - 1) / 2.0
     yy, xx = np.mgrid[0:camera.size, 0:camera.size]
     image[(xx - center) ** 2 + (yy - center) ** 2 > camera.mask_radius ** 2] = 0.0
     return image
@@ -284,14 +292,16 @@ class TestRenderMatchesAddAtOracle:
             image = render(scene, camera, pose).image
             assert np.abs(image - add_at_render(scene, camera, pose, blob_sigma)).max() == 0.0
 
-    def test_bit_identical_with_off_image_blob_centres(self):
-        # The field of view centred off the image puts many blob centres far
-        # outside it and some within a blob's reach of its left edge.
-        camera = Camera(focal=40.0, cx=-30.0, cy=20.0, size=48, mask_radius=24.0)
+    @pytest.mark.parametrize("size", [160, 64, 48])
+    def test_bit_identical_with_an_off_centre_principal_point(self, size):
+        # The principal point far off the image centre projects many landmarks
+        # off the image; only those in the image mask's circle are splatted, some
+        # within a blob's reach of the image's edges.
+        camera = off_centre_camera(size)
         scene = make_tube_scene(6)
-        pose = Pose(rot_y(0.3), [0.0, 0.0, 30.0])
-        image = render(scene, camera, pose).image
-        np.testing.assert_array_equal(image, add_at_render(scene, camera, pose, 1.0))
+        for pose in Pose.identity(), Pose(rot_y(0.3), [0.0, 0.0, 30.0]):
+            image = render(scene, camera, pose).image
+            np.testing.assert_array_equal(image, add_at_render(scene, camera, pose, 1.0))
 
     def test_mask_is_cached_and_read_only(self):
         mask = world.circular_mask(40, 19.2)
@@ -301,7 +311,38 @@ class TestRenderMatchesAddAtOracle:
         np.testing.assert_array_equal(obs.mask, mask)
 
 
+class TestTubeGeometry:
+    @pytest.mark.parametrize("fields, message", [
+        (dict(radius=3.0), "tube radius must exceed 5.0 mm, got 3.0"),
+        (dict(radius=5.0), "tube radius must exceed 5.0 mm, got 5.0"),
+        (dict(radius=math.nan), "tube radius must be finite, got nan"),
+        (dict(z_max=math.inf), "tube z_max must be finite, got inf"),
+        (dict(z_min=10.0), "tube z_min must lie 8.0 mm or more beyond the start at z = 0, got 10.0"),
+        (dict(z_min=-7.9), "tube z_min must lie 8.0 mm or more beyond the start at z = 0, got -7.9"),
+        (dict(z_max=5.0), "tube z_max must lie 8.0 mm or more beyond the start at z = 0, got 5.0")])
+    def test_a_tube_without_room_for_the_start_is_refused(self, fields, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TubeGeometry(**fields)
+
+    def test_tubes_that_hold_the_start_are_accepted(self):
+        tight = TubeGeometry(radius=5.5, z_min=-8.0, z_max=8.0)
+        for tube in world.DEFAULT_TUBE, BIG_TUBE, tight:
+            assert tube.contains_camera(np.zeros(3))
+
+
 class TestObservationType:
+    def test_any_2d_shape_is_accepted_and_a_mismatch_named(self):
+        assert Observation(np.zeros((3, 5)), np.ones((3, 5), bool)).image.shape == (3, 5)
+        with pytest.raises(ValueError, match=re.escape(
+                "image and mask must be 2-D arrays of one shape, got (3, 5) and (5, 3)")):
+            Observation(np.zeros((3, 5)), np.ones((5, 3), bool))
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 4)])
+    def test_an_empty_image_is_refused(self, shape):
+        with pytest.raises(ValueError, match=re.escape(
+                f"image must not be empty, got shape {shape}")):
+            Observation(np.zeros(shape), np.zeros(shape, bool))
+
     def test_outside_mask_nonzero_rejected(self):
         image = np.ones((8, 8)) * 0.5
         mask = world.circular_mask(8, 3.0)
@@ -359,6 +400,21 @@ class TestLandmarkProjections:
                                              min_albedo=0.2)
         np.testing.assert_array_equal(ids, [0])
         np.testing.assert_array_equal(uv, [[self.CAMERA.cx, self.CAMERA.cy]])
+
+    def test_an_off_centre_principal_point_detects_what_render_shows(self):
+        # A circle about the principal point (8, 23.5) would take in landmarks
+        # off the image; each detection lies in the image mask's circle, and
+        # render splats a landmark exactly when it is detected.
+        camera = off_centre_camera(48)
+        scene = make_tube_scene(6)
+        ids, uv = world.landmark_projections(scene, camera, Pose.identity())
+        center = (camera.size - 1) / 2.0
+        assert len(ids) > 1000
+        assert ((uv[:, 0] - center) ** 2 + (uv[:, 1] - center) ** 2
+                <= camera.mask_radius ** 2).all()
+        shown = [render(Scene(point[None], albedo[None]), camera, Pose.identity()).image.any()
+                 for point, albedo in zip(scene.points, scene.albedo)]
+        np.testing.assert_array_equal(np.flatnonzero(shown), ids)
 
     def test_moving_the_camera_changes_what_is_in_front(self):
         # Turned to look down -z, only the landmark at z = -50 is ahead, centred.
@@ -608,6 +664,26 @@ def two_frame_sequence(name):
     obs = Observation(np.zeros((4, 4)), np.ones((4, 4), dtype=bool))
     traj = trj.Trajectory(((0, Pose.identity()), (1, Pose.identity())))
     return world.SequenceData(name, traj, {0: obs, 1: obs})
+
+
+class TestDatasetRoundTrips:
+    def test_writer_refuses_a_repeated_name_and_writes_nothing(self, tmp_path):
+        longer = two_frame_sequence("s")
+        longer.trajectory = trj.Trajectory([(i, Pose.identity()) for i in range(6)])
+        longer.observations = {5: longer.observations[0]}
+        with pytest.raises(ValueError, match=re.escape("sequence 's': 2 sequences have this name")):
+            world.write_dataset(tmp_path / "data", [two_frame_sequence("s"), longer])
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("frame", [7, 1, 0.5])     # past the frames, posed-less, not a frame
+    def test_writer_refuses_an_observation_without_a_pose(self, tmp_path, frame):
+        seq = two_frame_sequence("s")
+        seq.trajectory = trj.Trajectory(((0, Pose.identity()), (1, None), (2, Pose.identity())))
+        seq.observations = {0: seq.observations[0], frame: seq.observations[0]}
+        with pytest.raises(ValueError, match=re.escape(
+                f"sequence 's': frame {frame!r} has an observation but no pose")):
+            world.write_dataset(tmp_path / "data", [seq])
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDatasetStaysInsideItsRoot:
