@@ -25,7 +25,7 @@ import numpy as np
 
 from . import se3
 from .se3 import Pose
-from .tables import parse_int, read_rows, write_table
+from .tables import check_name, parse_int, read_rows, write_table
 from .trajectory import Trajectory, _check_index, _frame_keys, as_trajectory
 from .world import Camera, Scene, _match_views, _shared_ids, landmark_projections
 
@@ -54,10 +54,10 @@ class PredictedWindows:
     """Predicted motions from frames ``starts`` to ``starts + w`` of a sequence, one row
     per window of read-only ``starts`` (M,), ``rotations`` (M, 3, 3) and
     ``translations`` (M, 3); ``windows[j]`` is window j as a :class:`PredictedWindow`.
-    The constructor checks w, copies the starts by the frame rule of
-    :class:`~policyvo.trajectory.Trajectory` (integers within int64, not bools) and checks
-    the stacks in full; this module's window builders derive them from checked
-    trajectories and use :meth:`_trusted` (see ``se3._frozen``)."""
+    The constructor checks w (an integer >= 0), copies the starts by the frame rule of
+    :class:`~policyvo.trajectory.Trajectory` (all integers within int64, not bools) and
+    checks the stacks in full; :func:`rpe` checks the name.  This module's window builders
+    derive them from checked trajectories and use :meth:`_trusted` (see ``se3._frozen``)."""
 
     sequence: str
     w: int
@@ -96,9 +96,9 @@ class PredictedWindows:
 @dataclass(frozen=True, slots=True)
 class RPERecord:
     """Error of one window t..t+w of a sequence: translation error (mm) and rotation
-    error (degrees).  Raises ValueError for a start t or length w that is not an
-    integer (bools are not) or lies outside int64, w < 0, or an error that is negative
-    or not finite."""
+    error (degrees).  ValueError for a field a records file would not read back as is:
+    a name ``tables.check_name`` refuses, a t or w >= 0 that is not an integer within
+    int64 (bools are not), or an error that is negative or not finite."""
 
     sequence: str
     t: int
@@ -107,19 +107,16 @@ class RPERecord:
     rot_err: float     # degrees
 
     def __post_init__(self):
-        _check_window(self.t, self.w)
-        if not (0.0 <= self.trans_err < math.inf and 0.0 <= self.rot_err < math.inf):  # nan fails
-            raise ValueError(f"errors must be finite and >= 0: {self.trans_err}, {self.rot_err}")
+        _check_row("errors", self.sequence, self.t, self.w, self.trans_err, self.rot_err)
 
 
-def _check_window(t, w) -> None:
-    """ValueError naming a window start t or length w that a records or scores file
-    cannot hold: not an integer (bools are not), w < 0, or either outside int64."""
+def _check_row(values: str, sequence, t, w, first, second) -> None:
+    """ValueError naming a field of a record or score (``values``) its table cannot hold."""
+    check_name(sequence)
     _check_index("window start t", t)
     _check_index("window length", w, least=0)
-    for name, value in ("t", t), ("w", w):
-        if not -2 ** 63 <= value < 2 ** 63:
-            raise ValueError(f"{name} {value} is outside int64")
+    if not (0.0 <= first < math.inf and 0.0 <= second < math.inf):    # nan fails
+        raise ValueError(f"{values} must be finite and >= 0: {first}, {second}")
 
 
 @dataclass(frozen=True)
@@ -161,7 +158,7 @@ def _summary(trans: np.ndarray, rot: np.ndarray) -> RPESummary:
 
 
 def _records(sequence: str, starts: list, w: int, trans_err: list, rot_err: list) -> list:
-    """RPERecords of fields the caller checked, built without the per-record check:
+    """RPERecords of fields :func:`rpe` checked, built without the per-record check:
     each field is set on every record by one ``map`` over the field's slot setter."""
     records = list(map(object.__new__, itertools.repeat(RPERecord, len(starts))))
     columns = itertools.repeat(sequence), starts, itertools.repeat(w), trans_err, rot_err
@@ -172,12 +169,14 @@ def _records(sequence: str, starts: list, w: int, trans_err: list, rot_err: list
 
 def rpe(windows: PredictedWindows, gt_trajs: dict[str, Trajectory],
         w: int) -> tuple[list[RPERecord], RPESummary]:
-    """Per-window relative pose error of a batch of windows of length w against ground truth."""
-    _check_index("window length", w, least=0)
+    """Per-window relative pose error of a batch of windows of length w against ground
+    truth; ValueError for a w or a sequence name that a records file could not hold."""
+    w = _check_index("window length", w, least=0)
     if len(windows) == 0:
         raise ValueError("empty evaluation")
     if windows.w != w:
         raise ValueError(f"windows span w={windows.w}, not w={w}")
+    check_name(windows.sequence)
     if windows.sequence not in gt_trajs:
         raise ValueError(f"no ground truth for sequence {windows.sequence!r}")
     gt = gt_trajs[windows.sequence]
@@ -189,7 +188,7 @@ def rpe(windows: PredictedWindows, gt_trajs: dict[str, Trajectory],
                                        gt.rotations[last], gt.translations[last])
     trans_err = np.linalg.norm(windows.translations - gt_trans, axis=-1)
     rot_err = np.degrees(se3.geodesic_angle(windows.rotations, gt_rot))
-    # The records' fields are checked once, as arrays (starts are int64, w checked above).
+    # Fields are checked once: the name and w above, int64 starts, the errors as arrays.
     ok = (trans_err >= 0.0) & (trans_err < math.inf) & (rot_err >= 0.0) & (rot_err < math.inf)
     if not ok.all():    # nan fails
         bad = ok.argmin()
@@ -481,9 +480,9 @@ def align_rows_to_gt(estimate, gt_traj: Trajectory) -> Trajectory:
 
 
 def windows_from_rows(estimate, sequence: str, w: int) -> PredictedWindows:
-    """Relative-motion windows over an estimate (Trajectory or rows) whose
-    endpoints both carry a pose; a length past the frame span gives no window."""
-    _check_index("window length", w, least=0)
+    """Relative-motion windows over an estimate (Trajectory or rows) whose endpoints both
+    carry a pose; a length within int64 but past the frame span gives no window."""
+    w = _check_index("window length", w, least=0)
     estimate = as_trajectory(estimate)
     ends, first = estimate._find(estimate._posed, w)    # first: a mask of window starts
     rot, trans = estimate.rotations, estimate.translations
@@ -494,8 +493,7 @@ def windows_from_rows(estimate, sequence: str, w: int) -> PredictedWindows:
 
 def write_records_csv(path, records: list[RPERecord]) -> None:
     """Write records as a CSV table with header ``RECORDS_HEADER``; floats keep 17
-    digits.  Raises ValueError naming the file, and writes nothing, for a sequence
-    name that holds a comma or a line break."""
+    digits, and every record reads back equal."""
     write_table(path, RECORDS_HEADER, RECORDS_ROW,
                 ((r.sequence, r.t, r.w, r.trans_err, r.rot_err) for r in records))
 

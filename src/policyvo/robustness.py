@@ -19,12 +19,11 @@ and not from the rendered image, does not see it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluation import RPERecord, _check_window, _read_window_rows
+from .evaluation import RPERecord, _check_row, _read_window_rows
 from .tables import write_table
 from .world import Observation
 
@@ -35,9 +34,9 @@ SCORES_ROW = "%s,%d,%d,%.17g,%.17g"
 class WindowScore:
     """Difficulty scores of window t..t+w of a sequence: ``s_texture``, the texture
     score of frame t, and ``s_dillum``, the illumination change to frame t+w (both
-    unitless).  Raises ValueError for a start t or length w that is not an integer
-    (bools are not) or lies outside int64, w < 0, or a score that is negative or not
-    finite."""
+    unitless).  ValueError for a field a scores file would not read back as is: a name
+    ``tables.check_name`` refuses, a t or w >= 0 that is not an integer within int64
+    (bools are not), or a score that is negative or not finite."""
 
     sequence: str
     t: int
@@ -46,9 +45,7 @@ class WindowScore:
     s_dillum: float
 
     def __post_init__(self):
-        _check_window(self.t, self.w)
-        if not (0.0 <= self.s_texture < math.inf and 0.0 <= self.s_dillum < math.inf):  # nan fails
-            raise ValueError(f"scores must be finite and >= 0: {self.s_texture}, {self.s_dillum}")
+        _check_row("scores", self.sequence, self.t, self.w, self.s_texture, self.s_dillum)
 
     @property
     def key(self) -> tuple[str, int, int]:
@@ -187,8 +184,7 @@ def stratify(window_scores: list[WindowScore],
 
 def write_scores_csv(path, scores: list[WindowScore]) -> None:
     """Write scores as a CSV table with header ``SCORES_HEADER``; floats keep 17
-    digits.  Raises ValueError naming the file, and writes nothing, for a sequence
-    name that holds a comma or a line break."""
+    digits, and every score reads back equal."""
     write_table(path, SCORES_HEADER, SCORES_ROW,
                 ((s.sequence, s.t, s.w, s.s_texture, s.s_dillum) for s in scores))
 

@@ -13,7 +13,7 @@ Conventions:
       (..., 3, 3), translations (..., 3), 6-vectors (..., 6)), so one pose and
       an (N, ...) stack run the same code; the ``Pose`` functions are thin
       calls into the ``*_rt`` ones.  A stack is validated once as a whole by
-      :func:`poses`, whose rows are then read-only :func:`pose_view` views.
+      :func:`_validated`; :func:`pose_view` makes read-only views of its rows.
 """
 
 from __future__ import annotations
@@ -234,11 +234,6 @@ def pose_view(rotation: np.ndarray, translation: np.ndarray) -> Pose:
     view = object.__new__(Pose)
     view.__dict__.update(rotation=rotation, translation=translation)
     return view
-
-
-def poses(rotations, translations) -> list[Pose]:
-    """Read-only Pose views of the rows of a pose stack, validated once as a whole."""
-    return list(map(pose_view, *_validated(rotations, translations)))
 
 
 def stack(pose_list: list[Pose]) -> tuple[np.ndarray, np.ndarray]:

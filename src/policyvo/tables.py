@@ -8,8 +8,11 @@ A row is formatted with one ``%``.  Writers check only that rows fit the
 format, as their rows come from checked objects; readers pass every row
 through a checking constructor (``Trajectory.from_stacks``, ``RPERecord``,
 ``WindowScore``, the manifest's row check) and name the file, and the line
-where one row is at fault.  Every ``%d`` field is read by :func:`parse_int`,
-one rule for all tables: an optional ``-``, then decimal digits, within int64.
+where one row is at fault.  Each field has one rule, so what a constructor or
+writer accepts reads back equal: :func:`parse_int` reads ``%d`` fields (``-``,
+decimal digits, within int64), ``trajectory._check_index`` admits integer values
+(not bools, within int64) and :func:`check_name` sequence names (one plain path
+component).  No table stores a path: the dataset loader derives each one.
 """
 
 from __future__ import annotations
@@ -44,18 +47,18 @@ def write_table(path, header: str, row_format: str, rows) -> None:
 
 
 def read_table(path, header: str) -> list[list[str]]:
-    """Rows of a table as lists of field strings.
+    """Rows of a table as lists of field strings, as they stand between the commas.
 
     Raises ValueError naming the file when its header is not ``header``, and
     naming the file and line when a row has a missing, extra or empty field.
     """
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines or lines[0].strip() != header:
+    lines = Path(path).read_text().splitlines()
+    if not lines or lines[0] != header:
         raise ValueError(f"bad header in {path}: expected {header!r}")
     width = header.count(",") + 1
     rows = []
     for number, line in enumerate(lines[1:], start=2):
-        fields = line.strip().split(",")
+        fields = line.split(",")
         if len(fields) != width:
             raise ValueError(f"{path}, line {number}: expected {width} fields, "
                              f"got {len(fields)}")
@@ -87,3 +90,12 @@ def parse_int(column: str, field: str) -> int:
     if not -2 ** 63 <= value < 2 ** 63:
         raise ValueError(f"{column} {field} is outside int64")
     return value
+
+
+def check_name(name) -> None:
+    """ValueError naming a sequence ``name`` unless it is one plain path component: a
+    string, not empty, ``.`` or ``..``, with no surrounding whitespace, path separator,
+    comma, line break or NUL."""
+    if (not isinstance(name, str) or name in (".", "..") or name.strip() != name
+            or name.splitlines() != [name] or any(c in name for c in "/\\,\0")):
+        raise ValueError(f"sequence {name!r}: a name must be one plain path component")

@@ -162,7 +162,7 @@ class Trajectory:
     def window_starts(self, w: int) -> list[int]:
         """Frames t, in order, for which every frame t..t+w has a pose: those whose
         posed frame w positions later is t + w, as frames strictly increase."""
-        _check_index("window length", w, least=0)
+        w = _check_index("window length", w, least=0)
         starts = self._posed[:max(len(self._posed) - w, 0)]
         return starts[self._posed[w:] - starts == w].tolist()
 
@@ -176,14 +176,14 @@ class Trajectory:
 
 
 def _frames(values, offset: int = 0) -> tuple[np.ndarray, np.ndarray | bool]:
-    """``values`` + ``offset`` as int64, and a mask of the values that count: Python or
-    numpy integers, not bools, whose sum lies within int64 (the others' sums are
-    arbitrary).  When every value counts without an elementwise test, the mask is True."""
+    """``values`` + ``offset`` (an int within int64) as int64, and a mask of the values
+    that count: Python or numpy integers, not bools, whose sum lies within int64 (the
+    others' sums are arbitrary); True when every value counts without elementwise test."""
     if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
         if values.dtype == np.int64 and not offset:
             return values, True
         ok = (values >= -2 ** 63 - offset) & (values <= 2 ** 63 - 1 - offset)
-        return (values.astype(np.uint64) + np.uint64(offset % 2 ** 64)).astype(np.int64), ok
+        return values.astype(np.int64) + offset, ok     # wraps only where ok is False
     values = values.tolist() if isinstance(values, np.ndarray) else values
     kinds = set(map(type, values))
     if kinds == {int} or all(issubclass(kind, np.integer) for kind in kinds - {int}):
@@ -214,11 +214,14 @@ def _is_index(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _check_index(name: str, value, least: int | None = None) -> None:
-    """Raise ValueError naming ``value`` unless it is an integer, not a bool, and >= least."""
+def _check_index(name: str, value, least: int | None = None) -> int:
+    """``value`` as an int; ValueError naming it unless an integer (not bool) >= least in int64."""
     if not _is_index(value) or (least is not None and value < least):
         bound = "" if least is None else f" >= {least}"
         raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+    if not -2 ** 63 <= value < 2 ** 63:
+        raise ValueError(f"{name} {value} is outside int64")
+    return int(value)
 
 
 def as_trajectory(rows) -> Trajectory:
@@ -282,7 +285,7 @@ def extract_actions(traj: Trajectory, t: int, k: int) -> ActionSequence:
     Requires frames t..t+k all to have a pose, and integers t and k >= 1.
     """
     _check_index("window start t", t)
-    _check_index("horizon k", k, least=1)
+    k = _check_index("horizon k", k, least=1)
     rows, found = traj._find([t], k)    # t..t+k all have poses iff t + k has one
     end = rows[0]                       # and t has the one k rows before it
     if not found[0] or end < k or traj._posed[end - k] != t:

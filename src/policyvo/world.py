@@ -26,11 +26,11 @@ import numpy as np
 
 from . import se3, trajectory as trj
 from .se3 import Pose
-from .tables import parse_int, read_rows, write_table
+from .tables import check_name, parse_int, read_rows, write_table
 from .trajectory import ActionSequence, Trajectory
 
-MANIFEST_HEADER = "sequence,frame,image_path,mask_path"
-MANIFEST_ROW = "%s,%d,%s,%s"
+MANIFEST_HEADER = "sequence,frame"
+MANIFEST_ROW = "%s,%d"
 NEAR_MM = 1.0           # points at camera depth <= this are not in front of it
 MAX_RESAMPLES = 1000    # redraws of one trajectory step before generation gives up
 BLOB_SIGMA_PX = 1.0     # blob std; its 3-sigma reach keeps a splat within a 7 x 7 patch
@@ -490,25 +490,19 @@ class SequenceData:
 
 
 def write_dataset(root, sequences: list[SequenceData]) -> None:
-    """Write manifest, per-sequence trajectory files, and PGM frames: under ``root``,
-    a directory per sequence with its ``traj.csv`` and the frames' images and masks.
-    Raises ValueError naming the sequence, and writes nothing, for a name that is not
-    one plain path component (empty, ``.`` or ``..``, with surrounding whitespace, or
-    holding a path separator, a comma, a line break or a NUL) or that two sequences
-    share, for a trajectory that does not start at the identity, and, naming the frame
-    too, for an observation of a frame without a pose; :func:`load_dataset` would not
-    give any of them back as written."""
+    """Write under ``root`` a ``manifest.csv`` of (sequence, frame) rows and a directory
+    per sequence with its ``traj.csv`` and the frames' PGM images and masks, at paths
+    derived from the row.  Raises ValueError naming the sequence, and writes nothing,
+    for a name that ``tables.check_name`` refuses or that two sequences share, for a
+    trajectory that does not start at the identity, and, naming the frame too, for an
+    observation of a frame without a pose; :func:`load_dataset` refuses them too."""
     names = [seq.name for seq in sequences]
     for seq in sequences:
         where = f"sequence {seq.name!r}"
-        _check_name(seq.name)
+        check_name(seq.name)
         if names.count(seq.name) > 1:
             raise ValueError(f"{where}: {names.count(seq.name)} sequences have this name")
-        frames = list(seq.observations)
-        posed = _anchored(seq.trajectory, where)._find(frames)[1]
-        if not posed.all():
-            raise ValueError(f"{where}: frame {frames[posed.argmin()]!r} has an observation "
-                             "but no pose")
+        _check_posed(_anchored(seq.trajectory, where), dict.fromkeys(seq.observations, where))
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     manifest = []
@@ -517,36 +511,42 @@ def write_dataset(root, sequences: list[SequenceData]) -> None:
         seq_dir.mkdir(exist_ok=True)
         trj.write_trajectory_file(seq_dir / "traj.csv", seq.trajectory)
         for frame, obs in sorted(seq.observations.items()):
-            image_rel, mask_rel = _frame_files(seq.name, frame)
-            write_observation(root / image_rel, root / mask_rel, obs)
-            manifest.append((seq.name, frame, image_rel, mask_rel))
+            write_observation(*(root / f for f in _frame_files(seq.name, frame)), obs)
+            manifest.append((seq.name, frame))
     write_table(root / "manifest.csv", MANIFEST_HEADER, MANIFEST_ROW, manifest)
 
 
 def load_dataset(root) -> list[SequenceData]:
-    """Load a dataset written by :func:`write_dataset`.  A manifest row whose name
-    :func:`write_dataset` would refuse, whose frame is not an integer, or whose image
-    and mask paths are not the ones it writes, raises ValueError naming the file and
-    line; so does a trajectory file that is bad or does not start at the identity."""
+    """Load a dataset written by :func:`write_dataset`, refusing what it refuses: a
+    manifest row with a name or frame that breaks its rule, that repeats an earlier row
+    or whose frame has no pose raises ValueError naming the file and line, and a bad or
+    unanchored trajectory file raises one naming that file."""
     root = Path(root)
-    frames_by_seq: dict[str, list[int]] = {}
-    for name, frame in read_rows(root / "manifest.csv", MANIFEST_HEADER, _manifest_row):
-        frames_by_seq.setdefault(name, []).append(frame)
+    manifest = root / "manifest.csv"
+    places: dict[str, dict[int, str]] = {}      # sequence -> frame -> where its row is
+    for line, (name, frame) in enumerate(read_rows(manifest, MANIFEST_HEADER, _manifest_row), 2):
+        where = f"{manifest}, line {line}: sequence {name!r}"
+        if frame in places.setdefault(name, {}):
+            raise ValueError(f"{where}: frame {frame} repeats an earlier row")
+        places[name][frame] = where
     sequences = []
-    for name, frames in frames_by_seq.items():
+    for name, frames in places.items():
         path = root / name / "traj.csv"
         traj = _anchored(trj.read_trajectory_file(path), path)
+        _check_posed(traj, frames)
         observations = {frame: read_observation(*(root / f for f in _frame_files(name, frame)))
                         for frame in frames}
         sequences.append(SequenceData(name, traj, observations))
     return sequences
 
 
-def _check_name(name) -> None:
-    """ValueError naming a sequence name that is not one plain path component."""
-    if (not isinstance(name, str) or name in (".", "..") or name.strip() != name
-            or name.splitlines() != [name] or any(c in name for c in "/\\,\0")):
-        raise ValueError(f"sequence {name!r}: a name must be one plain path component")
+def _check_posed(traj: Trajectory, places: dict) -> None:
+    """ValueError naming the first frame of ``places`` without a pose, after its place."""
+    frames = list(places)
+    posed = traj._find(frames)[1]
+    if not posed.all():
+        frame = frames[posed.argmin()]
+        raise ValueError(f"{places[frame]}: frame {frame!r} has an observation but no pose")
 
 
 def _frame_files(name: str, frame: int) -> tuple[str, str]:
@@ -555,14 +555,10 @@ def _frame_files(name: str, frame: int) -> tuple[str, str]:
     return f"{stem}.pgm", f"{stem}.mask.pgm"
 
 
-def _manifest_row(name: str, frame: str, image_rel: str, mask_rel: str) -> tuple[str, int]:
-    """(name, frame) of a manifest row; ValueError unless write_dataset writes the row."""
-    _check_name(name)
-    frame = parse_int("frame", frame)
-    files = _frame_files(name, frame)
-    if (image_rel, mask_rel) != files:
-        raise ValueError(f"paths {image_rel!r}, {mask_rel!r} are not {files[0]!r}, {files[1]!r}")
-    return name, frame
+def _manifest_row(name: str, frame: str) -> tuple[str, int]:
+    """(name, frame) of a manifest row, by the name rule and :func:`parse_int`."""
+    check_name(name)
+    return name, parse_int("frame", frame)
 
 
 def _anchored(rows, where) -> Trajectory:

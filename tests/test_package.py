@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import shutil
@@ -51,6 +52,27 @@ def undocumented(module) -> list[str]:
                          ids=lambda module: module.__name__)
 def test_every_public_name_has_a_docstring(module):
     assert undocumented(module) == []
+
+
+def test_every_private_helper_has_a_caller():
+    """A module-level private function or class of ``src/policyvo`` that no code there
+    names outside its own definition is dead; every one must have a caller."""
+    defined, named = [], set()
+    for path in sorted(Path(policyvo.__file__).resolve().parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            own = None
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+                    and not node.name.startswith("__")):
+                own = node.name
+                defined.append((path.stem, own))
+            for sub in ast.walk(node):
+                name = (sub.id if isinstance(sub, ast.Name) else
+                        sub.attr if isinstance(sub, ast.Attribute) else
+                        sub.name if isinstance(sub, ast.alias) else None)
+                if name != own:
+                    named.add(name)
+    assert len(defined) > 20
+    assert [f"{module}.{name}" for module, name in defined if name not in named] == []
 
 
 def test_failing_property_prints_its_falsifying_example(tmp_path):

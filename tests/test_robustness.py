@@ -32,8 +32,8 @@ class TestWindowScore:
         (True, 8, "window start t must be an integer, got True"),
         (1, np.bool_(True), "window length must be an integer >= 0, got np.True_"),
         (1, -3, "window length must be an integer >= 0, got -3"),
-        (2 ** 70, 8, f"t {2 ** 70} is outside int64"),
-        (0, 2 ** 64, f"w {2 ** 64} is outside int64")])
+        (2 ** 70, 8, f"window start t {2 ** 70} is outside int64"),
+        (0, 2 ** 64, f"window length {2 ** 64} is outside int64")])
     def test_non_integer_key_or_negative_length_rejected(self, t, w, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             rb.WindowScore("s", t, w, 0.1, 0.2)

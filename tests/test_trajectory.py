@@ -542,7 +542,7 @@ class TestTrajectoryFile:
         assert [p is None for _, p in back] == [p is None for _, p in rows]
         valid_rows = numbers.reshape(-1, 7)[[p is not None for _, p in rows], 1:]
         np.testing.assert_array_equal(valid_rows, written)
-        assert [p for _, p in back if p is not None] == se3.poses(*se3.exp_rt(written))
+        assert back.poses == list(map(se3.pose_view, *se3._validated(*se3.exp_rt(written))))
 
     @settings(max_examples=60, deadline=None)
     @given(gapped_trajectories)
