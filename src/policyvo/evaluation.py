@@ -11,8 +11,9 @@ windowed errors are computed; metric methods need no alignment.
 
 Ground truth and estimates are :class:`~policyvo.trajectory.Trajectory` pose
 stacks (an estimate masks the frames it has no pose for), and the windows of a
-sequence are one :class:`PredictedWindows` batch.  Per-window records are
-:mod:`policyvo.tables` CSV with the header ``sequence,t,w,trans_err_mm,rot_err_deg``.
+sequence are one :class:`PredictedWindows` batch, and their errors one
+:class:`RPERecords` batch of columns.  Records files are :mod:`policyvo.tables` CSV
+with the header ``sequence,t,w,trans_err_mm,rot_err_deg``.
 """
 
 from __future__ import annotations
@@ -119,6 +120,34 @@ def _check_row(values: str, sequence, t, w, first, second) -> None:
         raise ValueError(f"{values} must be finite and >= 0: {first}, {second}")
 
 
+@dataclass(frozen=True, eq=False)
+class RPERecords:
+    """Errors of windows ``starts``..``starts + w`` of a sequence as the read-only columns
+    ``starts`` (M,) int64, ``trans_err`` (M,) mm and ``rot_err`` (M,) degrees that
+    :func:`rpe` checked.  ``records[j]`` (a Python or numpy integer) and each step of an
+    iteration build one :class:`RPERecord` row; a slice is a batch."""
+
+    sequence: str
+    w: int
+    starts: np.ndarray
+    trans_err: np.ndarray
+    rot_err: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return RPERecords(self.sequence, self.w, self.starts[j], self.trans_err[j],
+                              self.rot_err[j])
+        return RPERecord(self.sequence, int(self.starts[j]), self.w,
+                         float(self.trans_err[j]), float(self.rot_err[j]))
+
+    def __iter__(self):
+        return map(RPERecord, itertools.repeat(self.sequence), self.starts.tolist(),
+                   itertools.repeat(self.w), self.trans_err.tolist(), self.rot_err.tolist())
+
+
 @dataclass(frozen=True)
 class RPESummary:
     """Mean and population standard deviation (ddof 0) of the translation errors (mm)
@@ -144,10 +173,13 @@ class CoverageReport:
         return 100.0 * self.valid / self.total
 
 
-def summarize(records: list[RPERecord]) -> RPESummary:
-    """Mean and population std of the per-window errors."""
+def summarize(records) -> RPESummary:
+    """Mean and population std of the errors of an :class:`RPERecords` batch's columns,
+    or of a list of records."""
     if not records:
         raise ValueError("empty evaluation")
+    if isinstance(records, RPERecords):
+        return _summary(records.trans_err, records.rot_err)
     return _summary(np.array([r.trans_err for r in records]),
                     np.array([r.rot_err for r in records]))
 
@@ -157,20 +189,11 @@ def _summary(trans: np.ndarray, rot: np.ndarray) -> RPESummary:
                       float(rot.mean()), float(rot.std()), len(trans))
 
 
-def _records(sequence: str, starts: list, w: int, trans_err: list, rot_err: list) -> list:
-    """RPERecords of fields :func:`rpe` checked, built without the per-record check:
-    each field is set on every record by one ``map`` over the field's slot setter."""
-    records = list(map(object.__new__, itertools.repeat(RPERecord, len(starts))))
-    columns = itertools.repeat(sequence), starts, itertools.repeat(w), trans_err, rot_err
-    for name, values in zip(RPERecord.__slots__, columns):
-        list(map(getattr(RPERecord, name).__set__, records, values))
-    return records
-
-
 def rpe(windows: PredictedWindows, gt_trajs: dict[str, Trajectory],
-        w: int) -> tuple[list[RPERecord], RPESummary]:
+        w: int) -> tuple[RPERecords, RPESummary]:
     """Per-window relative pose error of a batch of windows of length w against ground
-    truth; ValueError for a w or a sequence name that a records file could not hold."""
+    truth, as one :class:`RPERecords` batch of error columns, and their summary;
+    ValueError for a w or a sequence name that a records file could not hold."""
     w = _check_index("window length", w, least=0)
     if len(windows) == 0:
         raise ValueError("empty evaluation")
@@ -180,7 +203,6 @@ def rpe(windows: PredictedWindows, gt_trajs: dict[str, Trajectory],
     if windows.sequence not in gt_trajs:
         raise ValueError(f"no ground truth for sequence {windows.sequence!r}")
     gt = gt_trajs[windows.sequence]
-    starts = windows.starts.tolist()
     missing = f"sequence {windows.sequence!r}: ground truth has no pose at window"
     first = _gt_rows(gt, windows.starts, f"{missing} start")
     last = _gt_rows(gt, windows.starts, f"{missing} end", w)
@@ -193,7 +215,9 @@ def rpe(windows: PredictedWindows, gt_trajs: dict[str, Trajectory],
     if not ok.all():    # nan fails
         bad = ok.argmin()
         raise ValueError(f"errors must be finite and >= 0: {trans_err[bad]}, {rot_err[bad]}")
-    records = _records(windows.sequence, starts, w, trans_err.tolist(), rot_err.tolist())
+    trans_err.setflags(write=False)
+    rot_err.setflags(write=False)
+    records = RPERecords(windows.sequence, w, windows.starts, trans_err, rot_err)
     return records, _summary(trans_err, rot_err)
 
 
@@ -491,9 +515,9 @@ def windows_from_rows(estimate, sequence: str, w: int) -> PredictedWindows:
                                                       rot[ends[first]], trans[ends[first]]))
 
 
-def write_records_csv(path, records: list[RPERecord]) -> None:
-    """Write records as a CSV table with header ``RECORDS_HEADER``; floats keep 17
-    digits, and every record reads back equal."""
+def write_records_csv(path, records) -> None:
+    """Write records, an :class:`RPERecords` batch or a list, as a CSV table with header
+    ``RECORDS_HEADER``; floats keep 17 digits, and every record reads back equal."""
     write_table(path, RECORDS_HEADER, RECORDS_ROW,
                 ((r.sequence, r.t, r.w, r.trans_err, r.rot_err) for r in records))
 

@@ -112,7 +112,10 @@ class Trajectory:
         return len(self.frame_array)
 
     def __iter__(self):
-        return iter(self.frames)
+        """(frame, Pose view or None) rows in frame order, each built as the loop reaches it."""
+        poses = map(se3.pose_view, self.rotations, self.translations)
+        return ((i, next(poses) if ok else None)
+                for i, ok in zip(self.frame_array.tolist(), self.valid.tolist()))
 
     def __contains__(self, frame_index) -> bool:
         """Whether the frame has a pose."""
@@ -130,10 +133,8 @@ class Trajectory:
 
     @property
     def frames(self) -> tuple[tuple[int, Pose | None], ...]:
-        """(frame, Pose view or None) of every frame; ``poses`` has the V views alone."""
-        poses = iter(self.poses)
-        return tuple((i, next(poses) if ok else None)
-                     for i, ok in zip(self.indices, self.valid.tolist()))
+        """The (frame, Pose view or None) rows of an iteration; ``poses`` has the views."""
+        return tuple(self)
 
     def rows(self, frame_indices) -> np.ndarray:
         """Positions of the given frames in ``rotations``/``translations``."""
@@ -308,17 +309,17 @@ def compose_window(start: Pose, actions: ActionSequence, w: int) -> Pose:
 
 
 def write_trajectory_file(path, rows) -> None:
-    """Write a Trajectory, or (frame, Pose | None) rows, as CSV; a frame without
-    a pose is a nan row.  Raises ValueError naming the file, and writes nothing,
-    when the frames are not integers within int64 or do not strictly increase."""
+    """Write a Trajectory, or (frame, Pose | None) rows, as CSV, formatted from one list
+    per column; a frame without a pose is a nan row.  Raises ValueError naming the file,
+    and writes nothing, when the frames are not integers within int64 or do not
+    strictly increase."""
     try:
         traj = as_trajectory(rows)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     vectors = np.full((len(traj), 6), np.nan)
     vectors[traj.valid] = se3.log_rt(traj.rotations, traj.translations)
-    write_table(path, TRAJECTORY_HEADER, TRAJECTORY_ROW,
-                ((i, *vec) for i, vec in zip(traj.indices, vectors.tolist())))
+    write_table(path, TRAJECTORY_HEADER, TRAJECTORY_ROW, zip(traj.indices, *vectors.T.tolist()))
 
 
 def _first_bad_row(path, rows) -> ValueError | None:

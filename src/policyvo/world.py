@@ -520,7 +520,8 @@ def load_dataset(root) -> list[SequenceData]:
     """Load a dataset written by :func:`write_dataset`, refusing what it refuses: a
     manifest row with a name or frame that breaks its rule, that repeats an earlier row
     or whose frame has no pose raises ValueError naming the file and line, and a bad or
-    unanchored trajectory file raises one naming that file."""
+    unanchored trajectory file raises one naming that file.  Each trajectory is the one
+    written, frames without a pose included."""
     root = Path(root)
     manifest = root / "manifest.csv"
     places: dict[str, dict[int, str]] = {}      # sequence -> frame -> where its row is
@@ -561,10 +562,9 @@ def _manifest_row(name: str, frame: str) -> tuple[str, int]:
     return name, parse_int("frame", frame)
 
 
-def _anchored(rows, where) -> Trajectory:
-    """The frames of ``rows`` with a pose; ValueError names ``where`` when the first
-    pose is not the identity."""
-    traj = trj.rows_to_trajectory(rows)
+def _anchored(traj: Trajectory, where) -> Trajectory:
+    """``traj`` itself, frames without a pose kept; ValueError names ``where`` when the
+    first pose is not the identity."""
     if not traj.anchored:
         raise ValueError(f"{where}: anchored trajectory must start at identity")
     return traj

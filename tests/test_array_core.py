@@ -1,6 +1,7 @@
 """The SE(3) stack functions against their one-pose forms, and the pipeline
 functions built on them against the per-pose loops they replaced."""
 
+import gc
 import math
 
 import numpy as np
@@ -449,3 +450,34 @@ class TestStackWideWorkOnce:
         np.testing.assert_array_equal(se3._renormalize(drifted.copy()), want)
         for rotation, fixed in zip(drifted, want):    # one rotation, as a generator step
             np.testing.assert_array_equal(se3._renormalize(rotation.copy()), fixed)
+
+
+def tracked_objects_added(fn) -> int:
+    """Objects the collector tracks that ``fn()`` adds and keeps alive, counted with
+    the collector off."""
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        kept = fn()     # noqa: F841 - alive while the objects are counted
+        return len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+
+
+class TestObjectBudgets:
+    """A 4000-frame evaluation keeps no Python object per window or frame alive."""
+
+    @pytest.fixture(scope="class")
+    def path(self):
+        rng = np.random.default_rng(19)
+        return Trajectory.from_stacks(np.arange(4000), se3.so3_exp(rng.normal(size=(4000, 3))),
+                                      np.cumsum(rng.normal(size=(4000, 3)), axis=0))
+
+    def test_rpe_returns_one_batch_of_columns(self, path):
+        windows = ev.constant_velocity_windows(path, "s", 8)
+        assert len(windows) == 3992
+        assert tracked_objects_added(lambda: ev.rpe(windows, {"s": path}, 8)) <= 10
+
+    def test_iterating_a_trajectory_builds_no_row_up_front(self, path):
+        assert tracked_objects_added(lambda: iter(path)) <= 20

@@ -78,7 +78,11 @@ def test_full_pipeline_unit(sequences):
 def test_record_call_shapes(sequences):
     """The three shapes in which the harness hands records on: ``stratify`` gets
     ``rpe``'s own return (the probe) and one list flattened across sequences (a pass),
-    and ``summarize`` a plain list with one record replaced (its checks' tests)."""
+    and ``summarize`` a plain list with one record replaced (its checks' tests).  Every
+    call the harness makes on ``rpe``'s return works on it: ``len``, truthiness, a numpy
+    integer index (its oracle samples with ``rng.choice``), iteration, ``list`` and
+    ``dataclasses.replace`` of a row, and ``summarize`` of the batch equals that of its
+    list."""
     camera = world.Camera.default(48)
     all_scores, flat = [], []
     for name, scene, gt in sequences:
@@ -87,6 +91,12 @@ def test_record_call_shapes(sequences):
                   for t in gt.indices if t + W in observations]
         records, _ = ev.rpe(ev.zero_motion_windows(gt, name, W), {name: gt}, W)
         assert rb.stratify(scores, records).texture_low.count > 0
+        assert records and len(records) == len(list(records)) == 24 - W
+        j = np.random.default_rng(0).choice(len(records))
+        row = records[np.int64(j)]
+        assert row == list(records)[j]
+        assert dataclasses.replace(row, trans_err=row.trans_err + 1.0).trans_err > row.trans_err
+        assert ev.summarize(records) == ev.summarize(list(records))
         all_scores += scores
         flat += records
     assert rb.stratify(all_scores, flat).texture_low.count > 0

@@ -172,7 +172,7 @@ class TestRPE:
         traj = random_trajectory(3, 40)
         records, summary = ev.rpe(ev.constant_velocity_windows(traj, "s", 8), {"s": traj}, 8)
         checked = [ev.RPERecord(r.sequence, r.t, r.w, r.trans_err, r.rot_err) for r in records]
-        assert records == checked and len(records) == 32
+        assert list(records) == checked and len(records) == 32
         assert ({(type(r.sequence), type(r.t), type(r.w), type(r.trans_err), type(r.rot_err))
                  for r in records} == {(str, int, int, float, float)})
         assert summary == ev.summarize(checked)
@@ -364,7 +364,7 @@ class TestWindowLength:
         assert (records[0].t, records[0].w, records[0].trans_err, records[0].rot_err) == \
             (first, w, 0.0, 0.0)
         ev.write_records_csv(tmp_path / "records.csv", records)
-        assert ev.read_records_csv(tmp_path / "records.csv") == records
+        assert ev.read_records_csv(tmp_path / "records.csv") == list(records)
 
     @pytest.mark.parametrize("k", [2 ** 63, 2 ** 64 - 1])
     def test_a_horizon_past_int64_is_refused_by_name(self, k):

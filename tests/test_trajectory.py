@@ -504,6 +504,22 @@ class TestTrajectoryFile:
         traj = trajectory.rows_to_trajectory(back)
         assert traj.indices == [0, 2]
 
+    def test_writer_bytes_are_one_format_per_row(self, tmp_path):
+        """The column-list writer writes the bytes of one ``TRAJECTORY_ROW`` per row,
+        nan rows and frames at both ends of int64 included."""
+        poses = [se3.random_pose(seed, 5.0, 1.0) for seed in range(3)]
+        traj = Trajectory([(-2 ** 63, poses[0]), (-7, None), (0, poses[1]), (5, None),
+                           (2 ** 63 - 1, poses[2])])
+        vectors = iter(se3.log_rt(traj.rotations, traj.translations).tolist())
+        nan_row = [math.nan] * 6
+        lines = [trajectory.TRAJECTORY_ROW % (i, *(nan_row if p is None else next(vectors)))
+                 for i, p in traj]
+        path = tmp_path / "traj.csv"
+        trajectory.write_trajectory_file(path, traj)
+        assert path.read_bytes() == "".join(
+            f"{line}\n" for line in [trajectory.TRAJECTORY_HEADER, *lines]).encode()
+        assert "nan" in lines[1] and lines[-1].startswith(f"{2 ** 63 - 1},")
+
     def test_header_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n")

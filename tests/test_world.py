@@ -686,6 +686,14 @@ class TestDatasetRoundTrips:
             world.write_dataset(tmp_path / "data", [seq])
         assert list(tmp_path.iterdir()) == []
 
+    def test_frames_without_a_pose_survive_a_round_trip(self, tmp_path):
+        seq = two_frame_sequence("s")
+        seq.trajectory = trj.Trajectory(((0, Pose.identity()), (1, None),
+                                         (2, Pose(np.eye(3), [1.0, -2.0, 0.5]))))
+        seq.observations = {0: seq.observations[0], 2: seq.observations[1]}
+        world.write_dataset(tmp_path, [seq])
+        loaded = world.load_dataset(tmp_path)[0].trajectory
+        assert loaded.indices == [0, 1, 2] and loaded == seq.trajectory
 
     def test_loader_refuses_an_observation_without_a_pose(self, tmp_path):
         """A manifest row of a frame past the trajectory, its files copied in: the loader
