@@ -53,8 +53,8 @@ class Trajectory:
     takes (frame, Pose | None) rows and :meth:`from_stacks` the arrays, either checking
     them in full; anchoring, alignment, VO and generated paths derive their stacks from
     checked ones and use :meth:`_trusted` (see ``se3._frozen``).  ``frames``, ``poses``,
-    iteration and ``pose_at`` build ``Pose`` views.  Equality is exact (``anchored`` is
-    derived from the arrays); instances are immutable and unhashable."""
+    iteration (a row at a time) and ``pose_at`` build ``Pose`` views.  Equality is exact
+    (``anchored`` is derived from the arrays); instances are immutable and unhashable."""
 
     def __init__(self, rows=(), anchored: bool = False):
         rows = tuple(rows)
