@@ -53,8 +53,8 @@ class PredictedWindow:
 @dataclass(frozen=True, eq=False)
 class PredictedWindows:
     """Predicted motions from frames ``starts`` to ``starts + w`` of a sequence, one row
-    per window of read-only ``starts`` (M,), ``rotations`` (M, 3, 3) and
-    ``translations`` (M, 3); ``windows[j]`` is window j as a :class:`PredictedWindow`.
+    per window of read-only ``starts`` (M,), ``rotations`` (M, 3, 3) and ``translations``
+    (M, 3); ``windows[j]`` is window j as a :class:`PredictedWindow` on a ``Pose`` view.
     The constructor checks w (an integer >= 0), copies the starts by the frame rule of
     :class:`~policyvo.trajectory.Trajectory` (all integers within int64, not bools) and
     checks the stacks in full; :func:`rpe` checks the name.  This module's window builders
@@ -91,7 +91,7 @@ class PredictedWindows:
 
     def __getitem__(self, j) -> PredictedWindow:
         return PredictedWindow(self.sequence, int(self.starts[j]), self.w,
-                               Pose(self.rotations[j], self.translations[j]))
+                               se3.pose_view(self.rotations[j], self.translations[j]))
 
 
 @dataclass(frozen=True, slots=True)

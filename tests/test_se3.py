@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from policyvo import evaluation as ev
 from policyvo import se3
+from policyvo import trajectory as trj
 from policyvo.se3 import Pose
 
-from rotations import rot_x, rot_y, rot_z
+from rotations import rot_x, rot_y, rot_z, unit_axes
 
 
 def random_full_range_rotation(rng):
@@ -84,6 +88,21 @@ class TestInverse:
         out = se3.inverse(Pose(rot_z(math.pi / 2), [1.0, 0.0, 0.0]))
         np.testing.assert_allclose(out.rotation, rot_z(-math.pi / 2), atol=1e-12)
         np.testing.assert_allclose(out.translation, [0.0, 1.0, 0.0], atol=1e-12)
+
+
+    def test_pose_whose_transpose_drifts_more(self):
+        # R = Q(I + e J/3), J all ones and Q taking (1, 1, 1)/sqrt(3) to x: R'R - I is
+        # about 2e J/3 (drift 0.93e-9, a valid Pose), RR' - I about 2e x x' (2.8e-9).
+        u = np.ones(3) / math.sqrt(3.0)
+        v = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
+        rotation = np.array([u, v, np.cross(u, v)]) @ (np.eye(3) + 1.4e-9 / 3.0)
+        pose = Pose(rotation, [1.0, -2.0, 3.0])
+        assert 0.9e-9 < se3.orthonormality_drift(rotation) <= se3.ORTHONORMAL_TOL
+        assert se3.orthonormality_drift(rotation.T) > 2.5e-9
+        inv = se3.inverse(pose)
+        assert se3.orthonormality_drift(inv.rotation) < 1e-15
+        np.testing.assert_array_equal(inv.translation, -(rotation.T @ pose.translation))
+        np.testing.assert_allclose(se3.compose(pose, inv).as_matrix(), np.eye(4), atol=1e-8)
 
 
 class TestExpLog:
@@ -183,9 +202,13 @@ class TestRandomPose:
         std = rotvecs.std(axis=0)
         np.testing.assert_allclose(std, 0.1, rtol=0.05)
 
-    def test_negative_scale_rejected(self):
-        with pytest.raises(ValueError):
-            se3.random_pose(1, -1.0, 0.0)
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["trans_scale", "rot_scale"])
+    def test_negative_scale_rejected(self, name, bad):
+        rng = np.random.default_rng(16)
+        with pytest.raises(ValueError, match=f"{name} must be finite and >= 0"):
+            se3.random_pose(rng, **{"trans_scale": 1.0, "rot_scale": 0.1, name: bad})
+        assert rng.random() == np.random.default_rng(16).random()   # refused before drawing
 
 
 class TestPoseEquality:
@@ -235,3 +258,95 @@ class TestNumericalHygiene:
         fixed = se3.project_rotation(noisy)
         assert se3.orthonormality_drift(fixed) < 1e-12
         assert np.linalg.det(fixed) > 0
+
+
+def so3_exp_oracle(rotvec):
+    """The Rodrigues formula as so3_exp wrote it with (..., 1, 1) coefficients."""
+    omega_hat = se3.skew(rotvec)
+    angle = np.maximum(np.sqrt((rotvec * rotvec).sum(axis=-1)), se3.SMALL_ANGLE)[..., None, None]
+    half_sinc = np.sin(0.5 * angle) / angle
+    return (np.eye(3) + (np.sin(angle) / angle) * omega_hat
+            + (2.0 * half_sinc * half_sinc) * (omega_hat @ omega_hat))
+
+
+class TestDerivedPoses:
+    """Poses that se3 derives from checked ones are finite-tested read-only views."""
+
+    NORMS = [0.0, 1e-9, 1e-6, math.pi - 1e-7, 10.0, 1e154, 1e200]
+
+    def test_so3_exp_matches_the_formula_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        axes = rng.normal(size=(40, 3))
+        axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
+        vectors = (axes[:, None] * np.array(self.NORMS)[:, None]).reshape(-1, 3)
+        with np.errstate(over="ignore", invalid="ignore"):    # the norm past overflow
+            want = so3_exp_oracle(vectors)
+            assert np.array_equal(se3.so3_exp(vectors), want, equal_nan=True)
+            assert np.array_equal(se3.so3_exp(vectors.reshape(40, -1, 3)),
+                                  want.reshape(40, -1, 3, 3), equal_nan=True)
+            for vector, rotation in zip(vectors, want):
+                assert np.array_equal(se3.so3_exp(vector), rotation, equal_nan=True)
+        assert not np.isfinite(want[len(self.NORMS) - 1::len(self.NORMS)]).any()
+
+    def test_each_op_equals_its_checked_pose_without_checking(self, monkeypatch):
+        a, b = se3.random_pose(18, 2.0, 0.5), se3.random_pose(19, 2.0, 0.5)
+        vec6 = se3.log(b)
+        draws = np.random.default_rng(20).normal(0.0, 1.0, (2, 3))
+        actions = trj.ActionSequence.from_array([se3.log(a), vec6, -vec6])
+        folded = a.rotation, a.translation
+        for step in zip(*se3.exp_rt(actions.vectors[:2])):
+            folded = se3.compose_rt(*folded, *step)
+        traj = trj.Trajectory.from_stacks([0, 1, 2], *se3.stack([a, b, Pose.identity()]))
+        windows = ev.constant_velocity_windows(traj, "s", 1)
+        ab = a.rotation, a.translation, b.rotation, b.translation
+        want = {
+            "compose": Pose(*se3.compose_rt(*ab)),
+            "relative": Pose(*se3.relative_rt(*ab)),
+            "inverse": Pose(*se3.inverse_rt(a.rotation, a.translation)),
+            "exp": Pose(*se3.exp_rt(vec6)),
+            "random_pose": Pose(se3.so3_exp(draws[1] * 0.5), draws[0] * 2.0),
+            "identity": Pose(np.eye(3), np.zeros(3)),
+            "compose_window": Pose(*folded),
+            "window row": Pose(windows.rotations[0], windows.translations[0]),
+        }
+
+        def refuse(*args):
+            raise AssertionError("a derived pose was checked again")
+
+        monkeypatch.setattr(se3, "_validated", refuse)
+        got = {
+            "compose": se3.compose(a, b),
+            "relative": se3.relative(a, b),
+            "inverse": se3.inverse(a),
+            "exp": se3.exp(vec6),
+            "random_pose": se3.random_pose(20, 2.0, 0.5),
+            "identity": Pose.identity(),
+            "compose_window": trj.compose_window(a, actions, 2),
+            "window row": windows[0].delta,
+        }
+        for name, pose in got.items():
+            assert pose == want[name], name
+            assert not (pose.rotation.flags.writeable or pose.translation.flags.writeable), name
+            assert pose.rotation.flags.c_contiguous and pose.translation.shape == (3,), name
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_a_translation_past_overflow_is_refused(self, sign):
+        far = Pose(rot_z(0.1), [sign * 1e308, 0.0, 0.0])
+        with np.errstate(over="ignore"), \
+                pytest.raises(ValueError, match="translation has non-finite components"):
+            se3.compose(far, far)
+        with np.errstate(over="ignore"), \
+                pytest.raises(ValueError, match="translation has non-finite components"):
+            se3.relative(se3.inverse(far), far)
+
+    def test_exp_past_overflow_is_refused_like_pose(self):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="rotation is not orthonormal"):
+            se3.exp([0.0, 0.0, 0.0, 1e200, 0.0, 0.0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(unit_axes, st.floats(-12.0, 154.0))
+    def test_exp_stays_orthonormal_up_to_norm_1e154(self, axis, log10_norm):
+        rotation = se3.exp(np.concatenate([np.zeros(3), axis * 10.0 ** log10_norm])).rotation
+        assert se3.orthonormality_drift(rotation) <= se3.ORTHONORMAL_TOL
+        assert np.linalg.det(rotation) > 0.0
