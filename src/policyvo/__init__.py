@@ -3,13 +3,7 @@
 __version__ = "0.1.0"
 
 from .se3 import Pose, compose, exp, geodesic_angle, inverse, log, random_pose
-from .trajectory import (
-    ActionSequence,
-    Trajectory,
-    anchor,
-    compose_window,
-    extract_actions,
-)
+from .trajectory import ActionSequence, Trajectory, anchor, extract_actions
 
 __all__ = [
     "Pose",
@@ -23,5 +17,4 @@ __all__ = [
     "ActionSequence",
     "anchor",
     "extract_actions",
-    "compose_window",
 ]

@@ -297,17 +297,6 @@ def extract_actions(traj: Trajectory, t: int, k: int) -> ActionSequence:
     return ActionSequence(steps)
 
 
-def compose_window(start: Pose, actions: ActionSequence, w: int) -> Pose:
-    """start ∘ exp(d1) ∘ ... ∘ exp(dw), first action applied first; a read-only view."""
-    _check_index("window length", w, least=0)
-    if w > len(actions):
-        raise ValueError(f"w={w} exceeds action sequence length {len(actions)}")
-    pose = start.rotation, start.translation
-    for step in zip(*se3.exp_rt(actions.vectors[:w])):
-        pose = se3.compose_rt(*pose, *step)
-    return se3.pose_view(*se3._frozen(*pose))
-
-
 def write_trajectory_file(path, rows) -> None:
     """Write a Trajectory, or (frame, Pose | None) rows, as CSV, formatted from one list
     per column; a frame without a pose is a nan row.  Raises ValueError naming the file,

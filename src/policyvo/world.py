@@ -38,7 +38,7 @@ ZONE_PERIOD_MM = 60.0   # a 30 mm zone spans the brightly lit part of a view: lo
 LIGHT_GAIN = 400.0      # mm^2; albedo 1 saturates nearer than 20 mm, so advancing brightens a view
 KEEP_IN_MARGIN_MM = 5.0  # the camera stays this far inside the wall, well beyond NEAR_MM
 END_MARGIN_MM = 8.0     # and this far inside both ends of the tube
-SMOOTHING = 0.8         # smooth-advance's velocity AR(1) coefficient: successive steps correlate
+SMOOTHING = 0.8         # smooth-advance's AR(1) momentum: successive steps correlate
 # "P5", width, height and maxval, each after whitespace or comment lines, then one whitespace.
 _PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")
 
@@ -306,23 +306,27 @@ def _match_views(ids_a, uv_a, ids_b, uv_b, noise_px: float, rng: np.random.Gener
 # ---------------------------------------------------------------------------
 # Camera motion
 
-PROFILE_KINDS = ("smooth-advance", "orbit", "jitter")
+PROFILE_KINDS = {"smooth-advance": SMOOTHING, "jitter": 0.0}    # kind -> AR(1) momentum
 
 
 @dataclass(frozen=True)
 class MotionProfile:
-    """Per-step motion statistics for trajectory generation.
+    """Per-step motion statistics of :func:`generate_trajectory`'s one AR(1) model.
 
-    trans_std / rot_std are per-step standard deviations (mm / rad).
-    forward_speed adds a deterministic drift (mm per step) along the camera's +z.
+    The kind sets the model's momentum (``PROFILE_KINDS``): SMOOTHING for
+    smooth-advance, whose successive steps correlate, and 0 for jitter, whose
+    steps are independent draws.  trans_std / rot_std are per-step standard
+    deviations (mm / rad).  forward_speed adds a deterministic drift (mm per
+    step) along the camera's +z.
     """
 
     kind: str = "smooth-advance"
     trans_std: float = 0.4
     rot_std: float = 0.01
     forward_speed: float = 0.0
-    # Not settable; shown so that a profile's repr, which the benchmark's stored
-    # reference outputs are keyed on, stays the same.
+    # smooth-advance's momentum, whatever the kind.  Not settable; shown so that a
+    # profile's repr, which the benchmark's stored reference outputs are keyed on,
+    # stays the same.
     smoothing: float = field(default=SMOOTHING, init=False)
 
     def __post_init__(self):
@@ -338,60 +342,47 @@ def generate_trajectory(seed: int, n_frames: int, profile: MotionProfile,
                         tube: TubeGeometry = DEFAULT_TUBE) -> Trajectory:
     """Seeded random camera path starting at the identity pose.
 
-    Steps that would leave the tube's keep-in region are resampled (up to
-    MAX_RESAMPLES times, then RuntimeError is raised).  ValueError unless
-    n_frames is an integer >= 2.
+    One AR(1) step per frame for every kind, with the profile's momentum alpha
+    and beta = sqrt(1 - alpha^2): velocity = alpha velocity + beta draw and
+    omega = alpha omega + beta draw, from 3 translation then 3 rotation normals
+    (std trans_std, rot_std) per attempt after one stationary draw of each.
+    The camera moves by velocity + forward_speed along its +z, then turns by
+    exp(omega).  Steps that would leave the tube's keep-in region are drawn
+    again (up to MAX_RESAMPLES times, then RuntimeError is raised).
+    ValueError unless n_frames is an integer >= 2.
     """
     trj._check_index("n_frames", n_frames, least=2)
     rng = np.random.default_rng(seed)
-    position = np.zeros(3)
-    rotation = np.eye(3)
-    rotations, positions = [rotation], [position]
-
-    alpha = SMOOTHING
+    trans_std, rot_std, speed = profile.trans_std, profile.rot_std, profile.forward_speed
+    alpha = PROFILE_KINDS[profile.kind]
     beta = math.sqrt(1.0 - alpha * alpha)
-    velocity = rng.normal(0.0, profile.trans_std, 3)      # stationary AR(1) init
-    omega = rng.normal(0.0, profile.rot_std, 3)
-    orbit_radius = 0.45 * tube.keep_in_radius
-    orbit_center = np.array([-orbit_radius, 0.0, 0.0])
-    orbit_angle = 0.0
-
+    # Python floats, one component at a time: numpy's roundings without its per-call cost.
+    vx, vy, vz = rng.normal(0.0, trans_std, 3).tolist()     # velocity: stationary AR(1) init
+    wx, wy, wz = rng.normal(0.0, rot_std, 3).tolist()       # omega, the turn
+    position, rotation = (0.0, 0.0, 0.0), np.eye(3)
+    rotations, positions = [rotation], list(position)   # flat: no object per frame to collect
     for step in range(1, n_frames):
+        x, y, z = position
+        hx, hy, hz = rotation[:, 2].tolist()                # heading, the camera's +z
         for attempt in range(MAX_RESAMPLES + 1):
-            if profile.kind == "smooth-advance":
-                cand_velocity = alpha * velocity + beta * rng.normal(0.0, profile.trans_std, 3)
-                move = cand_velocity + profile.forward_speed * rotation[:, 2]
-                cand_position = position + move
-                turn = cand_omega = alpha * omega + beta * rng.normal(0.0, profile.rot_std, 3)
-            elif profile.kind == "orbit":
-                arc = (profile.trans_std + abs(rng.normal(0.0, 0.3 * profile.trans_std))) / max(orbit_radius, 1e-9)
-                cand_angle = orbit_angle + arc
-                cand_position = orbit_center + orbit_radius * np.array(
-                    [math.cos(cand_angle), math.sin(cand_angle), 0.0])
-                cand_position[2] = position[2] + profile.forward_speed
-                turn = np.array([0.0, 0.0, arc]) + rng.normal(0.0, profile.rot_std, 3)
-                cand_velocity, cand_omega = velocity, omega
-            else:  # jitter
-                cand_position = position + rng.normal(0.0, profile.trans_std, 3) \
-                    + profile.forward_speed * rotation[:, 2]
-                turn = rng.normal(0.0, profile.rot_std, 3)
-                cand_velocity, cand_omega = velocity, omega
-
-            if tube.contains_camera(cand_position):
+            dx, dy, dz = rng.normal(0.0, trans_std, 3).tolist()
+            ex, ey, ez = rng.normal(0.0, rot_std, 3).tolist()
+            ux, uy, uz = alpha * vx + beta * dx, alpha * vy + beta * dy, alpha * vz + beta * dz
+            position = x + (ux + speed * hx), y + (uy + speed * hy), z + (uz + speed * hz)
+            if tube.contains_camera(position):
                 break
             if attempt == MAX_RESAMPLES:
                 raise RuntimeError(
                     f"motion profile left the tube at step {step} after "
                     f"{MAX_RESAMPLES} resamples")
-        # Only the accepted candidate's rotation is needed: no step's
-        # position depends on its own turn.
-        position, rotation = cand_position, se3._renormalize(rotation @ se3.so3_exp(turn))
-        velocity, omega = cand_velocity, cand_omega
-        if profile.kind == "orbit":
-            orbit_angle = cand_angle
+        vx, vy, vz = ux, uy, uz
+        # Only the accepted attempt's turn is needed: no step's position
+        # depends on its own turn.
+        wx, wy, wz = alpha * wx + beta * ex, alpha * wy + beta * ey, alpha * wz + beta * ez
+        rotation = se3._renormalize(rotation @ se3.so3_exp((wx, wy, wz)))
         rotations.append(rotation)
-        positions.append(position)
-    return Trajectory._trusted(np.arange(n_frames), rotations, positions)
+        positions += position
+    return Trajectory._trusted(np.arange(n_frames), rotations, np.reshape(positions, (-1, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -471,12 +462,15 @@ def write_observation(image_path, mask_path, obs: Observation) -> None:
 
 def read_observation(image_path, mask_path) -> Observation:
     """Read an observation back from its two PGM files; mask pixels above 0.5 are
-    inside.  Raises ValueError for an unsupported or truncated file, and for an
-    image and mask of different shapes."""
+    inside.  Raises ValueError for an unsupported or truncated file, and, naming the
+    image file, for an image and mask of different shapes and for an image pixel
+    outside the mask that is not 0."""
     image = read_pgm(image_path)
     mask = read_pgm(mask_path) > 0.5
-    image = image * mask  # defensive: enforce the outside-mask-zero invariant
-    return Observation(image, mask)
+    try:
+        return Observation(image, mask)
+    except ValueError as exc:
+        raise ValueError(f"{image_path}: {exc}") from None
 
 
 @dataclass
@@ -520,8 +514,9 @@ def load_dataset(root) -> list[SequenceData]:
     """Load a dataset written by :func:`write_dataset`, refusing what it refuses: a
     manifest row with a name or frame that breaks its rule, that repeats an earlier row
     or whose frame has no pose raises ValueError naming the file and line, and a bad or
-    unanchored trajectory file raises one naming that file.  Each trajectory is the one
-    written, frames without a pose included."""
+    unanchored trajectory file, or an image with a non-zero pixel outside its mask,
+    raises one naming that file.  Each trajectory is the one written, frames without a
+    pose included."""
     root = Path(root)
     manifest = root / "manifest.csv"
     places: dict[str, dict[int, str]] = {}      # sequence -> frame -> where its row is

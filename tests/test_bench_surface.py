@@ -5,14 +5,16 @@ comparable across changes of the library; a refactor must keep every call it
 makes working.  These tests make the same calls, with the same argument
 shapes, without importing bench/, so a break shows in this fast tier and not
 only in bench/tests.  Sizes are the harness's smoke-test ones: 2 sequences of
-24 frames at 48 px with 500 landmarks, and a 160-frame estimate.  One more test
-parses bench/ (without importing it) and resolves every name it reads off a
-policyvo module, so that deleting a name the harness uses fails here.
+24 frames at 48 px with 500 landmarks, and a 160-frame estimate.  Two more tests
+read bench/ without importing it: one parses it and resolves every name it reads
+off a policyvo module, so that deleting a name the harness uses fails here; one
+checks that bench/reference.json is still keyed on today's motion profiles.
 """
 
 import ast
 import dataclasses
 import importlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,8 @@ from policyvo import world
 
 K = W = 8
 PROFILE = world.MotionProfile("smooth-advance", 0.35, 0.008)
+JITTER = world.MotionProfile("jitter")
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 @pytest.fixture(scope="module")
@@ -107,7 +111,7 @@ def test_record_call_shapes(sequences):
 
 
 def test_long_eval_unit(tmp_path):
-    gt = world.generate_trajectory(5, 160, world.MotionProfile("jitter"))
+    gt = world.generate_trajectory(5, 160, JITTER)
     rng = np.random.default_rng(0)
     estimate = []
     for n, (i, pose) in enumerate(gt.frames):
@@ -166,29 +170,42 @@ def test_dataset_round_trip_feeds_vo(sequences, tmp_path):
 
 def bench_module_reads() -> set[tuple[str, tuple[str, ...]]]:
     """(policyvo module, attribute chain) of every read in bench/*.py and
-    bench/tests/*.py off a name bound by ``from policyvo import <module> [as <alias>]``;
+    bench/tests/*.py off a name bound by ``from policyvo import <module> [as <alias>]``,
+    in that file or in a bench module it imports (``wl.trj.X`` reads ``trajectory.X``);
     a chain such as ``world.Camera.default`` gives its prefixes too."""
-    bench = Path(__file__).resolve().parents[1] / "bench"
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for path in sorted([*BENCH.glob("*.py"), *BENCH.glob("tests/*.py")])}
+    policyvo_names = {path: {alias.asname or alias.name: alias.name
+                             for node in ast.walk(tree)
+                             if isinstance(node, ast.ImportFrom) and node.module == "policyvo"
+                             and node.level == 0 for alias in node.names}
+                      for path, tree in trees.items()}
+    bench_modules = {path.stem: names for path, names in policyvo_names.items()
+                     if path.parent == BENCH}
     reads = set()
-    for path in sorted([*bench.glob("*.py"), *bench.glob("tests/*.py")]):
-        tree = ast.parse(path.read_text(), str(path))
-        modules = {alias.asname or alias.name: alias.name
-                   for node in ast.walk(tree)
-                   if isinstance(node, ast.ImportFrom) and node.module == "policyvo"
-                   and node.level == 0 for alias in node.names}
+    for path, tree in trees.items():
+        modules = policyvo_names[path]
+        imported = {alias.asname or alias.name: bench_modules[alias.name]
+                    for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names if alias.name in bench_modules}
         for node in ast.walk(tree):
             chain = []
             while isinstance(node, ast.Attribute):
                 chain.insert(0, node.attr)
                 node = node.value
-            if chain and isinstance(node, ast.Name) and node.id in modules:
+            if not (chain and isinstance(node, ast.Name)):
+                continue
+            if node.id in modules:
                 reads.add((modules[node.id], tuple(chain)))
+            elif len(chain) > 1 and chain[0] in imported.get(node.id, {}):
+                reads.add((imported[node.id][chain[0]], tuple(chain[1:])))
     return reads
 
 
 def test_every_name_bench_reads_resolves():
     reads = bench_module_reads()
-    assert {("world", ("Camera", "default")), ("evaluation", ("eight_point_vo",))} <= reads
+    assert {("world", ("Camera", "default")), ("evaluation", ("eight_point_vo",)),
+            ("trajectory", ("ActionSequence", "from_array"))} <= reads
     missing = []
     for module, chain in sorted(reads):
         value = importlib.import_module(f"policyvo.{module}")
@@ -198,3 +215,15 @@ def test_every_name_bench_reads_resolves():
                 break
             value = getattr(value, name)
     assert missing == []
+
+
+def test_stored_references_are_keyed_on_todays_profiles():
+    """The harness compares a run with bench/reference.json only while the stored config
+    string equals the repr of its config, and says nothing when it does not; each stored
+    string must hold today's repr of its workload's profile, so that a change to
+    ``MotionProfile`` fails here instead of switching that comparison off."""
+    stored = json.loads((BENCH / "reference.json").read_text())
+    profiles = {"full-pipeline": PROFILE, "long-eval": JITTER, "noisy-vo": JITTER}
+    assert sorted(stored) == sorted(profiles)
+    for name, profile in profiles.items():
+        assert f"profile={profile!r}," in stored[name]["config"], name

@@ -10,7 +10,7 @@ from policyvo import evaluation as ev
 from policyvo import se3
 from policyvo.se3 import Pose
 from policyvo.tables import write_table
-from policyvo.trajectory import Trajectory, anchor, compose_window, extract_actions
+from policyvo.trajectory import Trajectory, anchor, extract_actions
 from policyvo.world import (
     Camera,
     MotionProfile,
@@ -319,8 +319,7 @@ class TestWindowLength:
     @pytest.mark.parametrize("w, message", [
         (2.5, NOT_A_LENGTH), (True, NOT_A_LENGTH), (3.0, NOT_A_LENGTH), (-1, NOT_A_LENGTH),
         (2 ** 70, PAST_INT64), (2 ** 64 - 1, PAST_INT64), (2 ** 63 - 1, None)])
-    @pytest.mark.parametrize("entry", ["windows_from_rows", "rpe", "compose_window",
-                                       "PredictedWindows"])
+    @pytest.mark.parametrize("entry", ["windows_from_rows", "rpe", "PredictedWindows"])
     def test_every_entry_point(self, entry, w, message):
         traj = random_trajectory(25, 12)
         one = np.eye(3)[None], np.zeros((1, 3))
@@ -328,8 +327,6 @@ class TestWindowLength:
             "windows_from_rows": lambda: ev.windows_from_rows(traj, "s", w),
             # Carries w unchecked, so that rpe's own check is the one tested.
             "rpe": lambda: ev.rpe(ev.PredictedWindows._trusted("s", w, [0], *one), {"s": traj}, w),
-            "compose_window": lambda: compose_window(traj.pose_at(0),
-                                                     extract_actions(traj, 0, 8), w),
             "PredictedWindows": lambda: ev.PredictedWindows("s", w, [0], *one),
         }[entry]
         if message is not None:
@@ -339,9 +336,6 @@ class TestWindowLength:
             assert len(call()) == 0
         elif entry == "rpe":
             with pytest.raises(ValueError, match=f"no pose at window end frame {w}$"):
-                call()
-        elif entry == "compose_window":
-            with pytest.raises(ValueError, match=f"w={w} exceeds action sequence length 8"):
                 call()
         else:
             assert call().w == w

@@ -292,10 +292,6 @@ class TestDerivedPoses:
         a, b = se3.random_pose(18, 2.0, 0.5), se3.random_pose(19, 2.0, 0.5)
         vec6 = se3.log(b)
         draws = np.random.default_rng(20).normal(0.0, 1.0, (2, 3))
-        actions = trj.ActionSequence.from_array([se3.log(a), vec6, -vec6])
-        folded = a.rotation, a.translation
-        for step in zip(*se3.exp_rt(actions.vectors[:2])):
-            folded = se3.compose_rt(*folded, *step)
         traj = trj.Trajectory.from_stacks([0, 1, 2], *se3.stack([a, b, Pose.identity()]))
         windows = ev.constant_velocity_windows(traj, "s", 1)
         ab = a.rotation, a.translation, b.rotation, b.translation
@@ -306,7 +302,6 @@ class TestDerivedPoses:
             "exp": Pose(*se3.exp_rt(vec6)),
             "random_pose": Pose(se3.so3_exp(draws[1] * 0.5), draws[0] * 2.0),
             "identity": Pose(np.eye(3), np.zeros(3)),
-            "compose_window": Pose(*folded),
             "window row": Pose(windows.rotations[0], windows.translations[0]),
         }
 
@@ -321,7 +316,6 @@ class TestDerivedPoses:
             "exp": se3.exp(vec6),
             "random_pose": se3.random_pose(20, 2.0, 0.5),
             "identity": Pose.identity(),
-            "compose_window": trj.compose_window(a, actions, 2),
             "window row": windows[0].delta,
         }
         for name, pose in got.items():

@@ -11,7 +11,9 @@ from hypothesis import example, given, settings, strategies as st
 from policyvo import se3, trajectory
 from policyvo.se3 import Pose
 from policyvo.tables import read_table
-from policyvo.trajectory import ActionSequence, Trajectory
+from policyvo.trajectory import Trajectory
+
+from test_array_core import compose_window_loop
 
 # A pose as (axis-angle direction, angle, translation), or None for a nan row.
 file_poses = st.one_of(st.none(), st.tuples(
@@ -400,8 +402,18 @@ class TestExtractActions:
     def test_round_trip_reconstructs_end_pose(self):
         traj = random_trajectory(6, 12)
         actions = trajectory.extract_actions(traj, 3, 8)
-        end = trajectory.compose_window(traj.pose_at(3), actions, 8)
+        end = compose_window_loop(traj.pose_at(3), actions, 8)
         np.testing.assert_allclose(end.as_matrix(), traj.pose_at(11).as_matrix(), atol=1e-9)
+
+    def test_random_windows_round_trip(self):
+        """The first w actions of a window compose back to the pose w frames later."""
+        for case in range(100):
+            traj = random_trajectory(1000 + case, 10)
+            actions = trajectory.extract_actions(traj, 0, 8)
+            for w in (1, 4, 8):
+                end = compose_window_loop(traj.pose_at(0), actions, w)
+                np.testing.assert_allclose(end.as_matrix(), traj.pose_at(w).as_matrix(),
+                                           atol=1e-9)
 
     @settings(max_examples=150, deadline=None)
     @given(gapped_trajectories, st.integers(1, 4))
@@ -446,42 +458,6 @@ class TestExtractActions:
         if message.startswith("horizon"):
             with pytest.raises(ValueError, match=re.escape(message)):
                 trajectory.action_windows(traj, k)
-
-
-class TestComposeWindow:
-    def test_zero_actions_returns_start(self):
-        start = se3.random_pose(7, 2.0, 0.4)
-        actions = ActionSequence.from_array(np.zeros((4, 6)))
-        out = trajectory.compose_window(start, actions, 4)
-        np.testing.assert_allclose(out.as_matrix(), start.as_matrix(), atol=1e-12)
-
-    def test_single_step_definition(self):
-        start = se3.random_pose(8, 2.0, 0.4)
-        actions = trajectory.extract_actions(random_trajectory(9, 4), 0, 3)
-        out = trajectory.compose_window(start, actions, 1)
-        expected = se3.compose(start, se3.exp(actions.as_array()[0]))
-        np.testing.assert_allclose(out.as_matrix(), expected.as_matrix(), atol=1e-12)
-
-    def test_w_longer_than_sequence_rejected(self):
-        actions = ActionSequence.from_array(np.zeros((2, 6)))
-        with pytest.raises(ValueError):
-            trajectory.compose_window(Pose.identity(), actions, 3)
-
-    def test_negative_w_rejected(self):
-        # w = -1 would otherwise compose all but the last of three unit-x steps.
-        actions = ActionSequence.from_array(np.tile([1.0, 0, 0, 0, 0, 0], (3, 1)))
-        with pytest.raises(ValueError, match="window length must be an integer >= 0, got -1"):
-            trajectory.compose_window(Pose.identity(), actions, -1)
-
-    def test_thousand_random_windows_round_trip(self):
-        rng = np.random.default_rng(10)
-        for case in range(100):
-            traj = random_trajectory(1000 + case, 10)
-            actions = trajectory.extract_actions(traj, 0, 8)
-            for w in (1, 4, 8):
-                end = trajectory.compose_window(traj.pose_at(0), actions, w)
-                np.testing.assert_allclose(end.as_matrix(), traj.pose_at(w).as_matrix(),
-                                           atol=1e-9)
 
 
 class TestTrajectoryFile:

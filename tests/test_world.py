@@ -24,8 +24,47 @@ from policyvo.world import (
 )
 
 from rotations import rot_x, rot_y
+from test_array_core import compose_window_loop
 
 BIG_TUBE = TubeGeometry(radius=5000.0, z_min=-5000.0, z_max=5000.0)
+
+
+def per_kind_generator(seed, n_frames, profile, tube=world.DEFAULT_TUBE):
+    """(rotations, positions) of a step loop with one branch per kind, kept as the
+    oracle that ``generate_trajectory``'s one AR(1) step must equal bit for bit."""
+    rng = np.random.default_rng(seed)
+    position = np.zeros(3)
+    rotation = np.eye(3)
+    rotations, positions = [rotation], [position]
+
+    alpha = 0.8
+    beta = math.sqrt(1.0 - alpha * alpha)
+    velocity = rng.normal(0.0, profile.trans_std, 3)      # stationary AR(1) init
+    omega = rng.normal(0.0, profile.rot_std, 3)
+
+    for step in range(1, n_frames):
+        for attempt in range(1000 + 1):
+            if profile.kind == "smooth-advance":
+                cand_velocity = alpha * velocity + beta * rng.normal(0.0, profile.trans_std, 3)
+                move = cand_velocity + profile.forward_speed * rotation[:, 2]
+                cand_position = position + move
+                turn = cand_omega = alpha * omega + beta * rng.normal(0.0, profile.rot_std, 3)
+            else:  # jitter
+                cand_position = position + rng.normal(0.0, profile.trans_std, 3) \
+                    + profile.forward_speed * rotation[:, 2]
+                turn = rng.normal(0.0, profile.rot_std, 3)
+                cand_velocity, cand_omega = velocity, omega
+
+            if tube.contains_camera(cand_position):
+                break
+            if attempt == 1000:
+                raise RuntimeError(
+                    f"motion profile left the tube at step {step} after 1000 resamples")
+        position, rotation = cand_position, se3._renormalize(rotation @ se3.so3_exp(turn))
+        velocity, omega = cand_velocity, cand_omega
+        rotations.append(rotation)
+        positions.append(position)
+    return np.array(rotations), np.array(positions)
 
 
 def blob_centroid(image):
@@ -179,12 +218,29 @@ class TestGenerateTrajectory:
         with pytest.raises(RuntimeError, match="resamples"):
             generate_trajectory(12, 5, profile)
 
-    def test_orbit_profile_runs_and_stays_inside(self):
-        profile = MotionProfile("orbit", trans_std=0.6, rot_std=0.005)
-        traj = generate_trajectory(13, 100, profile)
-        assert len(traj) == 100
-        for pose in traj.poses:
-            assert world.DEFAULT_TUBE.contains_camera(pose.translation)
+    def test_orbit_profile_is_refused_by_name(self):
+        with pytest.raises(ValueError, match="unknown motion profile 'orbit'"):
+            MotionProfile("orbit")
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("profile, n_frames", [
+        (MotionProfile("jitter"), 4000),                                  # long-eval
+        (MotionProfile("jitter"), 75),                                    # noisy-vo panel
+        (MotionProfile("smooth-advance", 0.35, 0.008), 50),               # full-pipeline
+        (MotionProfile("smooth-advance", trans_std=1.5, rot_std=0.02, forward_speed=0.5), 300),
+    ], ids=["jitter-4000", "jitter-75", "smooth-advance-50", "forward-300"])
+    def test_paths_equal_the_frozen_per_kind_loop(self, profile, n_frames, seed):
+        """Bit for bit, including where the reference gives up at the wall (the forward
+        path at seed 0, after many redraws)."""
+        try:
+            want = per_kind_generator(seed, n_frames, profile)
+        except RuntimeError as exc:
+            with pytest.raises(RuntimeError, match=f"^{re.escape(str(exc))}$"):
+                generate_trajectory(seed, n_frames, profile)
+            return
+        got = generate_trajectory(seed, n_frames, profile)
+        assert np.array_equal(got.rotations, want[0])
+        assert np.array_equal(got.translations, want[1])
 
     @pytest.mark.parametrize("field, value", [("trans_std", math.nan), ("rot_std", math.nan),
                                               ("trans_std", math.inf), ("rot_std", -0.1)])
@@ -522,7 +578,7 @@ class TestBuildDataset:
         assert len(samples) == 14 - 8
         for sample in samples:
             start = se3.exp(sample.state)
-            end = trj.compose_window(start, sample.actions, 8)
+            end = compose_window_loop(start, sample.actions, 8)
             expected = trajs[0].pose_at(sample.t + 8)
             np.testing.assert_allclose(end.as_matrix(), expected.as_matrix(), atol=1e-9)
 
@@ -694,6 +750,24 @@ class TestDatasetRoundTrips:
         world.write_dataset(tmp_path, [seq])
         loaded = world.load_dataset(tmp_path)[0].trajectory
         assert loaded.indices == [0, 1, 2] and loaded == seq.trajectory
+
+    def test_loader_refuses_an_image_lit_outside_its_mask(self, tmp_path):
+        """One byte outside the mask of a written frame: the loader names that image file
+        rather than load the frame with the pixel zeroed."""
+        seq = two_frame_sequence("s")
+        mask = world.circular_mask(8, 3.5)
+        seq.observations = {i: Observation(mask * 1.0, mask) for i in (0, 1)}
+        world.write_dataset(tmp_path, [seq])
+        loaded = world.load_dataset(tmp_path)[0].observations
+        assert all(np.array_equal(loaded[i].image, seq.observations[i].image) for i in (0, 1))
+        path = tmp_path / "s" / "frame_000001.pgm"
+        raw = bytearray(path.read_bytes())
+        assert not mask[0, 0] and raw[-64] == 0          # the first pixel, outside the mask
+        raw[-64] = 1
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: pixels outside the mask must be exactly 0")):
+            world.load_dataset(tmp_path)
 
     def test_loader_refuses_an_observation_without_a_pose(self, tmp_path):
         """A manifest row of a frame past the trajectory, its files copied in: the loader
