@@ -159,19 +159,19 @@ def stratify(window_scores: list[WindowScore],
         if s.key in by_key:
             raise ValueError("duplicate scores for window ({},{},{})".format(*s.key))
         by_key[s.key] = s
-    missing = [r for r in rpe_records if (r.sequence, r.t, r.w) not in by_key]
+    keyed = [((r.sequence, r.t, r.w), r.trans_err) for r in rpe_records]   # the one pass over them
+    missing = [key for key, _ in keyed if key not in by_key]
     if missing:
-        head = ", ".join(f"({r.sequence},{r.t},{r.w})" for r in missing[:10])
+        head = ", ".join("({},{},{})".format(*key) for key in missing[:10])
         raise ValueError(f"records without matching scores: {head}")
-    if len(rpe_records) < 4:
+    if len(keyed) < 4:
         raise ValueError("insufficient windows: need at least 4")
 
-    errors = np.array([r.trans_err for r in rpe_records])
+    errors = np.array([error for _, error in keyed])
     bins = {}
     degenerate = {}
     for attr in ("s_texture", "s_dillum"):
-        scores = np.array([getattr(by_key[(r.sequence, r.t, r.w)], attr)
-                           for r in rpe_records])
+        scores = np.array([getattr(by_key[key], attr) for key, _ in keyed])
         low_thresh, high_thresh = np.percentile(scores, (25.0, 75.0), method="linear").tolist()
         low = scores <= low_thresh
         high = scores >= high_thresh

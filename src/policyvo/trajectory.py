@@ -17,8 +17,8 @@ what ``anchored`` reads); relative transforms are unchanged.
 The actions of a window are the steps log(T_{i-1}^-1 T_i) between its
 consecutive frames.  A trajectory computes the steps between all of its
 consecutive poses once, as one read-only (V-1, 6) array, on first use;
-``extract_actions`` and ``action_windows`` both hand out read-only slices of
-it, and each checks only the slices it hands out.
+``extract_actions`` hands out read-only slices of it and checks only the slice
+it hands out, so a non-finite step shows only in the windows that hold it.
 
 Trajectory files are :mod:`policyvo.tables` CSV with the header
 ``frame,tx,ty,tz,rx,ry,rz`` (translation mm, rotation axis-angle rad,
@@ -270,13 +270,6 @@ def anchor(traj: Trajectory) -> Trajectory:
     return Trajectory._trusted(traj.frame_array,
                                *se3.compose_rt(*first_inv, traj.rotations, traj.translations),
                                traj.valid)
-
-
-def action_windows(traj: Trajectory, k: int) -> dict[int, ActionSequence]:
-    """Actions of every full length-k window, by start frame in order: the
-    :func:`extract_actions` of each start, slices of the trajectory's one step array."""
-    _check_index("horizon k", k, least=1)
-    return {t: extract_actions(traj, t, k) for t in traj.window_starts(k)}
 
 
 def extract_actions(traj: Trajectory, t: int, k: int) -> ActionSequence:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import se3, trajectory as trj
 from .se3 import Pose
-from .tables import check_name, parse_int, read_rows, write_table
+from .tables import _rewrite, check_name, parse_int, read_rows, write_table
 from .trajectory import ActionSequence, Trajectory
 
 MANIFEST_HEADER = "sequence,frame"
@@ -390,7 +390,8 @@ def generate_trajectory(seed: int, n_frames: int, profile: MotionProfile,
 
 @dataclass(frozen=True)
 class WindowSample:
-    """One window: endpoint observations, anchored state, and action chunk."""
+    """One window: endpoint observations, anchored state, and action chunk, each
+    array read-only as :func:`window_samples` builds them."""
 
     sequence: str
     t: int
@@ -399,27 +400,24 @@ class WindowSample:
     state: np.ndarray          # log of the anchored pose at frame t
     actions: ActionSequence
 
-    def __post_init__(self):
-        state = np.asarray(self.state, dtype=np.float64).reshape(6)
-        state.setflags(write=False)
-        object.__setattr__(self, "state", state)
-
 
 def window_samples(sequence: str, traj: Trajectory,
                    observations: dict[int, Observation], k: int) -> list[WindowSample]:
     """All length-k windows of one anchored sequence, ordered by start frame.
 
     A window is emitted when its frames t..t+k all have a pose and an
-    observation.
+    observation; only emitted windows are cut, so only their non-finite steps raise.
     """
     if not traj.anchored:
         raise ValueError("trajectory must be anchored")
-    actions = trj.action_windows(traj, k)
-    starts = [t for t in actions if all(i in observations for i in range(t, t + k + 1))]
+    k = trj._check_index("horizon k", k, least=1)
+    starts = [t for t in traj.window_starts(k)
+              if all(i in observations for i in range(t, t + k + 1))]
     rows = traj.rows(starts)
     states = se3.log_rt(traj.rotations[rows], traj.translations[rows])
-    return [WindowSample(sequence=sequence, t=t, obs_t=observations[t],
-                         obs_tk=observations[t + k], state=state, actions=actions[t])
+    states.setflags(write=False)
+    return [WindowSample(sequence, t, observations[t], observations[t + k], state,
+                         trj.extract_actions(traj, t, k))
             for t, state in zip(starts, states)]
 
 
@@ -436,9 +434,7 @@ def write_pgm(path, image01: np.ndarray) -> None:
         raise ValueError(f"{path}: PGM values must be finite and lie in [0, 1]")
     data = np.round(image01 * 255.0).astype(np.uint8)
     h, w = data.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        f.write(data.tobytes())
+    _rewrite(path, f"P5\n{w} {h}\n255\n".encode("ascii") + data.tobytes())
 
 
 def read_pgm(path) -> np.ndarray:

@@ -304,15 +304,15 @@ class TestTrajectoryArrays:
         with pytest.raises(ValueError, match="exceeds pi"):
             trj.ActionSequence.from_array(bad)
 
-    def test_action_windows_are_read_only_slices_of_one_step_array(self):
-        traj = trj.rows_to_trajectory(gapped_estimate(7, 60))
-        windows = trj.action_windows(traj, 4)
-        assert list(windows) == traj.window_starts(4)
-        first, second = list(windows.values())[:2]
-        assert not first.as_array().flags.writeable
-        assert first.as_array().base is second.as_array().base is not None
-        with pytest.raises(ValueError, match="horizon"):
-            trj.action_windows(traj, 0)
+    def test_window_actions_are_read_only_slices_of_one_step_array(self):
+        traj = trj.anchor(trj.rows_to_trajectory(gapped_estimate(7, 60)))
+        samples = world.window_samples("s", traj, dict.fromkeys(traj.indices), 4)
+        assert [s.t for s in samples] == traj.window_starts(4)
+        first, second = (s.actions.as_array() for s in samples[:2])
+        assert not (first.flags.writeable or samples[0].state.flags.writeable)
+        assert first.base is second.base is traj._steps
+        with pytest.raises(ValueError, match="horizon k must be an integer >= 1, got 0"):
+            world.window_samples("s", traj, {}, 0)
 
     def test_action_sequence_equality_is_exact(self):
         zeros = trj.ActionSequence.from_array(np.zeros((3, 6)))

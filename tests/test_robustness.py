@@ -204,3 +204,17 @@ class TestStratify:
         scores, records = records_and_scores([1, 2, 3, 4], [1, 2, 3, 4], [1.0] * 4)
         with pytest.raises(ValueError, match=re.escape("duplicate scores for window (s,2,8)")):
             rb.stratify(scores + [rb.WindowScore("s", 2, 8, 9.0, 9.0)], records)
+
+    def test_records_are_read_in_one_pass(self):
+        class CountingList(list):
+            iterations = 0
+
+            def __iter__(self):
+                CountingList.iterations += 1
+                return super().__iter__()
+
+        scores, records = records_and_scores([1, 2, 2, 2, 3, 4, 5, 6], [6, 5, 4, 3, 2, 1, 0, 0],
+                                             [10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0])
+        counted = CountingList(records)
+        assert rb.stratify(scores, counted) == rb.stratify(scores, records)
+        assert CountingList.iterations == 1

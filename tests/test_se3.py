@@ -323,20 +323,24 @@ class TestDerivedPoses:
             assert not (pose.rotation.flags.writeable or pose.translation.flags.writeable), name
             assert pose.rotation.flags.c_contiguous and pose.translation.shape == (3,), name
 
+    # pytest turns warnings into errors, so each op must raise its ValueError with no
+    # numpy overflow warning before it.
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_a_translation_past_overflow_is_refused(self, sign):
         far = Pose(rot_z(0.1), [sign * 1e308, 0.0, 0.0])
-        with np.errstate(over="ignore"), \
-                pytest.raises(ValueError, match="translation has non-finite components"):
+        with pytest.raises(ValueError, match="translation has non-finite components"):
             se3.compose(far, far)
-        with np.errstate(over="ignore"), \
-                pytest.raises(ValueError, match="translation has non-finite components"):
+        with pytest.raises(ValueError, match="translation has non-finite components"):
             se3.relative(se3.inverse(far), far)
+        with pytest.raises(ValueError, match="translation has non-finite components"):
+            se3.inverse(Pose(rot_z(0.1), [sign * 1.7e308, sign * 1.7e308, 0.0]))
 
     def test_exp_past_overflow_is_refused_like_pose(self):
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(ValueError, match="rotation is not orthonormal"):
-            se3.exp([0.0, 0.0, 0.0, 1e200, 0.0, 0.0])
+        for norm in (1e155, 1e200, 1e300):
+            with pytest.raises(ValueError, match="rotation is not orthonormal"):
+                se3.exp([0.0, 0.0, 0.0, norm, 0.0, 0.0])
+            with pytest.raises(ValueError, match="rotation is not orthonormal"):
+                se3.random_pose(0, 0.0, norm)
 
     @settings(max_examples=300, deadline=None)
     @given(unit_axes, st.floats(-12.0, 154.0))

@@ -3,7 +3,10 @@ the per-field formatter and per-row trajectory reader they replaced."""
 
 import math
 import numbers
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -261,3 +264,66 @@ class TestKeysReadBackAsWritten:
         assert rows == [[name, str(frame)] for name, frames in written for frame in frames]
         assert [(seq.name, list(seq.observations)) for seq in loaded] == written
         assert [seq.trajectory.indices for seq in loaded] == [frames for _, frames in written]
+
+
+# Writes and reads a trajectory file, a records file, a scores file and a dataset, each
+# under a non-ASCII sequence name, and checks that each reads back equal.
+ROUND_TRIPS = """
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from policyvo import evaluation as ev, robustness as rb, se3, trajectory, world
+
+root, name = Path(sys.argv[1]), "s\\u00e9q"
+traj = trajectory.Trajectory([(0, se3.Pose.identity()), (1, se3.Pose(np.eye(3), [0.5, 2.0, -1.0]))])
+trajectory.write_trajectory_file(root / "traj.csv", traj)
+assert trajectory.read_trajectory_file(root / "traj.csv") == traj
+records = [ev.RPERecord(name, 0, 1, 0.25, 0.5)]
+ev.write_records_csv(root / "records.csv", records)
+assert ev.read_records_csv(root / "records.csv") == records
+scores = [rb.WindowScore(name, 0, 1, 0.125, 0.0625)]
+rb.write_scores_csv(root / "scores.csv", scores)
+assert rb.read_scores_csv(root / "scores.csv") == scores
+mask = world.circular_mask(4, 1.5)
+obs = world.Observation(np.where(mask, 0.5, 0.0), mask)
+world.write_dataset(root / "data", [world.SequenceData(name, traj, {0: obs, 1: obs})])
+(seq,) = world.load_dataset(root / "data")
+assert (seq.name, seq.trajectory, list(seq.observations)) == (name, traj, [0, 1])
+assert name.encode("utf-8") in (root / "records.csv").read_bytes()
+"""
+
+
+class TestFilesOnDisk:
+    def test_a_shorter_file_written_over_a_longer_one_reads_back_exactly(self, tmp_path):
+        traj_path, fresh, records_path, pgm_path = (
+            tmp_path / f for f in ("t.csv", "fresh.csv", "r.csv", "i.pgm"))
+        short_traj = Trajectory([(3, EDGE_POSES[2]), (4, None)])
+        trajectory.write_trajectory_file(traj_path, [(i, EDGE_POSES[i % 3]) for i in range(50)])
+        trajectory.write_trajectory_file(traj_path, short_traj)
+        trajectory.write_trajectory_file(fresh, short_traj)
+        assert traj_path.read_bytes() == fresh.read_bytes()
+        assert trajectory.read_trajectory_file(traj_path) == trajectory.read_trajectory_file(fresh)
+        record = ev.RPERecord("s", 1, 8, 0.5, 0.25)
+        ev.write_records_csv(records_path, [record] * 40)
+        ev.write_records_csv(records_path, [record])
+        assert records_path.read_bytes() == reference_bytes(ev.RECORDS_HEADER,
+                                                            [("s", 1, 8, 0.5, 0.25)])
+        image = np.round(np.random.default_rng(5).uniform(0, 1, (3, 5)) * 255) / 255.0
+        world.write_pgm(pgm_path, np.ones((40, 40)))
+        world.write_pgm(pgm_path, image)
+        assert pgm_path.stat().st_size == len(b"P5\n5 3\n255\n") + 15
+        np.testing.assert_array_equal(world.read_pgm(pgm_path), image)
+
+    def test_tables_are_utf8_whatever_the_locale_says(self, tmp_path):
+        """No table read or write falls back to the locale's encoding: each would raise
+        EncodingWarning, an error in this interpreter."""
+        src = Path(world.__file__).resolve().parents[1]
+        run = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-c", ROUND_TRIPS, str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                filter(None, [str(src), os.environ.get("PYTHONPATH")]))},
+            capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from policyvo import se3, trajectory
+from policyvo import se3, trajectory, world
 from policyvo.se3 import Pose
 from policyvo.tables import read_table
 from policyvo.trajectory import Trajectory
@@ -418,17 +418,15 @@ class TestExtractActions:
     @settings(max_examples=150, deadline=None)
     @given(gapped_trajectories, st.integers(1, 4))
     def test_slices_of_one_step_array_equal_per_window_steps(self, traj, k):
-        """Both window functions hand out slices of the trajectory's one step array;
-        each slice equals the steps computed from the window's own rows alone."""
-        windows = trajectory.action_windows(traj, k)
-        assert list(windows) == traj.window_starts(k)
-        for t, actions in windows.items():
+        """Each window's actions are a slice of the trajectory's one step array, equal
+        to the steps computed from the window's own rows alone."""
+        for t in traj.window_starts(k):
+            actions = trajectory.extract_actions(traj, t, k).as_array()
             row = traj.rows([t])[0]
             rot, trans = traj.rotations[row:row + k + 1], traj.translations[row:row + k + 1]
             want = se3.log_rt(*se3.relative_rt(rot[:-1], trans[:-1], rot[1:], trans[1:]))
-            np.testing.assert_array_equal(actions.as_array(), want)
-            np.testing.assert_array_equal(trajectory.extract_actions(traj, t, k).as_array(), want)
-            assert actions.as_array().base is traj._steps
+            np.testing.assert_array_equal(actions, want)
+            assert actions.base is traj._steps
 
     def test_window_away_from_an_overflow_keeps_its_actions(self):
         near = random_trajectory(7, 11)
@@ -439,8 +437,6 @@ class TestExtractActions:
             actions = trajectory.extract_actions(traj, 0, 8)
             with pytest.raises(ValueError, match="action delta has non-finite components"):
                 trajectory.extract_actions(traj, 4, 8)      # its last step is 11 -> 12
-            with pytest.raises(ValueError, match="action delta has non-finite components"):
-                trajectory.action_windows(traj, 8)
         np.testing.assert_array_equal(actions.as_array(),
                                       trajectory.extract_actions(near, 0, 8).as_array())
 
@@ -457,7 +453,7 @@ class TestExtractActions:
             trajectory.extract_actions(traj, t, k)
         if message.startswith("horizon"):
             with pytest.raises(ValueError, match=re.escape(message)):
-                trajectory.action_windows(traj, k)
+                world.window_samples("s", trajectory.anchor(traj), {}, k)
 
 
 class TestTrajectoryFile:

@@ -608,6 +608,21 @@ class TestBuildDataset:
         samples = world.window_samples("s", traj, dict.fromkeys(range(4), self.OBS), 2)
         assert [s.t for s in samples] == [0, 1]
 
+    # Frames 0..12 at x = 0..10 mm, 1e308 and -1e308: the one non-finite step is 11 -> 12.
+    FAR = trj.Trajectory([(i, Pose(rot_x(0.1 * i), [float(i), 0.0, 0.0])) for i in range(11)]
+                         + [(11, Pose(np.eye(3), [1e308, 0.0, 0.0])),
+                            (12, Pose(np.eye(3), [-1e308, 0.0, 0.0]))])
+
+    def test_a_non_finite_step_outside_every_emitted_window_is_not_cut(self):
+        samples = world.window_samples("s", self.FAR, dict.fromkeys(range(11), self.OBS), 2)
+        assert [s.t for s in samples] == list(range(9))
+        for s in samples:
+            assert s.actions == trj.extract_actions(self.FAR, s.t, 2)
+
+    def test_a_non_finite_step_in_an_emitted_window_raises(self):
+        with pytest.raises(ValueError, match="action delta has non-finite components"):
+            world.window_samples("s", self.FAR, dict.fromkeys(range(13), self.OBS), 2)
+
     def test_anchoring_survives_a_dataset_round_trip(self, tmp_path):
         traj = trj.Trajectory([(i, Pose(rot_x(0.1 * i), [float(i), 0.0, 0.0]))
                                for i in range(4)])
