@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import se3
-from .se3 import Pose
+from .se3 import Pose, _check_index
 from .tables import check_name, parse_int, read_rows, write_table
-from .trajectory import Trajectory, _check_index, _frame_keys, as_trajectory
+from .trajectory import Trajectory, _frame_keys, as_trajectory
 from .world import Camera, Scene, _match_views, _shared_ids, landmark_projections
 
 RECORDS_HEADER = "sequence,t,w,trans_err_mm,rot_err_deg"
@@ -429,9 +429,10 @@ def eight_point_vo(scene: Scene, camera: Camera, gt_traj: Trajectory,
     restarts the chain in a fresh segment at the following pair.  Returns the
     estimate over the ground truth's posed frames; frames in no successful
     step have no pose.  Each frame is projected once, for both its pairs; the
-    rows equal those of :func:`~policyvo.world.correspondences` on every pair.
+    rows equal those of :func:`~policyvo.world.correspondences` on every pair.  ValueError,
+    before any draw, unless seed is an integer >= 0.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_index("seed", seed, least=0))
     indices = gt_traj._posed.tolist()
     views = (landmark_projections(scene, camera, pose, min_albedo) for pose in gt_traj.poses)
     chain = {}      # frame -> (rotation, translation) of the rows that get a pose

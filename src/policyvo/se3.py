@@ -168,6 +168,21 @@ def exp_rt(vec6) -> tuple[np.ndarray, np.ndarray]:
     return so3_exp(vec6[..., 3:]), vec6[..., :3].copy()
 
 
+def _is_index(value) -> bool:
+    """Whether ``value`` is an integer, Python or numpy, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_index(name: str, value, least: int | None = None) -> int:
+    """``value`` as an int; ValueError naming it unless an integer (not bool) >= least in int64."""
+    if not _is_index(value) or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+    if not -2 ** 63 <= value < 2 ** 63:
+        raise ValueError(f"{name} {value} is outside int64")
+    return int(value)
+
+
 def _validated(rotation, translation) -> tuple[np.ndarray, np.ndarray]:
     """One pose or a stack as read-only float64 copies, checked once as a whole.
 
@@ -190,6 +205,14 @@ def _validated(rotation, translation) -> tuple[np.ndarray, np.ndarray]:
     rotation.setflags(write=False)
     translation.setflags(write=False)
     return rotation, translation
+
+
+def _vector(name: str, values, size: int) -> np.ndarray:
+    """``values``, of any shape of ``size`` items, as a float64 vector; else ValueError."""
+    vector = np.asarray(values, dtype=np.float64)
+    if vector.size != size:
+        raise ValueError(f"{name} must have {size} components, got shape {vector.shape}")
+    return vector.reshape(size)
 
 
 def _frozen(rotation, translation) -> tuple[np.ndarray, np.ndarray]:
@@ -222,7 +245,7 @@ class Pose:
     translation: np.ndarray
 
     def __post_init__(self):
-        translation = np.asarray(self.translation, dtype=np.float64).reshape(3)
+        translation = _vector("translation", self.translation, 3)
         rotation, translation = _validated(self.rotation, translation)
         object.__setattr__(self, "rotation", rotation)
         object.__setattr__(self, "translation", translation)
@@ -287,17 +310,20 @@ def log(a: Pose) -> np.ndarray:
 @_overflow_refused
 def exp(vec6: np.ndarray) -> Pose:
     """Pose from a split 6-vector; inverse of :func:`log`."""
-    return pose_view(*_frozen(*exp_rt(np.asarray(vec6, dtype=np.float64).reshape(6))))
+    return pose_view(*_frozen(*exp_rt(_vector("split 6-vector", vec6, 6))))
 
 
 @_overflow_refused
 def random_pose(seed_or_rng, trans_scale: float, rot_scale: float) -> Pose:
     """Deterministic random pose, a :func:`pose_view` like ``exp``'s: Gaussian translation
     (std trans_scale per axis, mm) and exp of Gaussian axis-angle (std rot_scale, rad).
-    ValueError, before any draw, names a scale that is not finite and >= 0."""
+    ValueError, before any draw, names a scale that is not finite and >= 0 and a seed (not
+    a Generator) that is not an integer >= 0."""
     for name, scale in ("trans_scale", trans_scale), ("rot_scale", rot_scale):
         if not 0.0 <= scale < np.inf:
             raise ValueError(f"{name} must be finite and >= 0, got {scale}")
+    if not isinstance(seed_or_rng, np.random.Generator):
+        _check_index("seed", seed_or_rng, least=0)
     # One draw of 6 is the stream's next two draws of 3; a Generator is used as is.
     draw = np.random.default_rng(seed_or_rng).normal(0.0, 1.0, 6)
     return pose_view(*_frozen(so3_exp(draw[3:] * rot_scale), draw[:3] * trans_scale))

@@ -10,7 +10,7 @@ through a checking constructor (``Trajectory.from_stacks``, ``RPERecord``,
 ``WindowScore``, the manifest's row check) and name the file, and the line
 where one row is at fault.  Each field has one rule, so what a constructor or
 writer accepts reads back equal: :func:`parse_int` reads ``%d`` fields (``-``,
-decimal digits, within int64), ``trajectory._check_index`` admits integer values
+decimal digits, within int64), ``se3._check_index`` admits integer values
 (not bools, within int64) and :func:`check_name` sequence names (one plain path
 component).  No table stores a path: the dataset loader derives each one.
 """
@@ -58,10 +58,14 @@ def _rewrite(path, data: bytes) -> None:
 def read_table(path, header: str) -> list[list[str]]:
     """Rows of a table as lists of field strings, as they stand between the commas.
 
-    Raises ValueError naming the file when its header is not ``header``, and
-    naming the file and line when a row has a missing, extra or empty field.
+    Raises ValueError naming the file when its header is not ``header``, and naming the
+    file and line of text that is not UTF-8 or of a row with a missing, extra or empty field.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    try:     # read_text decodes the whole file in one call: exc.object holds all of its bytes
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:   # the bad byte ends the text before it plus one char
+        line = len((exc.object[:exc.start].decode("utf-8") + "_").splitlines())
+        raise ValueError(f"{path}, line {line}: not UTF-8 text") from None
     if not lines or lines[0] != header:
         raise ValueError(f"bad header in {path}: expected {header!r}")
     width = header.count(",") + 1

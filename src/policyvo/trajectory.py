@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import se3
-from .se3 import Pose
+from .se3 import Pose, _check_index, _is_index
 from .tables import parse_int, read_table, write_table
 
 TRAJECTORY_HEADER = "frame,tx,ty,tz,rx,ry,rz"
@@ -208,21 +208,6 @@ def _frame_keys(values) -> np.ndarray:
     frames = frames.copy()
     frames.setflags(write=False)
     return frames
-
-
-def _is_index(value) -> bool:
-    """Whether ``value`` is an integer, Python or numpy, and not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _check_index(name: str, value, least: int | None = None) -> int:
-    """``value`` as an int; ValueError naming it unless an integer (not bool) >= least in int64."""
-    if not _is_index(value) or (least is not None and value < least):
-        bound = "" if least is None else f" >= {least}"
-        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
-    if not -2 ** 63 <= value < 2 ** 63:
-        raise ValueError(f"{name} {value} is outside int64")
-    return int(value)
 
 
 def as_trajectory(rows) -> Trajectory:

@@ -5,8 +5,9 @@ point landmarks whose albedo follows a seeded texture function (speckled and
 smooth zones alternating along the tube, so some views are feature-rich and
 others nearly uniform).  A camera-mounted light makes intensity fall off with
 the inverse square of the landmark distance, so advancing or retreating
-changes overall image brightness.  The world model is fixed: its settings are
-the module constants below.
+changes overall image brightness.  The world model is fixed: its settings,
+the tube's radius and ends among them, are the module constants below, and a
+camera's intrinsics follow from its image size alone (:class:`Camera`).
 
 Cameras start at the world origin looking down +z, so generated trajectories
 are born anchored (first pose = identity).  A camera sees the landmarks in front
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import se3, trajectory as trj
-from .se3 import Pose
+from .se3 import Pose, _check_index
 from .tables import _rewrite, check_name, parse_int, read_rows, write_table
 from .trajectory import ActionSequence, Trajectory
 
@@ -36,6 +37,9 @@ MAX_RESAMPLES = 1000    # redraws of one trajectory step before generation gives
 BLOB_SIGMA_PX = 1.0     # blob std; its 3-sigma reach keeps a splat within a 7 x 7 patch
 ZONE_PERIOD_MM = 60.0   # a 30 mm zone spans the brightly lit part of a view: low-texture windows
 LIGHT_GAIN = 400.0      # mm^2; albedo 1 saturates nearer than 20 mm, so advancing brightens a view
+TUBE_RADIUS_MM = 18.0   # landmark wall: an on-axis camera's nearest visible landmark is 26 mm off
+TUBE_Z_MIN_MM = -30.0   # landmarks behind the start: the camera may back off it by 22 mm
+TUBE_Z_MAX_MM = 200.0   # over three ZONE_PERIOD_MM ahead: a forward path crosses several zones
 KEEP_IN_MARGIN_MM = 5.0  # the camera stays this far inside the wall, well beyond NEAR_MM
 END_MARGIN_MM = 8.0     # and this far inside both ends of the tube
 SMOOTHING = 0.8         # smooth-advance's AR(1) momentum: successive steps correlate
@@ -43,44 +47,11 @@ SMOOTHING = 0.8         # smooth-advance's AR(1) momentum: successive steps corr
 _PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")
 
 
-@dataclass(frozen=True)
-class TubeGeometry:
-    """Cylinder around +z that landmarks sit on and the camera stays inside.  ValueError
-    naming the field for one that is not finite, a radius of at most KEEP_IN_MARGIN_MM
-    (no keep-in room) and an end less than END_MARGIN_MM beyond the camera's start at
-    the origin: a tube must contain that start."""
-
-    radius: float = 18.0       # mm, landmark surface
-    z_min: float = -30.0       # mm
-    z_max: float = 200.0       # mm
-
-    def __post_init__(self):
-        for name, value in vars(self).items():
-            if not math.isfinite(value):
-                raise ValueError(f"tube {name} must be finite, got {value}")
-        if not self.keep_in_radius > 0.0:
-            raise ValueError(f"tube radius must exceed {KEEP_IN_MARGIN_MM} mm, got {self.radius}")
-        for name, room in (("z_min", self.z_min + END_MARGIN_MM <= 0.0),
-                           ("z_max", 0.0 <= self.z_max - END_MARGIN_MM)):
-            if not room:     # as contains_camera tests the origin
-                raise ValueError(f"tube {name} must lie {END_MARGIN_MM} mm or more beyond "
-                                 f"the start at z = 0, got {getattr(self, name)}")
-
-    @property
-    def keep_in_radius(self) -> float:
-        """Largest distance (mm) of the camera from the tube axis: ``KEEP_IN_MARGIN_MM``
-        inside the landmark surface."""
-        return self.radius - KEEP_IN_MARGIN_MM
-
-    def contains_camera(self, position: np.ndarray) -> bool:
-        """Whether a camera position (mm) lies within the keep-in radius of the axis and
-        at least END_MARGIN_MM inside both ends of the tube."""
-        lateral = math.hypot(position[0], position[1])
-        return (lateral <= self.keep_in_radius
-                and self.z_min + END_MARGIN_MM <= position[2] <= self.z_max - END_MARGIN_MM)
-
-
-DEFAULT_TUBE = TubeGeometry()
+def contains_camera(position) -> bool:
+    """Whether a camera position (mm) lies within KEEP_IN_MARGIN_MM inside the tube's wall
+    and END_MARGIN_MM inside both of its ends."""
+    return (math.hypot(position[0], position[1]) <= TUBE_RADIUS_MM - KEEP_IN_MARGIN_MM
+            and TUBE_Z_MIN_MM + END_MARGIN_MM <= position[2] <= TUBE_Z_MAX_MM - END_MARGIN_MM)
 
 
 @dataclass(frozen=True)
@@ -106,19 +77,19 @@ class Scene:
 
 
 def make_tube_scene(seed: int, n_landmarks: int = 2500) -> Scene:
-    """Seeded landmark scene on the DEFAULT_TUBE interior.
+    """Seeded landmark scene on the interior wall of the tube: TUBE_RADIUS_MM from the +z
+    axis, from TUBE_Z_MIN_MM to TUBE_Z_MAX_MM along it.
 
     Texture alternates along z between speckled zones (albedo uniform in
     [0.3, 1.0], strong gradients) and smooth zones (albedo a gentle function
     of position in [0.12, 0.2], nearly featureless).  ValueError unless
-    n_landmarks is an integer >= 500.
+    n_landmarks is an integer >= 500 and seed an integer >= 0.
     """
-    trj._check_index("n_landmarks", n_landmarks, least=500)
-    rng = np.random.default_rng(seed)
-    tube = DEFAULT_TUBE
+    _check_index("n_landmarks", n_landmarks, least=500)
+    rng = np.random.default_rng(_check_index("seed", seed, least=0))
     phi = rng.uniform(0.0, 2.0 * math.pi, n_landmarks)
-    z = rng.uniform(tube.z_min, tube.z_max, n_landmarks)
-    points = np.stack([tube.radius * np.cos(phi), tube.radius * np.sin(phi), z], axis=1)
+    z = rng.uniform(TUBE_Z_MIN_MM, TUBE_Z_MAX_MM, n_landmarks)
+    points = np.stack([TUBE_RADIUS_MM * np.cos(phi), TUBE_RADIUS_MM * np.sin(phi), z], axis=1)
 
     zone_phase = rng.uniform(0.0, 2.0 * math.pi)
     speckled = np.sin(2.0 * math.pi * z / ZONE_PERIOD_MM + zone_phase) >= 0.0
@@ -131,33 +102,23 @@ def make_tube_scene(seed: int, n_landmarks: int = 2500) -> Scene:
 
 @dataclass(frozen=True)
 class Camera:
-    """Ideal pinhole; its field of view is the circle of ``mask_radius`` about the image
-    centre, wherever (cx, cy) lies.  ValueError for a size that is not an integer >= 1,
-    and for a focal length, principal point or mask radius out of range."""
+    """Ideal pinhole of ``size`` x ``size`` pixels, all else derived from the size: focal
+    length size / 2 pixels (about 90 degrees across), principal point (cx, cy) at the image
+    centre, and a field of view of the circle of mask radius 0.48 size pixels about it.
+    ValueError for a size that is not an integer >= 1."""
 
-    focal: float                # pixels
-    cx: float
-    cy: float
-    size: int                   # image is size x size
-    mask_radius: float          # pixels
+    size: int
 
     def __post_init__(self):
-        trj._check_index("size", self.size, least=1)
-        if not 0.0 < self.focal < math.inf:     # false for nan
-            raise ValueError(f"focal length must be positive and finite, got {self.focal}")
-        if not (math.isfinite(self.cx) and math.isfinite(self.cy)):
-            raise ValueError(f"principal point must be finite, got ({self.cx}, {self.cy})")
-        if not 0.0 < self.mask_radius <= self.size / 2.0:     # false for nan
-            raise ValueError("mask radius must lie in (0, size/2]")
+        size = _check_index("size", self.size, least=1)
+        center = (size - 1) / 2.0
+        # Plain attributes, not properties: project and render read them per call.
+        self.__dict__.update(focal=size * 0.5, cx=center, cy=center, mask_radius=0.48 * size)
 
     @staticmethod
     def default(size: int = 160) -> "Camera":
-        """Camera of ``size`` x ``size`` pixels: focal length size / 2 pixels (a field of
-        view of about 90 degrees), principal point at the image center, mask radius
-        0.48 size pixels."""
-        center = (size - 1) / 2.0
-        return Camera(focal=size * 0.5, cx=center, cy=center,
-                      size=size, mask_radius=0.48 * size)
+        """``Camera(size)``, the camera of ``size`` x ``size`` pixels."""
+        return Camera(size)
 
 
 @dataclass(frozen=True)
@@ -243,7 +204,7 @@ def render(scene: Scene, camera: Camera, pose: Pose) -> Observation:
     terms *= -inv_two_sigma2     # (-x) * c and x * (-c) round alike
     np.exp(terms, out=terms)
     terms *= amps
-    # A visible centre lies within mask_radius <= size / 2 of the image centre, so in
+    # A visible centre lies within mask_radius = 0.48 size of the image centre, so in
     # [-0.5, size - 0.5] up to rounding, and rounds into [-1, size]: pad by reach + 1.
     pad = reach + 1
     width = camera.size + 2 * pad
@@ -338,8 +299,7 @@ class MotionProfile:
             raise ValueError(f"forward_speed must be finite, got {self.forward_speed}")
 
 
-def generate_trajectory(seed: int, n_frames: int, profile: MotionProfile,
-                        tube: TubeGeometry = DEFAULT_TUBE) -> Trajectory:
+def generate_trajectory(seed: int, n_frames: int, profile: MotionProfile) -> Trajectory:
     """Seeded random camera path starting at the identity pose.
 
     One AR(1) step per frame for every kind, with the profile's momentum alpha
@@ -347,12 +307,12 @@ def generate_trajectory(seed: int, n_frames: int, profile: MotionProfile,
     omega = alpha omega + beta draw, from 3 translation then 3 rotation normals
     (std trans_std, rot_std) per attempt after one stationary draw of each.
     The camera moves by velocity + forward_speed along its +z, then turns by
-    exp(omega).  Steps that would leave the tube's keep-in region are drawn
+    exp(omega).  Steps to a position outside :func:`contains_camera` are drawn
     again (up to MAX_RESAMPLES times, then RuntimeError is raised).
-    ValueError unless n_frames is an integer >= 2.
+    ValueError unless n_frames is an integer >= 2 and seed an integer >= 0.
     """
-    trj._check_index("n_frames", n_frames, least=2)
-    rng = np.random.default_rng(seed)
+    _check_index("n_frames", n_frames, least=2)
+    rng = np.random.default_rng(_check_index("seed", seed, least=0))
     trans_std, rot_std, speed = profile.trans_std, profile.rot_std, profile.forward_speed
     alpha = PROFILE_KINDS[profile.kind]
     beta = math.sqrt(1.0 - alpha * alpha)
@@ -369,7 +329,7 @@ def generate_trajectory(seed: int, n_frames: int, profile: MotionProfile,
             ex, ey, ez = rng.normal(0.0, rot_std, 3).tolist()
             ux, uy, uz = alpha * vx + beta * dx, alpha * vy + beta * dy, alpha * vz + beta * dz
             position = x + (ux + speed * hx), y + (uy + speed * hy), z + (uz + speed * hz)
-            if tube.contains_camera(position):
+            if contains_camera(position):
                 break
             if attempt == MAX_RESAMPLES:
                 raise RuntimeError(
@@ -410,7 +370,7 @@ def window_samples(sequence: str, traj: Trajectory,
     """
     if not traj.anchored:
         raise ValueError("trajectory must be anchored")
-    k = trj._check_index("horizon k", k, least=1)
+    k = _check_index("horizon k", k, least=1)
     starts = [t for t in traj.window_starts(k)
               if all(i in observations for i in range(t, t + k + 1))]
     rows = traj.rows(starts)

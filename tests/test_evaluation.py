@@ -937,6 +937,13 @@ class TestEightPointVO:
         with pytest.raises(ValueError, match="noise_px must be finite and >= 0"):
             ev.eight_point_vo(make_tube_scene(0), camera, traj, noise_px=noise_px)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_a_seed_that_is_not_an_integer_of_at_least_zero_is_named(self, seed):
+        traj = Trajectory(((0, Pose.identity()), (1, Pose(np.eye(3), [0.0, 0.0, 1.0]))))
+        with pytest.raises(ValueError, match=re.escape(
+                f"seed must be an integer >= 0, got {seed!r}")):
+            ev.eight_point_vo(self.scene, Camera.default(48), traj, seed=seed)
+
     def test_alignment_needs_three_frames(self):
         rows = [(0, Pose.identity()), (1, Pose(np.eye(3), [1, 0, 0])), (2, None)]
         traj = random_trajectory(13, 3)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -210,6 +211,12 @@ class TestRandomPose:
             se3.random_pose(rng, **{"trans_scale": 1.0, "rot_scale": 0.1, name: bad})
         assert rng.random() == np.random.default_rng(16).random()   # refused before drawing
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_a_seed_that_is_not_an_integer_of_at_least_zero_is_named(self, seed):
+        with pytest.raises(ValueError, match=re.escape(
+                f"seed must be an integer >= 0, got {seed!r}")):
+            se3.random_pose(seed, 1.0, 0.1)
+
 
 class TestPoseEquality:
     def test_equal_and_unequal_poses(self):
@@ -251,6 +258,22 @@ class TestNumericalHygiene:
         reflection = np.diag([1.0, 1.0, -1.0])
         with pytest.raises(ValueError):
             Pose(reflection, np.zeros(3))
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Pose(np.eye(3), [0, 0]), "translation must have 3 components, got shape (2,)"),
+        (lambda: Pose(np.eye(3), np.zeros((2, 2))),
+         "translation must have 3 components, got shape (2, 2)"),
+        (lambda: se3.exp(np.zeros(5)), "split 6-vector must have 6 components, got shape (5,)"),
+        (lambda: se3.exp(np.zeros((2, 6))),
+         "split 6-vector must have 6 components, got shape (2, 6)")],
+        ids=["pose-2", "pose-2x2", "exp-5", "exp-2x6"])
+    def test_a_wrong_component_count_is_named(self, make, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make()
+
+    def test_any_shape_of_the_right_count_is_accepted(self):
+        assert Pose(np.eye(3), np.ones((3, 1))) == Pose(np.eye(3), np.ones(3))
+        assert se3.exp(np.zeros((1, 6))) == se3.exp(np.zeros(6)) == Pose.identity()
 
     def test_project_rotation_restores_orthonormality(self):
         rng = np.random.default_rng(15)

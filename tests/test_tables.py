@@ -316,6 +316,19 @@ class TestFilesOnDisk:
         assert pgm_path.stat().st_size == len(b"P5\n5 3\n255\n") + 15
         np.testing.assert_array_equal(world.read_pgm(pgm_path), image)
 
+    @pytest.mark.parametrize("read, header, good, bad", [
+        (ev.read_records_csv, ev.RECORDS_HEADER, b"s,0,8,0.1,0.2", b"s\xe9q,1,8,0.1,0.2"),
+        (trajectory.read_trajectory_file, trajectory.TRAJECTORY_HEADER, b"0,0,0,0,0,0,0",
+         b"1,s\xe9q,0,0,0,0,0")], ids=["records", "trajectory"])
+    def test_a_table_that_is_not_utf8_names_file_and_line(self, tmp_path, read, header,
+                                                           good, bad):
+        """A Latin-1 byte, as a writer under a Latin-1 locale would leave it."""
+        path = tmp_path / "table.csv"
+        for line, rows in (2, [bad]), (3, [good, bad]):
+            path.write_bytes(b"\n".join([header.encode()] + rows) + b"\n")
+            with pytest.raises(ValueError, match=re.escape(f"{path}, line {line}: not UTF-8 text")):
+                read(path)
+
     def test_tables_are_utf8_whatever_the_locale_says(self, tmp_path):
         """No table read or write falls back to the locale's encoding: each would raise
         EncodingWarning, an error in this interpreter."""

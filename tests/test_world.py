@@ -16,7 +16,6 @@ from policyvo.world import (
     MotionProfile,
     Observation,
     Scene,
-    TubeGeometry,
     correspondences,
     generate_trajectory,
     make_tube_scene,
@@ -26,10 +25,7 @@ from policyvo.world import (
 from rotations import rot_x, rot_y
 from test_array_core import compose_window_loop
 
-BIG_TUBE = TubeGeometry(radius=5000.0, z_min=-5000.0, z_max=5000.0)
-
-
-def per_kind_generator(seed, n_frames, profile, tube=world.DEFAULT_TUBE):
+def per_kind_generator(seed, n_frames, profile):
     """(rotations, positions) of a step loop with one branch per kind, kept as the
     oracle that ``generate_trajectory``'s one AR(1) step must equal bit for bit."""
     rng = np.random.default_rng(seed)
@@ -55,7 +51,7 @@ def per_kind_generator(seed, n_frames, profile, tube=world.DEFAULT_TUBE):
                 turn = rng.normal(0.0, profile.rot_std, 3)
                 cand_velocity, cand_omega = velocity, omega
 
-            if tube.contains_camera(cand_position):
+            if world.contains_camera(cand_position):
                 break
             if attempt == 1000:
                 raise RuntimeError(
@@ -71,13 +67,6 @@ def blob_centroid(image):
     total = image.sum()
     yy, xx = np.mgrid[0:image.shape[0], 0:image.shape[1]]
     return np.array([(image * xx).sum() / total, (image * yy).sum() / total])
-
-
-def off_centre_camera(size):
-    """A size-px camera whose principal point lies far off the image centre (at 48 px,
-    (8, 23.5) with focal 24 and mask radius 23)."""
-    return Camera(focal=size / 2.0, cx=size / 6.0, cy=(size - 1) / 2.0, size=size,
-                  mask_radius=23.0 * size / 48.0)
 
 
 def single_landmark_scene(point, albedo=1.0):
@@ -125,7 +114,7 @@ class TestSceneGeneration:
     def test_landmarks_on_tube_surface(self):
         scene = make_tube_scene(1, n_landmarks=800)
         lateral = np.hypot(scene.points[:, 0], scene.points[:, 1])
-        np.testing.assert_allclose(lateral, world.DEFAULT_TUBE.radius, atol=1e-9)
+        np.testing.assert_allclose(lateral, world.TUBE_RADIUS_MM, atol=1e-9)
         assert scene.albedo.min() >= 0.0 and scene.albedo.max() <= 1.0
 
     def test_texture_zones_present(self):
@@ -138,6 +127,15 @@ class TestSceneGeneration:
         b = make_tube_scene(3)
         np.testing.assert_array_equal(a.points, b.points)
         np.testing.assert_array_equal(a.albedo, b.albedo)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+@pytest.mark.parametrize("make", [make_tube_scene,
+                                  lambda seed: generate_trajectory(seed, 5, MotionProfile())],
+                         ids=["make_tube_scene", "generate_trajectory"])
+def test_a_seed_that_is_not_an_integer_of_at_least_zero_is_named(make, seed):
+    with pytest.raises(ValueError, match=re.escape(f"seed must be an integer >= 0, got {seed!r}")):
+        make(seed)
 
 
 class TestSceneType:
@@ -177,20 +175,21 @@ class TestGenerateTrajectory:
         for (_, pa), (_, pb) in zip(a.frames, b.frames):
             np.testing.assert_array_equal(pa.as_matrix(), pb.as_matrix())
 
+    # The motion statistics below do not depend on scale; at trans_std 0.001 mm the
+    # paths stay far inside the tube, so no step is resampled.
     def test_step_norm_matches_folded_gaussian(self):
-        # In an effectively unbounded tube the per-step translation is
-        # N(0, s^2 I3); its norm has mean s * 2 * sqrt(2/pi).
-        s = 0.5
+        # The per-step translation is N(0, s^2 I3); its norm has mean s * 2 * sqrt(2/pi).
+        s = 0.001
         profile = MotionProfile("smooth-advance", trans_std=s, rot_std=0.0)
-        traj = generate_trajectory(8, 10_001, profile, tube=BIG_TUBE)
+        traj = generate_trajectory(8, 10_001, profile)
         positions = np.stack([p.translation for p in traj.poses])
         steps = np.linalg.norm(np.diff(positions, axis=0), axis=1)
         expected = s * 2.0 * math.sqrt(2.0 / math.pi)
         assert abs(steps.mean() - expected) / expected < 0.2
 
     def test_smooth_advance_steps_are_correlated(self):
-        profile = MotionProfile("smooth-advance", trans_std=0.5, rot_std=0.0)
-        traj = generate_trajectory(9, 5000, profile, tube=BIG_TUBE)
+        profile = MotionProfile("smooth-advance", trans_std=0.001, rot_std=0.0)
+        traj = generate_trajectory(9, 5000, profile)
         positions = np.stack([p.translation for p in traj.poses])
         deltas = np.diff(positions, axis=0)
         a, b = deltas[:-1].ravel(), deltas[1:].ravel()
@@ -198,19 +197,21 @@ class TestGenerateTrajectory:
         assert corr > 0.5
 
     def test_jitter_steps_are_uncorrelated(self):
-        profile = MotionProfile("jitter", trans_std=0.5, rot_std=0.0)
-        traj = generate_trajectory(10, 5000, profile, tube=BIG_TUBE)
+        profile = MotionProfile("jitter", trans_std=0.001, rot_std=0.0)
+        traj = generate_trajectory(10, 5000, profile)
         deltas = np.diff(np.stack([p.translation for p in traj.poses]), axis=0)
         corr = np.corrcoef(deltas[:-1].ravel(), deltas[1:].ravel())[0, 1]
         assert abs(corr) < 0.1
 
     def test_camera_stays_inside_tube(self):
-        tube = world.DEFAULT_TUBE
         profile = MotionProfile("smooth-advance", trans_std=1.5, rot_std=0.02,
                                 forward_speed=0.5)
-        traj = generate_trajectory(11, 300, profile, tube=tube)
+        traj = generate_trajectory(11, 300, profile)
         for pose in traj.poses:
-            assert tube.contains_camera(pose.translation)
+            assert world.contains_camera(pose.translation)
+
+    def test_the_start_is_inside_the_tube(self):
+        assert world.contains_camera(np.zeros(3))
 
     def test_unreachable_constraints_error(self):
         profile = MotionProfile("smooth-advance", trans_std=0.0, rot_std=0.0,
@@ -349,42 +350,12 @@ class TestRenderMatchesAddAtOracle:
             image = render(scene, camera, pose).image
             assert np.abs(image - add_at_render(scene, camera, pose, blob_sigma)).max() == 0.0
 
-    @pytest.mark.parametrize("size", [160, 64, 48])
-    def test_bit_identical_with_an_off_centre_principal_point(self, size):
-        # The principal point far off the image centre projects many landmarks
-        # off the image; only those in the image mask's circle are splatted, some
-        # within a blob's reach of the image's edges.
-        camera = off_centre_camera(size)
-        scene = make_tube_scene(6)
-        for pose in Pose.identity(), Pose(rot_y(0.3), [0.0, 0.0, 30.0]):
-            image = render(scene, camera, pose).image
-            np.testing.assert_array_equal(image, add_at_render(scene, camera, pose, 1.0))
-
     def test_mask_is_cached_and_read_only(self):
         mask = world.circular_mask(40, 19.2)
         assert world.circular_mask(40, 19.2) is mask
         assert not mask.flags.writeable
         obs = render(make_tube_scene(7, n_landmarks=600), Camera.default(40), Pose.identity())
         np.testing.assert_array_equal(obs.mask, mask)
-
-
-class TestTubeGeometry:
-    @pytest.mark.parametrize("fields, message", [
-        (dict(radius=3.0), "tube radius must exceed 5.0 mm, got 3.0"),
-        (dict(radius=5.0), "tube radius must exceed 5.0 mm, got 5.0"),
-        (dict(radius=math.nan), "tube radius must be finite, got nan"),
-        (dict(z_max=math.inf), "tube z_max must be finite, got inf"),
-        (dict(z_min=10.0), "tube z_min must lie 8.0 mm or more beyond the start at z = 0, got 10.0"),
-        (dict(z_min=-7.9), "tube z_min must lie 8.0 mm or more beyond the start at z = 0, got -7.9"),
-        (dict(z_max=5.0), "tube z_max must lie 8.0 mm or more beyond the start at z = 0, got 5.0")])
-    def test_a_tube_without_room_for_the_start_is_refused(self, fields, message):
-        with pytest.raises(ValueError, match=re.escape(message)):
-            TubeGeometry(**fields)
-
-    def test_tubes_that_hold_the_start_are_accepted(self):
-        tight = TubeGeometry(radius=5.5, z_min=-8.0, z_max=8.0)
-        for tube in world.DEFAULT_TUBE, BIG_TUBE, tight:
-            assert tube.contains_camera(np.zeros(3))
 
 
 class TestObservationType:
@@ -413,30 +384,17 @@ class TestObservationType:
 
 
 class TestCameraType:
-    @pytest.mark.parametrize("radius", [-3.0, 0.0, float("nan"), 4.5, float("inf")])
-    def test_mask_radius_outside_half_size_rejected(self, radius):
-        with pytest.raises(ValueError, match=re.escape("mask radius must lie in (0, size/2]")):
-            Camera(10.0, 4, 4, 8, radius)
-
-    def test_mask_radius_of_half_size_accepted(self):
-        assert Camera(10.0, 4, 4, 8, 4.0).mask_radius == 4.0
-        assert Camera(10.0, 4, 4, np.int64(8), 4.0).size == 8
-
     @pytest.mark.parametrize("size", [8.5, 8.0, 0, True])
     def test_size_must_be_a_positive_integer(self, size):
         with pytest.raises(ValueError, match=re.escape(
                 f"size must be an integer >= 1, got {size!r}")):
-            Camera(10.0, 4, 4, size, 3.0)
+            Camera(size)
 
-    @pytest.mark.parametrize("focal", [math.nan, math.inf, 0.0, -1.0])
-    def test_bad_focal_rejected(self, focal):
-        with pytest.raises(ValueError, match="focal length must be positive and finite"):
-            Camera(focal, 4, 4, 8, 3.0)
-
-    @pytest.mark.parametrize("cx, cy", [(math.nan, 4.0), (4.0, math.inf), (-math.inf, 4.0)])
-    def test_non_finite_principal_point_rejected(self, cx, cy):
-        with pytest.raises(ValueError, match="principal point must be finite"):
-            Camera(10.0, cx, cy, 8, 3.0)
+    def test_intrinsics_follow_from_the_size(self):
+        camera = Camera(48)
+        assert Camera.default(48) == camera and Camera(np.int64(48)) == camera
+        assert (camera.focal, camera.cx, camera.cy, camera.mask_radius) == (24.0, 23.5, 23.5,
+                                                                           0.48 * 48)
 
 
 class TestLandmarkProjections:
@@ -458,11 +416,10 @@ class TestLandmarkProjections:
         np.testing.assert_array_equal(ids, [0])
         np.testing.assert_array_equal(uv, [[self.CAMERA.cx, self.CAMERA.cy]])
 
-    def test_an_off_centre_principal_point_detects_what_render_shows(self):
-        # A circle about the principal point (8, 23.5) would take in landmarks
-        # off the image; each detection lies in the image mask's circle, and
-        # render splats a landmark exactly when it is detected.
-        camera = off_centre_camera(48)
+    def test_detections_are_what_render_shows(self):
+        # Each detection lies in the image mask's circle, and render splats a
+        # landmark exactly when it is detected.
+        camera = Camera.default(48)
         scene = make_tube_scene(6)
         ids, uv = world.landmark_projections(scene, camera, Pose.identity())
         center = (camera.size - 1) / 2.0
