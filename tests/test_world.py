@@ -213,6 +213,18 @@ class TestGenerateTrajectory:
     def test_the_start_is_inside_the_tube(self):
         assert world.contains_camera(np.zeros(3))
 
+    WALL = world.TUBE_RADIUS_MM - world.KEEP_IN_MARGIN_MM
+    NEAR_END = world.TUBE_Z_MIN_MM + world.END_MARGIN_MM
+    FAR_END = world.TUBE_Z_MAX_MM - world.END_MARGIN_MM
+
+    @pytest.mark.parametrize("position, inside", [
+        ((0.0, WALL, 0.0), True), ((0.0, WALL + 1e-9, 0.0), False),
+        ((0.0, 0.0, NEAR_END), True), ((0.0, 0.0, NEAR_END - 1e-9), False),
+        ((0.0, 0.0, FAR_END), True), ((0.0, 0.0, FAR_END + 1e-9), False)],
+        ids=["wall", "past-wall", "near-end", "past-near-end", "far-end", "past-far-end"])
+    def test_the_keep_in_margins_bound_the_camera(self, position, inside):
+        assert world.contains_camera(np.array(position)) == inside
+
     def test_unreachable_constraints_error(self):
         profile = MotionProfile("smooth-advance", trans_std=0.0, rot_std=0.0,
                                 forward_speed=500.0)
@@ -395,6 +407,14 @@ class TestCameraType:
         assert Camera.default(48) == camera and Camera(np.int64(48)) == camera
         assert (camera.focal, camera.cx, camera.cy, camera.mask_radius) == (24.0, 23.5, 23.5,
                                                                            0.48 * 48)
+
+    @pytest.mark.parametrize("size", [1, 7, 160])
+    def test_the_mask_circle_is_centred_and_inside_the_image(self, size):
+        camera = Camera(size)
+        assert camera.cx == camera.cy == (size - 1) / 2.0
+        assert 0.0 < camera.mask_radius <= size / 2.0
+        mask = world.circular_mask(size, camera.mask_radius)
+        assert mask[(size - 1) // 2, (size - 1) // 2] and mask.sum() >= 1
 
 
 class TestLandmarkProjections:
