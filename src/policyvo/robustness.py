@@ -1,10 +1,10 @@
 """Image-condition difficulty scores and quartile-stratified error reporting.
 
-Two per-window scores approximate imaging difficulty: the masked mean Sobel
-gradient magnitude of the window's source frame (texture richness) and the
-absolute change of masked mean intensity across the window (illumination
-change).  Windows are then binned by the global 25th/75th percentiles of
-each score and translation RPE is reported per bin.
+Two per-window scores approximate imaging difficulty, both over the camera's
+field of view: the mean Sobel gradient magnitude of the window's source frame
+(texture richness) and the absolute change of mean intensity across the
+window (illumination change).  Windows are then binned by the global
+25th/75th percentiles of each score and translation RPE is reported per bin.
 
 Intensities live in [0, 1], so scores are unitless fractions (per pixel for
 the gradient score).
@@ -19,13 +19,14 @@ and not from the rendered image, does not see it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .evaluation import RPERecord, _check_row, _read_window_rows
 from .tables import write_table
-from .world import Observation
+from .world import Observation, circular_mask
 
 SCORES_HEADER = "sequence,t,w,s_texture,s_dillum"
 SCORES_ROW = "%s,%d,%d,%.17g,%.17g"
@@ -75,27 +76,36 @@ class StratifiedReport:
     degenerate_dillum: bool
 
 
-def texture_score(obs: Observation) -> float:
-    """Masked mean Sobel gradient magnitude of one frame.
-
-    Only pixels whose whole 3x3 Sobel stencil lies inside the mask count;
-    pixels with stencil overhang are excluded from the average.  Each
-    gradient adds its six non-zero taps (+-1 and +-2, so every product is
-    exact) as contiguous slices of the flat image.
-    """
-    mask = obs.mask
-    if not np.any(mask):
-        raise ValueError("empty mask")
+@functools.lru_cache
+def _sobel_region(width: int) -> np.ndarray:
+    """Which elements of :func:`texture_score`'s tap slices of a ``width``-pixel frame are
+    pixels whose whole 3x3 Sobel stencil lies in its field of view; cached, read-only."""
+    mask = circular_mask(width)
     rows = mask[:, :-2] & mask[:, 1:-1] & mask[:, 2:]       # 3-wide erosion, then 3-tall
     valid = rows[:-2] & rows[1:-1] & rows[2:]
     if not np.any(valid):
         raise ValueError("empty mask interior for the Sobel stencil")
     # Element p = y * width + x of the slice that starts at dy * width + dx is
     # pixel (y + dy, x + dx): for x < width - 2 the slices are the stencil of
-    # pixel (y + 1, x + 1), and the other p wrap across a row end and are
-    # dropped with the mask.  Taps are added in the convolution's order.
-    h, width = mask.shape
-    n = (h - 2) * width - 2
+    # pixel (y + 1, x + 1), and the other p wrap across a row end and are dropped.
+    keep = np.zeros((width - 2, width), bool)
+    keep[:, :-2] = valid
+    region = keep.ravel()[:(width - 2) * width - 2]
+    region.setflags(write=False)
+    return region
+
+
+def texture_score(obs: Observation) -> float:
+    """Mean Sobel gradient magnitude of one frame over the pixels whose whole 3x3
+    stencil lies inside its field of view.
+
+    Each gradient adds its six non-zero taps (+-1 and +-2, so every product is exact)
+    as contiguous slices of the flat image, in the convolution's order.  ValueError
+    ("empty mask interior") for a frame size where no pixel's stencil fits.
+    """
+    width = len(obs.image)
+    region = _sobel_region(width)
+    n = len(region)
     flat = obs.image.ravel()
 
     def tap(dy, dx):
@@ -114,24 +124,24 @@ def texture_score(obs: Observation) -> float:
     gx *= gx
     gy *= gy
     gx += gy
-    keep = np.zeros((h - 2, width), bool)
-    keep[:, :-2] = valid
-    return float(np.sqrt(gx[keep.ravel()[:n]]).mean())
+    return float(np.sqrt(gx[region]).mean())
 
 
 def illum_change_score(obs_t: Observation, obs_tk: Observation) -> float:
-    """Absolute change of masked mean intensity from the start frame to the end."""
-    if not np.array_equal(obs_t.mask, obs_tk.mask):
-        raise ValueError("mask mismatch between window endpoints")
-    if not np.any(obs_t.mask):
-        raise ValueError("empty mask")
-    return float(abs(obs_tk.image[obs_tk.mask].mean() - obs_t.image[obs_t.mask].mean()))
+    """Absolute change of mean intensity over the field of view from the start frame to
+    the end; ValueError for end frames of two different sizes."""
+    if obs_t.image.shape != obs_tk.image.shape:
+        raise ValueError(f"window endpoints differ in size: "
+                         f"{obs_t.image.shape} and {obs_tk.image.shape}")
+    mask = obs_t.mask
+    return float(abs(obs_tk.image[mask].mean() - obs_t.image[mask].mean()))
 
 
 def score_window(sequence: str, t: int, w: int, obs_t: Observation,
                  obs_tw: Observation) -> WindowScore:
-    """Both scores of window t..t+w from its two end frames; raises ValueError for an
-    empty mask, a frame too small for the Sobel stencil, or masks that differ."""
+    """Both scores of window t..t+w from its two end frames; raises ValueError for a
+    frame size with no pixel whose Sobel stencil lies in the field of view, or for end
+    frames of two different sizes."""
     return WindowScore(sequence, t, w,
                        texture_score(obs_t),
                        illum_change_score(obs_t, obs_tw))

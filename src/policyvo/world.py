@@ -7,7 +7,8 @@ others nearly uniform).  A camera-mounted light makes intensity fall off with
 the inverse square of the landmark distance, so advancing or retreating
 changes overall image brightness.  The world model is fixed: its settings,
 the tube's radius and ends among them, are the module constants below, and a
-camera's intrinsics follow from its image size alone (:class:`Camera`).
+camera's intrinsics and circular field of view follow from its image size alone
+(:class:`Camera`).
 
 Cameras start at the world origin looking down +z, so generated trajectories
 are born anchored (first pose = identity).  A camera sees the landmarks in front
@@ -123,40 +124,41 @@ class Camera:
 
 @dataclass(frozen=True)
 class Observation:
-    """Masked grayscale frame; pixels outside the mask are exactly zero."""
+    """Grayscale frame of the camera of its size, whose field of view is :attr:`mask`;
+    pixels outside it are exactly zero."""
 
-    image: np.ndarray   # (H, W) float64 in [0, 1]
-    mask: np.ndarray    # (H, W) bool
+    image: np.ndarray   # (size, size) float64 in [0, 1]
 
     def __post_init__(self):
         image = np.asarray(self.image, dtype=np.float64)
-        mask = np.asarray(self.mask, dtype=bool)
-        if image.shape != mask.shape or image.ndim != 2:
-            raise ValueError(f"image and mask must be 2-D arrays of one shape, "
-                             f"got {image.shape} and {mask.shape}")
-        if image.size == 0:
-            raise ValueError(f"image must not be empty, got shape {image.shape}")
+        if image.ndim != 2 or image.shape[0] != image.shape[1] or image.size == 0:
+            raise ValueError(f"image must be a non-empty square 2-D array, "
+                             f"got shape {image.shape}")
         if image.min() < 0.0 or image.max() > 1.0:
             raise ValueError("image values must lie in [0, 1]")
-        if np.any(image[~mask] != 0.0):
-            raise ValueError("pixels outside the mask must be exactly 0")
         image.setflags(write=False)
-        mask.setflags(write=False)
         object.__setattr__(self, "image", image)
-        object.__setattr__(self, "mask", mask)
+        if np.any(image[~self.mask] != 0.0):
+            raise ValueError("pixels outside the mask must be exactly 0")
+
+    @property
+    def mask(self) -> np.ndarray:
+        """The field of view, ``circular_mask`` of the image size."""
+        return circular_mask(len(self.image))
 
 
-def _in_view(size: int, radius: float, x, y) -> np.ndarray:
-    """The field of view: whether pixels (x, y) lie within ``radius`` of the image centre."""
-    center = (size - 1) / 2.0
-    return (x - center) ** 2 + (y - center) ** 2 <= radius ** 2
+def _in_view(camera: Camera, x, y) -> np.ndarray:
+    """The field of view: whether pixels (x, y) lie within the camera's mask radius of
+    its principal point."""
+    return (x - camera.cx) ** 2 + (y - camera.cy) ** 2 <= camera.mask_radius ** 2
 
 
 @functools.lru_cache
-def circular_mask(size: int, radius: float) -> np.ndarray:
-    """Pixels within ``radius`` of the image centre; cached per (size, radius), read-only."""
+def circular_mask(size: int) -> np.ndarray:
+    """The field of view of ``Camera(size)`` as a (size, size) bool image; cached per
+    size, read-only."""
     yy, xx = np.mgrid[0:size, 0:size]
-    mask = _in_view(size, radius, xx, yy)
+    mask = _in_view(Camera(size), xx, yy)
     mask.setflags(write=False)
     return mask
 
@@ -180,7 +182,7 @@ def project(camera: Camera, pose: Pose,
 def _visible(scene: Scene, camera: Camera, pose: Pose) -> tuple[np.ndarray, np.ndarray]:
     """Mask of the landmarks in front and in the field of view, and every landmark's uv."""
     uv, _, in_front = project(camera, pose, scene.points)
-    return in_front & _in_view(camera.size, camera.mask_radius, uv[:, 0], uv[:, 1]), uv
+    return in_front & _in_view(camera, uv[:, 0], uv[:, 1]), uv
 
 
 def render(scene: Scene, camera: Camera, pose: Pose) -> Observation:
@@ -212,9 +214,8 @@ def render(scene: Scene, camera: Camera, pose: Pose) -> Observation:
     index = ((cell[:, 1] + off) * width)[:, None, :] + (cell[:, 0] + off)[None, :, :]
     canvas = np.bincount(index.ravel(), terms.ravel(), width * width)
     image = np.clip(canvas.reshape(width, width)[pad:-pad, pad:-pad], 0.0, 1.0)
-    mask = circular_mask(camera.size, camera.mask_radius)
-    image[~mask] = 0.0
-    return Observation(image, mask)
+    image[~circular_mask(camera.size)] = 0.0
+    return Observation(image)
 
 
 def landmark_projections(scene: Scene, camera: Camera, pose: Pose,
@@ -382,7 +383,7 @@ def window_samples(sequence: str, traj: Trajectory,
 
 
 # ---------------------------------------------------------------------------
-# Disk format: 8-bit PGM images + masks, CSV manifest, trajectory CSV
+# Disk format: CSV manifest, trajectory CSV, one 8-bit PGM image per frame
 
 def write_pgm(path, image01: np.ndarray) -> None:
     """8-bit binary portable graymap of a 2-D image with values in [0, 1]; for any
@@ -410,25 +411,6 @@ def read_pgm(path) -> np.ndarray:
     return np.frombuffer(pixels, dtype=np.uint8).reshape(h, w) / 255.0
 
 
-def write_observation(image_path, mask_path, obs: Observation) -> None:
-    """Write an observation as two 8-bit PGM files: the image, and the mask as 0 or 1."""
-    write_pgm(image_path, obs.image)
-    write_pgm(mask_path, obs.mask.astype(np.float64))
-
-
-def read_observation(image_path, mask_path) -> Observation:
-    """Read an observation back from its two PGM files; mask pixels above 0.5 are
-    inside.  Raises ValueError for an unsupported or truncated file, and, naming the
-    image file, for an image and mask of different shapes and for an image pixel
-    outside the mask that is not 0."""
-    image = read_pgm(image_path)
-    mask = read_pgm(mask_path) > 0.5
-    try:
-        return Observation(image, mask)
-    except ValueError as exc:
-        raise ValueError(f"{image_path}: {exc}") from None
-
-
 @dataclass
 class SequenceData:
     """One sequence of a dataset: its name (a directory name), its anchored trajectory
@@ -441,7 +423,7 @@ class SequenceData:
 
 def write_dataset(root, sequences: list[SequenceData]) -> None:
     """Write under ``root`` a ``manifest.csv`` of (sequence, frame) rows and a directory
-    per sequence with its ``traj.csv`` and the frames' PGM images and masks, at paths
+    per sequence with its ``traj.csv`` and one 8-bit PGM image per frame, at paths
     derived from the row.  Raises ValueError naming the sequence, and writes nothing,
     for a name that ``tables.check_name`` refuses or that two sequences share, for a
     trajectory that does not start at the identity, and, naming the frame too, for an
@@ -461,7 +443,7 @@ def write_dataset(root, sequences: list[SequenceData]) -> None:
         seq_dir.mkdir(exist_ok=True)
         trj.write_trajectory_file(seq_dir / "traj.csv", seq.trajectory)
         for frame, obs in sorted(seq.observations.items()):
-            write_observation(*(root / f for f in _frame_files(seq.name, frame)), obs)
+            write_pgm(root / _frame_file(seq.name, frame), obs.image)
             manifest.append((seq.name, frame))
     write_table(root / "manifest.csv", MANIFEST_HEADER, MANIFEST_ROW, manifest)
 
@@ -470,9 +452,10 @@ def load_dataset(root) -> list[SequenceData]:
     """Load a dataset written by :func:`write_dataset`, refusing what it refuses: a
     manifest row with a name or frame that breaks its rule, that repeats an earlier row
     or whose frame has no pose raises ValueError naming the file and line, and a bad or
-    unanchored trajectory file, or an image with a non-zero pixel outside its mask,
-    raises one naming that file.  Each trajectory is the one written, frames without a
-    pose included."""
+    unanchored trajectory file, or a frame image that is not square or has a non-zero
+    pixel outside the field of view of its size, raises one naming that file.  Each
+    trajectory is the one written, frames without a pose included; nothing but the
+    manifest, the trajectory files and the frame images is read."""
     root = Path(root)
     manifest = root / "manifest.csv"
     places: dict[str, dict[int, str]] = {}      # sequence -> frame -> where its row is
@@ -486,8 +469,14 @@ def load_dataset(root) -> list[SequenceData]:
         path = root / name / "traj.csv"
         traj = _anchored(trj.read_trajectory_file(path), path)
         _check_posed(traj, frames)
-        observations = {frame: read_observation(*(root / f for f in _frame_files(name, frame)))
-                        for frame in frames}
+        observations = {}
+        for frame in frames:
+            frame_path = root / _frame_file(name, frame)
+            image = read_pgm(frame_path)
+            try:
+                observations[frame] = Observation(image)
+            except ValueError as exc:
+                raise ValueError(f"{frame_path}: {exc}") from None
         sequences.append(SequenceData(name, traj, observations))
     return sequences
 
@@ -501,10 +490,9 @@ def _check_posed(traj: Trajectory, places: dict) -> None:
         raise ValueError(f"{places[frame]}: frame {frame!r} has an observation but no pose")
 
 
-def _frame_files(name: str, frame: int) -> tuple[str, str]:
-    """Image and mask paths of a frame of a sequence, relative to the dataset root."""
-    stem = f"{name}/frame_{frame:06d}"
-    return f"{stem}.pgm", f"{stem}.mask.pgm"
+def _frame_file(name: str, frame: int) -> str:
+    """Image path of a frame of a sequence, relative to the dataset root."""
+    return f"{name}/frame_{frame:06d}.pgm"
 
 
 def _manifest_row(name: str, frame: str) -> tuple[str, int]:

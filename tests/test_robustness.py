@@ -63,8 +63,9 @@ class TestScoresCSV:
             rb.read_scores_csv(path)
 
 
-def masked(values, mask):
-    return Observation(np.where(mask, values, 0.0), mask)
+def masked(values):
+    """The frame of a square image's size with ``values`` in its field of view."""
+    return Observation(np.where(circular_mask(len(values)), values, 0.0))
 
 
 SOBEL_X = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
@@ -113,18 +114,14 @@ class TestScores:
     def test_texture_score_of_a_linear_ramp(self):
         # I = a x + b y + c: every Sobel response on the interior is (8a, 8b)
         # up to the convolution's sign, so the masked mean magnitude is 8 |(a, b)|.
-        mask = circular_mask(24, 10.0)
         yy, xx = np.mgrid[0:24, 0:24]
-        obs = masked(0.01 * xx + 0.02 * yy + 0.1, mask)
+        obs = masked(0.01 * xx + 0.02 * yy + 0.1)
         assert rb.texture_score(obs) == pytest.approx(8.0 * math.hypot(0.01, 0.02), rel=1e-12)
 
     def test_texture_ignores_pixels_outside_the_mask(self):
-        mask = circular_mask(24, 10.0)
         yy, xx = np.mgrid[0:24, 0:24]
-        ramp = masked(0.01 * xx + 0.1, mask)
+        ramp = masked(0.01 * xx + 0.1)
         assert rb.texture_score(ramp) == pytest.approx(0.08, rel=1e-12)
-        with pytest.raises(ValueError, match="empty mask"):
-            rb.texture_score(Observation(np.zeros((8, 8)), np.zeros((8, 8), dtype=bool)))
 
     def test_texture_score_equals_nine_tap_convolution(self):
         # Rendered frames, plus frames with exact zeros and constant runs,
@@ -135,38 +132,36 @@ class TestScores:
                   generate_trajectory(11, 4, MotionProfile(forward_speed=2.0)).poses]
         rng = np.random.default_rng(12)
         frames += [rng.choice([0.0, 0.25, 1.0], (64, 64)), np.zeros((64, 64))]
-        mask = circular_mask(64, camera.mask_radius)
         for image in frames:
-            obs = masked(image, mask)
+            obs = masked(image)
             assert rb.texture_score(obs) == nine_tap_texture_score(obs)
 
-    @pytest.mark.parametrize("shape, keep", [((64, 64), 0.9), ((40, 57), 0.95), ((3, 9), 1.0),
-                                             ((17, 3), 1.0), ((30, 30), 0.8)])
-    def test_texture_score_equals_nine_tap_convolution_on_random_masks(self, shape, keep):
-        # Holes, ragged edges and masks that reach the image border, so a stencil
-        # that wraps across a row end or leaves the image would be counted.
-        rng = np.random.default_rng(shape[0] * shape[1])
-        for _ in range(5):
-            mask = rng.random(shape) < keep
-            obs = masked(rng.uniform(0.0, 1.0, shape), mask)
-            if not nine_and_interior_valid(mask).any():
+    @pytest.mark.parametrize("size", [*range(1, 41), 64, 160])
+    def test_texture_score_equals_nine_tap_convolution_at_every_size(self, size):
+        # Small sizes put the field of view's edge on the image border, so a stencil
+        # that wrapped across a row end or left the image would be counted.  Sizes
+        # 1, 2 and 4 have no pixel whose stencil lies in the field of view.
+        rng = np.random.default_rng(size)
+        for _ in range(3):
+            obs = masked(rng.uniform(0.0, 1.0, (size, size)))
+            if not nine_and_interior_valid(obs.mask).any():
+                assert size in (1, 2, 4)
                 with pytest.raises(ValueError, match="empty mask interior"):
                     rb.texture_score(obs)
                 continue
             assert rb.texture_score(obs) == nine_tap_texture_score(obs)
 
-    @pytest.mark.parametrize("shape", [(2, 8), (8, 2), (1, 1)])
-    def test_texture_score_of_a_frame_too_small_for_the_stencil(self, shape):
-        with pytest.raises(ValueError, match="empty mask interior"):
-            rb.texture_score(Observation(np.zeros(shape), np.ones(shape, dtype=bool)))
+    def test_the_sobel_region_is_cached_per_size_and_read_only(self):
+        region = rb._sobel_region(40)
+        assert rb._sobel_region(40) is region and not region.flags.writeable
 
     def test_illum_change_of_two_constant_frames(self):
-        mask = circular_mask(16, 7.0)
-        dark, bright = masked(np.full((16, 16), 0.3), mask), masked(np.full((16, 16), 0.55), mask)
+        dark, bright = masked(np.full((16, 16), 0.3)), masked(np.full((16, 16), 0.55))
         assert rb.illum_change_score(dark, bright) == pytest.approx(0.25, abs=1e-15)
         assert rb.illum_change_score(bright, dark) == pytest.approx(0.25, abs=1e-15)
-        with pytest.raises(ValueError, match="mask mismatch"):
-            rb.illum_change_score(dark, masked(np.full((16, 16), 0.3), circular_mask(16, 6.0)))
+        with pytest.raises(ValueError, match=re.escape(
+                "window endpoints differ in size: (16, 16) and (12, 12)")):
+            rb.illum_change_score(dark, masked(np.full((12, 12), 0.3)))
 
 
 class TestStratify:

@@ -88,8 +88,7 @@ class TestWritersMatchTheFieldFormatter:
             rb.SCORES_HEADER, [(s.sequence, s.t, s.w, s.s_texture, s.s_dillum) for s in scores])
 
     def test_manifest(self, tmp_path):
-        mask = world.circular_mask(4, 1.5)
-        obs = world.Observation(np.where(mask, 0.5, 0.0), mask)
+        obs = world.Observation(np.where(world.circular_mask(4), 0.5, 0.0))
         traj = Trajectory([(-1, Pose.identity()), (0, Pose.identity())])
         world.write_dataset(tmp_path, [world.SequenceData("seq_000", traj, {-1: obs, 0: obs})])
         rows = [("seq_000", i) for i in (-1, 0)]
@@ -248,9 +247,9 @@ class TestKeysReadBackAsWritten:
     @given(st.lists(st.tuples(NAMES, st.sets(st.sampled_from(INT64_EDGES[1:-2]), min_size=1,
                                              max_size=3)), min_size=1, max_size=3))
     def test_dataset_manifest(self, sequences):
-        mask = np.ones((2, 2), bool)
+        obs = world.Observation(np.full((2, 2), 0.5))     # 2 x 2: all in the field of view
         data = [world.SequenceData(name, Trajectory([(f, Pose.identity()) for f in sorted(frames)]),
-                                   dict.fromkeys(frames, world.Observation(mask * 0.5, mask)))
+                                   dict.fromkeys(frames, obs))
                 for name, frames in sequences]
         with tempfile.TemporaryDirectory() as tmp:
             try:
@@ -286,8 +285,7 @@ assert ev.read_records_csv(root / "records.csv") == records
 scores = [rb.WindowScore(name, 0, 1, 0.125, 0.0625)]
 rb.write_scores_csv(root / "scores.csv", scores)
 assert rb.read_scores_csv(root / "scores.csv") == scores
-mask = world.circular_mask(4, 1.5)
-obs = world.Observation(np.where(mask, 0.5, 0.0), mask)
+obs = world.Observation(np.where(world.circular_mask(4), 0.5, 0.0))
 world.write_dataset(root / "data", [world.SequenceData(name, traj, {0: obs, 1: obs})])
 (seq,) = world.load_dataset(root / "data")
 assert (seq.name, seq.trajectory, list(seq.observations)) == (name, traj, [0, 1])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import shutil
@@ -363,36 +364,34 @@ class TestRenderMatchesAddAtOracle:
             assert np.abs(image - add_at_render(scene, camera, pose, blob_sigma)).max() == 0.0
 
     def test_mask_is_cached_and_read_only(self):
-        mask = world.circular_mask(40, 19.2)
-        assert world.circular_mask(40, 19.2) is mask
+        mask = world.circular_mask(40)
+        assert world.circular_mask(40) is mask
         assert not mask.flags.writeable
         obs = render(make_tube_scene(7, n_landmarks=600), Camera.default(40), Pose.identity())
-        np.testing.assert_array_equal(obs.mask, mask)
+        assert obs.mask is mask
 
 
 class TestObservationType:
-    def test_any_2d_shape_is_accepted_and_a_mismatch_named(self):
-        assert Observation(np.zeros((3, 5)), np.ones((3, 5), bool)).image.shape == (3, 5)
-        with pytest.raises(ValueError, match=re.escape(
-                "image and mask must be 2-D arrays of one shape, got (3, 5) and (5, 3)")):
-            Observation(np.zeros((3, 5)), np.ones((5, 3), bool))
+    def test_the_image_is_the_one_field_and_the_mask_follows_from_its_size(self):
+        obs = Observation(np.zeros((5, 5)))
+        assert [f.name for f in dataclasses.fields(Observation)] == ["image"]
+        assert obs.mask is world.circular_mask(5)
+        with pytest.raises(AttributeError):
+            obs.mask = np.ones((5, 5), bool)
 
-    @pytest.mark.parametrize("shape", [(0, 0), (0, 4)])
-    def test_an_empty_image_is_refused(self, shape):
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 4), (3, 5), (5, 3), (4,), (2, 2, 2), ()])
+    def test_an_image_that_is_not_a_non_empty_square_is_refused(self, shape):
         with pytest.raises(ValueError, match=re.escape(
-                f"image must not be empty, got shape {shape}")):
-            Observation(np.zeros(shape), np.zeros(shape, bool))
+                f"image must be a non-empty square 2-D array, got shape {shape}")):
+            Observation(np.zeros(shape))
 
     def test_outside_mask_nonzero_rejected(self):
-        image = np.ones((8, 8)) * 0.5
-        mask = world.circular_mask(8, 3.0)
         with pytest.raises(ValueError, match="outside the mask"):
-            Observation(image, mask)
+            Observation(np.full((8, 8), 0.5))
 
     def test_out_of_range_rejected(self):
-        mask = np.ones((4, 4), dtype=bool)
         with pytest.raises(ValueError):
-            Observation(np.full((4, 4), 1.5), mask)
+            Observation(np.full((4, 4), 1.5))
 
 
 class TestCameraType:
@@ -413,8 +412,11 @@ class TestCameraType:
         camera = Camera(size)
         assert camera.cx == camera.cy == (size - 1) / 2.0
         assert 0.0 < camera.mask_radius <= size / 2.0
-        mask = world.circular_mask(size, camera.mask_radius)
+        mask = world.circular_mask(size)
         assert mask[(size - 1) // 2, (size - 1) // 2] and mask.sum() >= 1
+        yy, xx = np.mgrid[0:size, 0:size]
+        np.testing.assert_array_equal(
+            mask, (xx - camera.cx) ** 2 + (yy - camera.cy) ** 2 <= camera.mask_radius ** 2)
 
 
 class TestLandmarkProjections:
@@ -565,14 +567,14 @@ class TestBuildDataset:
         assert keys == sorted(keys)
 
     def test_window_samples_skip_missing_frames(self):
-        obs = Observation(np.zeros((4, 4)), np.ones((4, 4), dtype=bool))
+        obs = Observation(np.zeros((4, 4)))
         traj = trj.Trajectory(tuple((i, Pose.identity()) for i in range(12) if i != 9),
                               anchored=True)
         observations = {i: obs for i in range(12) if i != 3}
         samples = world.window_samples("s", traj, observations, 2)
         assert [s.t for s in samples] == [0, 4, 5, 6]
 
-    OBS = Observation(np.zeros((4, 4)), np.ones((4, 4), dtype=bool))
+    OBS = Observation(np.zeros((4, 4)))
 
     def test_window_samples_refuse_a_start_away_from_identity(self):
         traj = trj.Trajectory([(0, Pose(np.eye(3), [1e-6, 0.0, 0.0]))]
@@ -652,14 +654,6 @@ class TestDiskFormat:
         with pytest.raises(ValueError, match=re.escape(f"truncated PGM {path}: 54 of 64")):
             world.read_pgm(path)
 
-    def test_observation_round_trip(self, tmp_path):
-        scene = make_tube_scene(28, n_landmarks=800)
-        obs = render(scene, Camera.default(40), Pose(np.eye(3), [0, 0, 4.0]))
-        world.write_observation(tmp_path / "a.pgm", tmp_path / "a.mask.pgm", obs)
-        back = world.read_observation(tmp_path / "a.pgm", tmp_path / "a.mask.pgm")
-        np.testing.assert_array_equal(back.mask, obs.mask)
-        np.testing.assert_allclose(back.image, obs.image, atol=0.5 / 255.0)
-
     def test_dataset_round_trip(self, tmp_path):
         scene = make_tube_scene(29, n_landmarks=800)
         camera = Camera.default(40)
@@ -669,6 +663,8 @@ class TestDiskFormat:
         observations = {i: render(scene, camera, p) for i, p in traj.frames}
         seq = world.SequenceData("seq_000", traj, observations)
         world.write_dataset(tmp_path / "data", [seq])
+        assert sorted(p.name for p in (tmp_path / "data" / "seq_000").iterdir()) == [
+            *(f"frame_{i:06d}.pgm" for i in range(10)), "traj.csv"]
         loaded = world.load_dataset(tmp_path / "data")
         assert len(loaded) == 1 and loaded[0].name == "seq_000"
         assert loaded[0].trajectory.indices == traj.indices
@@ -681,7 +677,7 @@ class TestDiskFormat:
     def test_writer_refuses_what_the_loader_refuses(self, tmp_path):
         """A trajectory that does not start at the identity: the writer names the
         sequence and writes nothing; such a file on disk, the loader names."""
-        obs = Observation(np.zeros((4, 4)), np.ones((4, 4), dtype=bool))
+        obs = Observation(np.zeros((4, 4)))
         moved = trj.Trajectory(((0, Pose(np.eye(3), [1.0, 0.0, 0.0])), (1, Pose.identity())))
         with pytest.raises(ValueError, match=re.escape(
                 "sequence 'b': anchored trajectory must start at identity")):
@@ -698,7 +694,7 @@ class TestDiskFormat:
             world.load_dataset(tmp_path / "data")
 
     def test_truncated_manifest_names_file(self, tmp_path):
-        obs = Observation(np.zeros((4, 4)), np.ones((4, 4), dtype=bool))
+        obs = Observation(np.zeros((4, 4)))
         traj = trj.Trajectory(((0, Pose.identity()), (1, Pose.identity())), anchored=True)
         world.write_dataset(tmp_path, [world.SequenceData("s", traj, {0: obs, 1: obs})])
         path = tmp_path / "manifest.csv"
@@ -710,7 +706,7 @@ class TestDiskFormat:
 
 def two_frame_sequence(name):
     """A sequence of two identity frames with blank 4 x 4 observations."""
-    obs = Observation(np.zeros((4, 4)), np.ones((4, 4), dtype=bool))
+    obs = Observation(np.zeros((4, 4)))
     traj = trj.Trajectory(((0, Pose.identity()), (1, Pose.identity())))
     return world.SequenceData(name, traj, {0: obs, 1: obs})
 
@@ -747,8 +743,8 @@ class TestDatasetRoundTrips:
         """One byte outside the mask of a written frame: the loader names that image file
         rather than load the frame with the pixel zeroed."""
         seq = two_frame_sequence("s")
-        mask = world.circular_mask(8, 3.5)
-        seq.observations = {i: Observation(mask * 1.0, mask) for i in (0, 1)}
+        mask = world.circular_mask(8)
+        seq.observations = {i: Observation(mask * 1.0) for i in (0, 1)}
         world.write_dataset(tmp_path, [seq])
         loaded = world.load_dataset(tmp_path)[0].observations
         assert all(np.array_equal(loaded[i].image, seq.observations[i].image) for i in (0, 1))
@@ -761,13 +757,38 @@ class TestDatasetRoundTrips:
                 f"{path}: pixels outside the mask must be exactly 0")):
             world.load_dataset(tmp_path)
 
+    def test_loader_never_reads_the_mask_files_of_the_earlier_layout(self, tmp_path):
+        """A dataset written with a ``.mask.pgm`` beside each frame, as datasets once were,
+        loads equal, and still does once those files hold no PGM at all."""
+        seq = two_frame_sequence("s")
+        seq.observations = {i: Observation(world.circular_mask(8) * 1.0) for i in (0, 1)}
+        world.write_dataset(tmp_path, [seq])
+        masks = [tmp_path / "s" / f"frame_00000{i}.mask.pgm" for i in (0, 1)]
+
+        def loads_equal():
+            loaded = world.load_dataset(tmp_path)[0].observations
+            return all(np.array_equal(loaded[i].image, seq.observations[i].image) for i in (0, 1))
+
+        for path in masks:
+            world.write_pgm(path, world.circular_mask(8) * 1.0)
+        assert loads_equal()
+        for path in masks:
+            path.write_bytes(b"not a PGM")
+        assert loads_equal()
+
+    def test_loader_refuses_a_frame_that_is_not_square(self, tmp_path):
+        world.write_dataset(tmp_path, [two_frame_sequence("s")])
+        path = tmp_path / "s" / "frame_000001.pgm"
+        world.write_pgm(path, np.zeros((4, 5)))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: image must be a non-empty square 2-D array, got shape (4, 5)")):
+            world.load_dataset(tmp_path)
+
     def test_loader_refuses_an_observation_without_a_pose(self, tmp_path):
         """A manifest row of a frame past the trajectory, its files copied in: the loader
         names the row, as the writer names such an observation."""
         world.write_dataset(tmp_path, [two_frame_sequence("s")])
-        for suffix in ".pgm", ".mask.pgm":
-            shutil.copy(tmp_path / "s" / f"frame_000001{suffix}",
-                        tmp_path / "s" / f"frame_000007{suffix}")
+        shutil.copy(tmp_path / "s" / "frame_000001.pgm", tmp_path / "s" / "frame_000007.pgm")
         path = tmp_path / "manifest.csv"
         path.write_text(path.read_text() + "s,7\n")
         with pytest.raises(ValueError, match=re.escape(
